@@ -1,37 +1,45 @@
-"""The complete cycle on the synthetic corpus: vectorize, train, index,
-link, and evaluate Precision@k per split.
+"""The complete cycle on the synthetic corpus: `tablelink pipeline` fits,
+trains, embeds, indexes and evaluates Precision@k per split; the saved
+artifacts then answer a cold-start lookup.
 
 Run from the repository root:  python demos/05_full_pipeline.py
 (takes a minute or two; lower batch_budget for a quicker look)
 """
 
-from tablelink.config import ProjectConfig
-from tablelink.corpus import load_corpus_xml
-from tablelink.cli import emit_report
-from tablelink.linker import retrain_cycle, semantic_link
-from tablelink.synthetic import synthetic_corpus_xml
+import json
+import tempfile
+from pathlib import Path
 
-corpus = load_corpus_xml(synthetic_corpus_xml(entities=30, mentions_per_entity=10, seed=7))
+from tablelink.cli import CategoryArtifacts, Workdir, run_command
+from tablelink.linker import semantic_link
+from tablelink.synthetic import write_synthetic_corpus
 
-config = ProjectConfig()
-config.training.batch_budget = 1000
+root = Path(tempfile.mkdtemp(prefix="tablelink-demo-"))
+write_synthetic_corpus(root / "corpus.xml", entities=30, mentions_per_entity=10, seed=7)
+config = {
+    "paths": {"corpus": str(root / "corpus.xml"), "workdir": str(root / "work")},
+    "training": {"batch_budget": 1000},
+}
+(root / "config.json").write_text(json.dumps(config))
 
-result = retrain_cycle(corpus, config)
-print(emit_report(result.report, "table").decode())
-print("timings (s):", {k: round(v, 2) for k, v in sorted(result.timings.items())})
+status = run_command(["pipeline", "--config", str(root / "config.json")])
+assert status == 0, f"pipeline exited {status}"
+print((root / "work" / "report.txt").read_text())
+print("timings (s):", json.loads((root / "work" / "timings.json").read_text()))
 
-# Cold-start lookup: an unseen entity's tuple was never in a training batch,
-# yet its mentions should surface near the top.
-model = result.models["Landmark"]
-unseen_entity = sorted(result.splits.unseen)[0]
+# Cold-start lookup from the saved artifacts: an unseen entity's tuple was
+# never in a training batch, yet its mentions should surface near the top.
+ws = Workdir(root / "work")
+corpus = ws.corpus()
+landmarks = CategoryArtifacts(ws, "Landmark", cat_index=0)
+unseen_entity = sorted(ws.splits().unseen)[0]
 anchor_key = corpus.tuples_by_entity[unseen_entity][0]
-from tablelink.linker import raw_vectors_for_category
-
-tuple_vecs, _ = raw_vectors_for_category(corpus, "Landmark", model.vectorizer)
-hit_list = semantic_link(model.pair, model.mention_forest, tuple_vecs[anchor_key],
-                         5, anchor_id=anchor_key)
+tuple_vecs, _ = landmarks.raw_vectors()
+hit_list = semantic_link(landmarks.pair(), landmarks.forest("mentions"),
+                         tuple_vecs[anchor_key], 5, anchor_id=anchor_key)
 gold = set(corpus.links_by_tuple[anchor_key])
 print(f"top-5 mentions for unseen entity {unseen_entity}:")
 for mention_id, dist, rank in hit_list.ranked:
     mark = "*" if mention_id in gold else " "
     print(f" {mark} rank {rank}  {dist:.4f}  {corpus.mentions[mention_id].sentence_text}")
+print(f"artifacts in {root / 'work'}")

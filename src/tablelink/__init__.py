@@ -31,7 +31,6 @@ from .linker import (
     bootstrap_exact_match,
     evaluate_precision,
     rank_candidates,
-    retrain_cycle,
     semantic_link,
 )
 from .neural import (
@@ -49,7 +48,6 @@ from .neural import (
 )
 from .vectorize import (
     HashingEncoder,
-    TextEncoder,
     VectorizerModel,
     embed_foreign_key,
     fit_vectorizer,

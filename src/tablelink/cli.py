@@ -15,6 +15,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import annindex, linker, neural, vectorize
 from .config import ConfigError, load_config
 from .corpus import Corpus, CorpusError, Splits, corpus_stats, load_corpus_xml, make_stratified_splits
@@ -67,34 +69,97 @@ def _require(path: Path, producer: str):
     return path
 
 
-def _load_corpus(workdir: Path) -> Corpus:
-    return Corpus.load(_require(workdir / "corpus.json", "ingest"))
+class Workdir:
+    """A workdir's corpus and splits, each read from disk at most once.
+
+    ``report`` collects the evaluation cells of one ``run_stages`` call.
+    """
+
+    def __init__(self, root):
+        self.root = Path(root)
+        self._corpus = self._splits = None
+        self.report = None
+
+    def ingest(self, corpus: Corpus, splits: Splits):
+        self.root.mkdir(parents=True, exist_ok=True)
+        corpus.save(self.root / "corpus.json")
+        splits.save(self.root / "splits.json")
+        self._corpus, self._splits = corpus, splits
+
+    def corpus(self) -> Corpus:
+        if self._corpus is None:
+            self._corpus = Corpus.load(_require(self.root / "corpus.json", "ingest"))
+        return self._corpus
+
+    def splits(self) -> Splits:
+        if self._splits is None:
+            self._splits = Splits.load(_require(self.root / "splits.json", "ingest"))
+        return self._splits
 
 
-def _load_splits(workdir: Path) -> Splits:
-    with open(_require(workdir / "splits.json", "ingest"), encoding="utf-8") as f:
-        return Splits.from_dict(json.load(f))
+class CategoryArtifacts:
+    """One category's artifacts, kept in memory once written or loaded.
 
+    A stage ``put``s what it writes, so a later stage in the same process
+    takes it from memory; a lone command loads it from the workdir, and a
+    missing file names the command that produces it.
+    """
 
-def _load_vectorizer(workdir: Path, category) -> vectorize.VectorizerModel:
-    path = _require(workdir / f"vectorizer_{_slug(category)}.json", "fit")
-    return vectorize.VectorizerModel.load(path)
+    def __init__(self, ws: Workdir, category, cat_index):
+        self.ws = ws
+        self.category = category
+        self.cat_index = cat_index
+        self.slug = _slug(category)
+        self._memo = {}
 
+    def path(self, stem, suffix) -> Path:
+        return self.ws.root / f"{stem}_{self.slug}.{suffix}"
 
-def _load_pair(workdir: Path, category) -> neural.EmbedderPair:
-    path = _require(workdir / f"model_{_slug(category)}.ckpt", "train")
-    pair, _ = neural.load_checkpoint(path)
-    return pair
+    def put(self, stem, suffix, value) -> Path:
+        """Keep ``value`` in memory; returns the path to write it to."""
+        path = self.path(stem, suffix)
+        self._memo[path] = value
+        return path
 
+    def _get(self, path, producer, load):
+        if path not in self._memo:
+            self._memo[path] = load(_require(path, producer))
+        return self._memo[path]
 
-def _load_forest(workdir: Path, side, category) -> annindex.RpForest:
-    path = _require(workdir / f"{side}_{_slug(category)}.idx", "build-index")
-    return annindex.load_forest(path)
+    def vectorizer(self) -> vectorize.VectorizerModel:
+        return self._get(self.path("vectorizer", "json"), "fit", vectorize.VectorizerModel.load)
 
+    def raw_vectors(self):
+        """(tuple vectors, mention vectors) before the networks, built once."""
+        if "raw" not in self._memo:
+            corpus, model = self.ws.corpus(), self.vectorizer()
+            self._memo["raw"] = (
+                {rec.key: vectorize.vectorize_tuple(model, rec, tuple_lookup=corpus.tuples)
+                 for rec in corpus.tuples_of_category(self.category)},
+                {m.id: vectorize.vectorize_mention(model, m)
+                 for m in corpus.mentions_of_category(self.category)},
+            )
+        return self._memo["raw"]
 
-def _save_splits(workdir: Path, splits: Splits):
-    with open(workdir / "splits.json", "w", encoding="utf-8") as f:
-        json.dump(splits.to_dict(), f, sort_keys=True, indent=1)
+    def pair(self) -> neural.EmbedderPair:
+        return self._get(self.path("model", "ckpt"), "train", self._load_pair)
+
+    def _load_pair(self, path):
+        pair, _ = neural.load_checkpoint(path)
+        vmodel = self.vectorizer()
+        if (pair.net_r.input_dim, pair.net_t.input_dim) != (vmodel.dim(), 2 * vmodel.encoder.dim):
+            raise PrerequisiteError(
+                f"{path.name} was trained on other input dims than vectorizer_{self.slug}.json "
+                "gives; rerun `tablelink train`"
+            )
+        return pair
+
+    def vectors(self, side):
+        """Joint-space vectors of one side ("tuples" or "mentions")."""
+        return self._get(self.path(side, "vec"), f"embed-{side}", vectorize.read_vector_file)
+
+    def forest(self, side) -> annindex.RpForest:
+        return self._get(self.path(side, "idx"), "build-index", annindex.load_forest)
 
 
 # ---------------------------------------------------------------------------
@@ -129,41 +194,30 @@ def emit_report(report: linker.EvalReport, format="table") -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _write_report(workdir: Path, report: linker.EvalReport):
-    (workdir / "report.json").write_bytes(emit_report(report, "json"))
-    (workdir / "report.txt").write_bytes(emit_report(report, "table"))
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
-def _corpus_source(config):
+def cmd_ingest(config, args):
     if not config.paths.corpus:
         raise ConfigError("paths.corpus must point at the corpus XML file")
-    path = Path(config.paths.corpus)
-    if not path.exists():
-        raise ConfigError(f"paths.corpus does not exist: {path}")
-    return path
-
-
-def cmd_ingest(config, args):
-    corpus = load_corpus_xml(_corpus_source(config))
-    workdir = Path(config.paths.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    corpus.save(workdir / "corpus.json")
-    splits = make_stratified_splits(corpus, config.split_spec())
-    _save_splits(workdir, splits)
+    source = Path(config.paths.corpus)
+    if not source.exists():
+        raise ConfigError(f"paths.corpus does not exist: {source}")
+    corpus = load_corpus_xml(source)
+    ws = Workdir(config.paths.workdir)
+    ws.ingest(corpus, make_stratified_splits(corpus, config.split_spec()))
+    splits = ws.splits()
     print(
         f"ingested {len(corpus.tuples)} tuples, {len(corpus.mentions)} mentions, "
         f"{len(corpus.links)} links across {len(corpus.schemas)} categories"
     )
     print(f"splits: {len(splits.train)} train / {len(splits.test)} test / {len(splits.unseen)} unseen")
+    return ws
 
 
 def cmd_stats(config, args):
-    corpus = _load_corpus(Path(config.paths.workdir))
-    stats = corpus_stats(corpus)
+    stats = corpus_stats(Workdir(config.paths.workdir).corpus())
     header = (
         f"{'category':<20}{'instances':>10}{'tuples':>8}{'sentences':>11}"
         f"{'sent/inst':>11}{'columns':>9}{'density':>9}"
@@ -177,184 +231,153 @@ def cmd_stats(config, args):
         )
 
 
-def cmd_fit(config, args):
-    workdir = Path(config.paths.workdir)
-    corpus = _load_corpus(workdir)
-    for category in corpus.categories():
-        encoder = vectorize.HashingEncoder(dim=config.encoder.dim, seed=config.encoder.seed)
-        model = vectorize.fit_vectorizer(
-            corpus.tuples_of_category(category), corpus.schemas[category], encoder
+# ---------------------------------------------------------------------------
+# Per-category stages
+# ---------------------------------------------------------------------------
+
+def stage_fit(art: CategoryArtifacts, config, args):
+    corpus = art.ws.corpus()
+    encoder = vectorize.HashingEncoder(dim=config.encoder.dim, seed=config.encoder.seed)
+    model = vectorize.fit_vectorizer(
+        corpus.tuples_of_category(art.category), corpus.schemas[art.category], encoder
+    )
+    model.save(art.put("vectorizer", "json", model))
+    print(f"fitted vectorizer for {art.category}: tuple dim {model.dim()}")
+
+
+def stage_train(art: CategoryArtifacts, config, args):
+    tuple_vecs, mention_vecs = art.raw_vectors()
+    with open(art.path("train", "log"), "w", encoding="utf-8") as log:
+        pair, adam, history = linker.train_category(
+            art.ws.corpus(), art.category, config, art.ws.splits(), tuple_vecs, mention_vecs,
+            cat_index=art.cat_index,
+            progress=lambda step, lr, loss: log.write(f"{step}\t{lr:.6e}\t{loss:.6e}\n"),
         )
-        model.save(workdir / f"vectorizer_{_slug(category)}.json")
-        print(f"fitted vectorizer for {category}: tuple dim {model.dim()}")
+    path = art.put("model", "ckpt", pair)
+    neural.save_checkpoint(path, pair, step=adam.step, extra={"category": art.category})
+    final = history[-1][2] if history else float("nan")
+    print(f"trained {art.category}: {len(history)} batches, final loss {final:.4f}")
 
 
-def cmd_train(config, args):
-    workdir = Path(config.paths.workdir)
-    corpus = _load_corpus(workdir)
-    splits = _load_splits(workdir)
-    for cat_index, category in enumerate(corpus.categories()):
-        if not corpus.mentions_of_category(category):
-            continue
-        vmodel = _load_vectorizer(workdir, category)
-        log_path = workdir / f"train_{_slug(category)}.log"
-        with open(log_path, "w", encoding="utf-8") as log:
-            trained = linker.train_category(
-                corpus, category, config, splits, vmodel, cat_index=cat_index,
-                progress=lambda step, lr, loss: log.write(f"{step}\t{lr:.6e}\t{loss:.6e}\n"),
-            )
-        neural.save_checkpoint(
-            workdir / f"model_{_slug(category)}.ckpt", trained.pair,
-            step=trained.adam.step, extra={"category": category},
+def _stage_embed(art: CategoryArtifacts, side):
+    pair = art.pair()
+    embed = pair.embed_tuples if side == "tuples" else pair.embed_mentions
+    tuple_vecs, mention_vecs = art.raw_vectors()
+    raw = tuple_vecs if side == "tuples" else mention_vecs
+    keys = sorted(raw)
+    vectors = dict(zip(keys, embed(np.stack([raw[k] for k in keys]))))
+    path = art.put(side, "vec", vectors)
+    vectorize.write_vector_file(path, vectors)
+    print(f"embedded {len(vectors)} {side} for {art.category} -> {path.name}")
+
+
+def stage_build_index(art: CategoryArtifacts, config, args):
+    for side in ("tuples", "mentions"):
+        forest = annindex.build_forest(
+            art.vectors(side), t=config.index.t,
+            leaf_capacity=config.index.leaf_capacity, seed=config.index.seed,
         )
-        final = trained.loss_history[-1][2] if trained.loss_history else float("nan")
-        print(f"trained {category}: {len(trained.loss_history)} batches, final loss {final:.4f}")
+        annindex.save_forest(forest, art.put(side, "idx", forest))
+        print(f"indexed {len(forest)} {side} vectors for {art.category} (t={forest.t})")
 
 
-def _cmd_embed(config, args, side):
-    workdir = Path(config.paths.workdir)
-    corpus = _load_corpus(workdir)
-    for category in corpus.categories():
-        if not corpus.mentions_of_category(category):
-            continue
-        vmodel = _load_vectorizer(workdir, category)
-        pair = _load_pair(workdir, category)
-        tuple_vecs, mention_vecs = linker.raw_vectors_for_category(corpus, category, vmodel)
-        e_r, e_t = linker.embed_category(pair, tuple_vecs, mention_vecs)
-        vectors = e_r if side == "tuples" else e_t
-        path = workdir / f"{side}_{_slug(category)}.vec"
-        vectorize.write_vector_file(path, vectors)
-        print(f"embedded {len(vectors)} {side} for {category} -> {path.name}")
-
-
-def cmd_embed_tuples(config, args):
-    _cmd_embed(config, args, "tuples")
-
-
-def cmd_embed_mentions(config, args):
-    _cmd_embed(config, args, "mentions")
-
-
-def cmd_build_index(config, args):
-    workdir = Path(config.paths.workdir)
-    corpus = _load_corpus(workdir)
-    for category in corpus.categories():
-        if not corpus.mentions_of_category(category):
-            continue
-        for side in ("tuples", "mentions"):
-            vec_path = _require(
-                workdir / f"{side}_{_slug(category)}.vec",
-                "embed-tuples" if side == "tuples" else "embed-mentions",
-            )
-            vectors = vectorize.read_vector_file(vec_path)
-            forest = annindex.build_forest(
-                vectors, t=config.index.t,
-                leaf_capacity=config.index.leaf_capacity, seed=config.index.seed,
-            )
-            annindex.save_forest(forest, workdir / f"{side}_{_slug(category)}.idx")
-            print(f"indexed {len(forest)} {side} vectors for {category} (t={forest.t})")
-
-
-def cmd_link(config, args):
-    workdir = Path(config.paths.workdir)
-    corpus = _load_corpus(workdir)
+def stage_link(art: CategoryArtifacts, config, args):
     direction = (
         linker.TUPLE_TO_MENTIONS if args.direction == "tuple-to-mentions"
         else linker.MENTION_TO_TUPLES
     )
-    n = args.n or config.index.n
-    for category in corpus.categories():
-        if not corpus.mentions_of_category(category):
-            continue
-        if config.strategy == "exact":
-            candidates = linker.bootstrap_exact_match(
-                corpus.tuples_of_category(category),
-                corpus.mentions_of_category(category),
-                {category: corpus.schemas[category]},
-                name_attributes=config.name_attributes,
+    if config.strategy == "exact":
+        candidates = linker.bootstrap_category(art.ws.corpus(), art.category, config.name_attributes)
+        results = linker.rank_candidates(candidates, direction=direction)
+    else:
+        pair = art.pair()
+        side = "mentions" if direction == linker.TUPLE_TO_MENTIONS else "tuples"
+        forest = art.forest(side)
+        tuple_vecs, mention_vecs = art.raw_vectors()
+        anchors = tuple_vecs if direction == linker.TUPLE_TO_MENTIONS else mention_vecs
+        n = args.n or config.index.n
+        results = {
+            anchor: linker.semantic_link(
+                pair, forest, vec, n, direction=direction, anchor_id=anchor,
+                search_k=config.index.search_k,
             )
-            results = linker.rank_candidates(candidates, direction=direction)
-        else:
-            vmodel = _load_vectorizer(workdir, category)
-            pair = _load_pair(workdir, category)
-            side = "mentions" if direction == linker.TUPLE_TO_MENTIONS else "tuples"
-            forest = _load_forest(workdir, side, category)
-            tuple_vecs, mention_vecs = linker.raw_vectors_for_category(corpus, category, vmodel)
-            anchors = tuple_vecs if direction == linker.TUPLE_TO_MENTIONS else mention_vecs
-            results = {
-                anchor: linker.semantic_link(
-                    pair, forest, vec, n, direction=direction, anchor_id=anchor,
-                    search_k=config.index.search_k,
-                )
-                for anchor, vec in sorted(anchors.items())
-            }
-        path = workdir / f"links_{_slug(category)}.tsv"
-        linker.export_links(results, path, strategy=config.strategy)
-        print(f"linked {len(results)} anchors for {category} -> {path.name}")
+            for anchor, vec in sorted(anchors.items())
+        }
+    path = art.path("links", "tsv")
+    linker.export_links(results, path, strategy=config.strategy)
+    print(f"linked {len(results)} anchors for {art.category} -> {path.name}")
 
 
-def cmd_eval(config, args):
-    workdir = Path(config.paths.workdir)
-    corpus = _load_corpus(workdir)
-    splits = _load_splits(workdir)
-    report = linker.EvalReport(ks=tuple(config.eval_ks))
-    for category in corpus.categories():
-        if not corpus.mentions_of_category(category):
-            continue
-        vmodel = _load_vectorizer(workdir, category)
-        pair = _load_pair(workdir, category)
-        tuple_forest = _load_forest(workdir, "tuples", category)
-        mention_forest = _load_forest(workdir, "mentions", category)
-        tuple_vecs, mention_vecs = linker.raw_vectors_for_category(corpus, category, vmodel)
-        linker.evaluate_category(
-            report, corpus, category, splits, pair,
-            tuple_vecs, mention_vecs, tuple_forest, mention_forest,
-            n=max(config.eval_ks), search_k=config.index.search_k,
-        )
-    report.finalize_overall()
-    _write_report(workdir, report)
-    sys.stdout.write(emit_report(report, "table").decode("utf-8"))
+def stage_eval(art: CategoryArtifacts, config, args):
+    linker.evaluate_category(
+        art.ws.report, art.ws.corpus(), art.category, art.ws.splits(), art.pair(),
+        *art.raw_vectors(), art.forest("tuples"), art.forest("mentions"),
+        n=max(config.eval_ks), search_k=config.index.search_k,
+    )
+
+
+STAGES = {
+    "fit": stage_fit,
+    "train": stage_train,
+    "embed-tuples": lambda art, config, args: _stage_embed(art, "tuples"),
+    "embed-mentions": lambda art, config, args: _stage_embed(art, "mentions"),
+    "build-index": stage_build_index,
+    "link": stage_link,
+    "eval": stage_eval,
+}
+
+
+def run_stages(ws: Workdir, config, args, names):
+    """Run the named stages category by category; returns seconds per stage.
+
+    ``fit`` runs on every category, the other stages only on categories
+    with mentions. One category's artifacts are dropped before the next
+    category's load. ``eval`` writes the report once, after the last
+    category.
+    """
+    corpus = ws.corpus()
+    if "eval" in names:
+        ws.report = linker.EvalReport(ks=tuple(config.eval_ks))
+    timings = dict.fromkeys(names, 0.0)
+    for cat_index, category in enumerate(corpus.categories()):
+        art = CategoryArtifacts(ws, category, cat_index)
+        has_mentions = bool(corpus.mentions_of_category(category))
+        for name in names:
+            if name == "fit" or has_mentions:
+                started = time.perf_counter()
+                STAGES[name](art, config, args)
+                timings[name] += time.perf_counter() - started
+    if "eval" in names:
+        ws.report.finalize_overall()
+        (ws.root / "report.json").write_bytes(emit_report(ws.report, "json"))
+        (ws.root / "report.txt").write_bytes(emit_report(ws.report, "table"))
+        sys.stdout.write(emit_report(ws.report, "table").decode("utf-8"))
+    return timings
+
+
+PIPELINE_STAGES = ("fit", "train", "embed-tuples", "embed-mentions", "build-index", "eval")
 
 
 def cmd_pipeline(config, args):
-    source = _corpus_source(config)
-    workdir = Path(config.paths.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    corpus = load_corpus_xml(source)
-    corpus.save(workdir / "corpus.json")
-    result = linker.retrain_cycle(corpus, config)
-    _save_splits(workdir, result.splits)
-    for category, model in result.models.items():
-        slug = _slug(category)
-        model.vectorizer.save(workdir / f"vectorizer_{slug}.json")
-        neural.save_checkpoint(
-            workdir / f"model_{slug}.ckpt", model.pair,
-            step=len(model.loss_history), extra={"category": category},
-        )
-        with open(workdir / f"train_{slug}.log", "w", encoding="utf-8") as log:
-            for step, lr, loss in model.loss_history:
-                log.write(f"{step}\t{lr:.6e}\t{loss:.6e}\n")
-        vectorize.write_vector_file(workdir / f"tuples_{slug}.vec", model.tuple_embeddings)
-        vectorize.write_vector_file(workdir / f"mentions_{slug}.vec", model.mention_embeddings)
-        annindex.save_forest(model.tuple_forest, workdir / f"tuples_{slug}.idx")
-        annindex.save_forest(model.mention_forest, workdir / f"mentions_{slug}.idx")
-    _write_report(workdir, result.report)
-    with open(workdir / "timings.json", "w", encoding="utf-8") as f:
-        json.dump({k: round(v, 3) for k, v in result.timings.items()}, f, sort_keys=True, indent=1)
-    sys.stdout.write(emit_report(result.report, "table").decode("utf-8"))
-    print(f"stage timings (s): {json.dumps({k: round(v, 2) for k, v in sorted(result.timings.items())})}")
+    """``ingest``, then every stage except ``link``, handing results on in memory."""
+    started = time.perf_counter()
+    ws = cmd_ingest(config, args)
+    timings = {"ingest": time.perf_counter() - started}
+    timings.update(run_stages(ws, config, args, PIPELINE_STAGES))
+    timings["total"] = time.perf_counter() - started
+    with open(ws.root / "timings.json", "w", encoding="utf-8") as f:
+        json.dump({k: round(v, 3) for k, v in timings.items()}, f, sort_keys=True, indent=1)
+    print(f"stage timings (s): {json.dumps({k: round(v, 2) for k, v in sorted(timings.items())})}")
+
+
+def _stage_command(name):
+    return lambda config, args: run_stages(Workdir(config.paths.workdir), config, args, (name,))
 
 
 COMMANDS = {
     "ingest": cmd_ingest,
     "stats": cmd_stats,
-    "fit": cmd_fit,
-    "train": cmd_train,
-    "embed-tuples": cmd_embed_tuples,
-    "embed-mentions": cmd_embed_mentions,
-    "build-index": cmd_build_index,
-    "link": cmd_link,
-    "eval": cmd_eval,
+    **{name: _stage_command(name) for name in STAGES},
     "pipeline": cmd_pipeline,
 }
 

@@ -6,6 +6,8 @@ learning rate 1e-5 with 0.9 decay every 1000 batches, 200 trees, top-10).
 """
 
 import json
+import types
+import typing
 from dataclasses import asdict, dataclass, field
 
 from .corpus import SplitSpec
@@ -29,8 +31,8 @@ class EncoderConfig:
 
 @dataclass
 class NetworkConfig:
-    hidden_r: list = field(default_factory=lambda: [512])
-    hidden_t: list = field(default_factory=list)
+    hidden_r: list[int] = field(default_factory=lambda: [512])
+    hidden_t: list[int] = field(default_factory=list)
     joint_dim: int = 256
 
 
@@ -74,7 +76,7 @@ class ProjectConfig:
     index: IndexConfig = field(default_factory=IndexConfig)
     split: SplitConfig = field(default_factory=SplitConfig)
     strategy: str = "semantic"
-    eval_ks: list = field(default_factory=lambda: [1, 5, 10])
+    eval_ks: list[int] = field(default_factory=lambda: [1, 5, 10])
     name_attributes: dict = field(default_factory=dict)
 
     def split_spec(self):
@@ -166,25 +168,41 @@ def apply_profile(config: ProjectConfig, profile: str):
     return config
 
 
+def _parse_override(raw, annotation, item):
+    """An override value as its field's declared type; str fields take it verbatim."""
+    if annotation is str:
+        return raw
+    try:
+        value = json.loads(raw)
+    except json.JSONDecodeError:
+        value = raw
+    options = typing.get_args(annotation) if isinstance(annotation, types.UnionType) else (annotation,)
+    for option in options:
+        kind, element = typing.get_origin(option) or option, typing.get_args(option)
+        if kind is float and type(value) is int:
+            return float(value)
+        if type(value) is kind and not (element and any(type(v) is not element[0] for v in value)):
+            return value
+    name = annotation.__name__ if isinstance(annotation, type) else annotation
+    raise ConfigError(f"override {item!r}: expected {name}, got {raw!r}")
+
+
 def apply_overrides(config: ProjectConfig, overrides):
-    """Apply ``section.key=value`` strings; values parse as JSON scalars."""
+    """Apply ``section.key=value`` strings, parsed as JSON and checked against the field's type."""
     for item in overrides or ():
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form section.key=value")
         path, raw = item.split("=", 1)
         parts = path.split(".")
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
         target = config
         for part in parts[:-1]:
-            if not hasattr(target, part):
+            if part not in getattr(target, "__dataclass_fields__", {}):
                 raise ConfigError(f"unknown config section {part!r} in override {item!r}")
             target = getattr(target, part)
-        if not hasattr(target, parts[-1]):
+        fields = getattr(target, "__dataclass_fields__", {})
+        if parts[-1] not in fields:
             raise ConfigError(f"unknown config key {parts[-1]!r} in override {item!r}")
-        setattr(target, parts[-1], value)
+        setattr(target, parts[-1], _parse_override(raw, fields[parts[-1]].type, item))
     return config
 
 

@@ -155,6 +155,14 @@ class Splits:
             seed=d["seed"],
         )
 
+    def save(self, path):
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(self.to_dict(), f, sort_keys=True, indent=1)
+
+    @classmethod
+    def load(cls, path):
+        return _load_json_artifact(path, cls.from_dict)
+
 
 @dataclass(frozen=True)
 class CategoryStats:
@@ -318,8 +326,16 @@ class Corpus:
 
     @classmethod
     def load(cls, path):
+        return _load_json_artifact(path, cls.from_dict)
+
+
+def _load_json_artifact(path, from_dict):
+    """Parse a JSON artifact; truncated or malformed content raises CorpusError."""
+    try:
         with open(path, encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+            return from_dict(json.load(f))
+    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError, AttributeError) as exc:
+        raise CorpusError(f"{path}: malformed artifact ({type(exc).__name__}: {exc})") from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Linking workflow: bootstrap matching, semantic retrieval, ranking,
-Precision@k evaluation, and the full retrain cycle.
+per-category training and Precision@k evaluation.
 
 Candidates flow in two directions (tuple anchors retrieving mentions and
 mention anchors retrieving tuples); ranked lists use dense ranks so that
@@ -8,13 +8,12 @@ equally scored candidates share a rank.
 
 import logging
 import re
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import annindex, neural, vectorize
-from .corpus import Corpus, make_stratified_splits
+from . import annindex, neural
+from .corpus import Corpus
 
 logger = logging.getLogger(__name__)
 
@@ -274,57 +273,14 @@ def evaluate_precision(results, gold, ks=(1, 5, 10), split="test", category="ove
 # Per-category training
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CategoryTraining:
-    """Trained state for one category before indexing."""
-
-    category: str
-    vectorizer: vectorize.VectorizerModel
-    pair: neural.EmbedderPair
-    adam: neural.AdamState
-    tuple_vecs: dict
-    mention_vecs: dict
-    matches: list
-    match_source: str
-    loss_history: list
-
-
-@dataclass
-class CategoryModel:
-    """Everything trained and built for one category."""
-
-    category: str
-    vectorizer: vectorize.VectorizerModel
-    pair: neural.EmbedderPair
-    tuple_forest: annindex.RpForest
-    mention_forest: annindex.RpForest
-    tuple_embeddings: dict
-    mention_embeddings: dict
-    loss_history: list
-
-
-@dataclass
-class RetrainResult:
-    pairs: dict  # category -> EmbedderPair
-    forests: dict  # category -> (tuple forest, mention forest)
-    report: EvalReport
-    splits: object
-    models: dict  # category -> CategoryModel
-    timings: dict
-
-
-def raw_vectors_for_category(corpus: Corpus, category, model: vectorize.VectorizerModel):
-    """Raw (pre-network) vectors for every tuple and mention of a category."""
-    lookup = corpus.tuples
-    tuple_vecs = {
-        rec.key: vectorize.vectorize_tuple(model, rec, tuple_lookup=lookup)
-        for rec in corpus.tuples_of_category(category)
-    }
-    mention_vecs = {
-        m.id: vectorize.vectorize_mention(model, m)
-        for m in corpus.mentions_of_category(category)
-    }
-    return tuple_vecs, mention_vecs
+def bootstrap_category(corpus: Corpus, category, name_attributes=None):
+    """Exact-match candidates between one category's tuples and mentions."""
+    return bootstrap_exact_match(
+        corpus.tuples_of_category(category),
+        corpus.mentions_of_category(category),
+        {category: corpus.schemas[category]},
+        name_attributes=name_attributes,
+    )
 
 
 def category_matches(corpus: Corpus, category, name_attributes=None):
@@ -332,23 +288,18 @@ def category_matches(corpus: Corpus, category, name_attributes=None):
     gold = corpus.links_of_category(category)
     if gold:
         return [(l.tuple_key, l.mention_id) for l in gold], "gold"
-    candidates = bootstrap_exact_match(
-        corpus.tuples_of_category(category),
-        corpus.mentions_of_category(category),
-        {category: corpus.schemas[category]},
-        name_attributes=name_attributes,
-    )
+    candidates = bootstrap_category(corpus, category, name_attributes)
     return [(c.tuple_key, c.mention_id) for c in candidates], "bootstrap"
 
 
-def train_category(corpus: Corpus, category, config, splits,
-                   vmodel: vectorize.VectorizerModel, cat_index=0, progress=None):
-    """Vectorize one category, obtain matches, and train its embedder pair.
+def train_category(corpus: Corpus, category, config, splits, tuple_vecs, mention_vecs,
+                   cat_index=0, progress=None):
+    """Obtain one category's matches and train its embedder pair on its raw vectors.
 
     Only matches of train-split entities reach the sampler, so test- and
-    unseen-split entities never appear in a batch.
+    unseen-split entities never appear in a batch. Returns the pair, its
+    optimizer state and the loss history.
     """
-    tuple_vecs, mention_vecs = raw_vectors_for_category(corpus, category, vmodel)
     if not mention_vecs:
         raise LinkerError(f"category {category!r} has no mentions to train on")
     matches, source = category_matches(corpus, category, name_attributes=config.name_attributes)
@@ -394,29 +345,7 @@ def train_category(corpus: Corpus, category, config, splits,
         batches=config.training.batch_budget, log_fn=progress,
     )
     logger.info("category %s: trained on %d matches (%s)", category, len(matches), source)
-    return CategoryTraining(
-        category=category,
-        vectorizer=vmodel,
-        pair=pair,
-        adam=adam,
-        tuple_vecs=tuple_vecs,
-        mention_vecs=mention_vecs,
-        matches=matches,
-        match_source=source,
-        loss_history=history,
-    )
-
-
-def embed_category(pair: neural.EmbedderPair, tuple_vecs, mention_vecs):
-    """Project all raw vectors of a category into the joint space."""
-    tuple_keys = sorted(tuple_vecs)
-    mention_ids = sorted(mention_vecs)
-    e_r = pair.embed_tuples(np.stack([tuple_vecs[k] for k in tuple_keys]))
-    e_t = pair.embed_mentions(np.stack([mention_vecs[k] for k in mention_ids]))
-    return (
-        {k: e_r[i] for i, k in enumerate(tuple_keys)},
-        {k: e_t[i] for i, k in enumerate(mention_ids)},
-    )
+    return pair, adam, history
 
 
 def evaluate_category(report, corpus: Corpus, category, splits, pair,
@@ -455,88 +384,6 @@ def evaluate_category(report, corpus: Corpus, category, splits, pair,
         evaluate_precision(results, gold, ks=report.ks, split=split, category=category,
                            direction=MENTION_TO_TUPLES, report=report)
     return report
-
-
-# ---------------------------------------------------------------------------
-# Retrain cycle
-# ---------------------------------------------------------------------------
-
-def retrain_cycle(corpus: Corpus, config, splits=None, progress=None):
-    """The full cycle: vectorize, match, train, embed, index, evaluate.
-
-    Unseen-split entities never enter a training batch; they are embedded
-    and evaluated with the trained networks as-is. Returns a RetrainResult
-    with one trained pair and both direction forests per category.
-    """
-    timings = {}
-    t0 = time.perf_counter()
-    if splits is None:
-        splits = make_stratified_splits(corpus, config.split_spec())
-    report = EvalReport(ks=tuple(config.eval_ks), primary_direction=TUPLE_TO_MENTIONS)
-    pairs, forests, models = {}, {}, {}
-
-    for cat_index, category in enumerate(corpus.categories()):
-        if not corpus.mentions_of_category(category):
-            continue
-        stage = time.perf_counter()
-        encoder = vectorize.HashingEncoder(dim=config.encoder.dim, seed=config.encoder.seed)
-        vmodel = vectorize.fit_vectorizer(
-            corpus.tuples_of_category(category), corpus.schemas[category], encoder
-        )
-        timings["fit"] = timings.get("fit", 0.0) + time.perf_counter() - stage
-
-        stage = time.perf_counter()
-        trained = train_category(
-            corpus, category, config, splits, vmodel, cat_index=cat_index, progress=progress
-        )
-        timings["train"] = timings.get("train", 0.0) + time.perf_counter() - stage
-
-        stage = time.perf_counter()
-        tuple_embeddings, mention_embeddings = embed_category(
-            trained.pair, trained.tuple_vecs, trained.mention_vecs
-        )
-        timings["embed"] = timings.get("embed", 0.0) + time.perf_counter() - stage
-
-        stage = time.perf_counter()
-        tuple_forest = annindex.build_forest(
-            tuple_embeddings, t=config.index.t,
-            leaf_capacity=config.index.leaf_capacity, seed=config.index.seed,
-        )
-        mention_forest = annindex.build_forest(
-            mention_embeddings, t=config.index.t,
-            leaf_capacity=config.index.leaf_capacity, seed=config.index.seed,
-        )
-        timings["index"] = timings.get("index", 0.0) + time.perf_counter() - stage
-
-        stage = time.perf_counter()
-        evaluate_category(
-            report, corpus, category, splits, trained.pair,
-            trained.tuple_vecs, trained.mention_vecs, tuple_forest, mention_forest,
-            n=max(config.eval_ks), search_k=config.index.search_k,
-        )
-        timings["evaluate"] = timings.get("evaluate", 0.0) + time.perf_counter() - stage
-
-        pairs[category] = trained.pair
-        forests[category] = (tuple_forest, mention_forest)
-        models[category] = CategoryModel(
-            category=category,
-            vectorizer=vmodel,
-            pair=trained.pair,
-            tuple_forest=tuple_forest,
-            mention_forest=mention_forest,
-            tuple_embeddings=tuple_embeddings,
-            mention_embeddings=mention_embeddings,
-            loss_history=trained.loss_history,
-        )
-
-    if not models:
-        raise LinkerError("corpus has no category with mentions to link")
-    report.finalize_overall()
-    timings["total"] = time.perf_counter() - t0
-    return RetrainResult(
-        pairs=pairs, forests=forests, report=report, splits=splits,
-        models=models, timings=timings,
-    )
 
 
 def export_links(results, path, strategy="semantic"):

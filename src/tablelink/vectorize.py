@@ -21,22 +21,10 @@ class VectorizeError(ValueError):
     """Raised for schema/model mismatches and malformed vector files."""
 
 
-class TextEncoder:
-    """Interface: deterministic, total mapping from strings to f64 vectors."""
-
-    dim: int
-
-    def encode(self, text: str) -> np.ndarray:
-        raise NotImplementedError
-
-    def config(self) -> dict:
-        raise NotImplementedError
-
-
 _WORD = re.compile(r"\w+")
 
 
-class HashingEncoder(TextEncoder):
+class HashingEncoder:
     """Signed feature hashing over character 3-grams and word unigrams.
 
     Deterministic across processes: features are hashed with keyed BLAKE2b
@@ -81,7 +69,7 @@ class HashingEncoder(TextEncoder):
         return {"type": "hashing", "dim": self.dim, "seed": self.seed}
 
 
-def encoder_from_config(config: dict) -> TextEncoder:
+def encoder_from_config(config: dict) -> HashingEncoder:
     if config.get("type") != "hashing":
         raise VectorizeError(f"unknown encoder type {config.get('type')!r}")
     return HashingEncoder(dim=config["dim"], seed=config["seed"])
@@ -107,7 +95,7 @@ class VectorizerModel:
     """
 
     schema: RelationSchema
-    encoder: TextEncoder
+    encoder: HashingEncoder
     numeric_stats: dict  # attr -> (mean, std)
     vocabularies: dict  # attr -> {value: index}, UNK last
     fk_depth: int = 1
@@ -206,7 +194,7 @@ class VectorizerModel:
             return cls.from_dict(json.load(f))
 
 
-def fit_vectorizer(tuples, schema: RelationSchema, encoder: TextEncoder, fk_depth=1):
+def fit_vectorizer(tuples, schema: RelationSchema, encoder: HashingEncoder, fk_depth=1):
     """Fit numeric stats and categorical vocabularies over a tuple set.
 
     Numeric attributes get mean and population standard deviation over

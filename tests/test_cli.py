@@ -5,7 +5,7 @@ import pytest
 from tablelink.cli import emit_report, run_command
 from tablelink.config import PROFILES, ConfigError, ProjectConfig, apply_profile, load_config
 from tablelink.linker import TUPLE_TO_MENTIONS, EvalReport
-from tablelink.synthetic import write_synthetic_corpus
+from tablelink.synthetic import synthetic_corpus_xml, write_synthetic_corpus
 
 
 @pytest.fixture
@@ -22,6 +22,17 @@ def project(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     return config_path, tmp_path / "work"
+
+
+def write_two_category_corpus(path):
+    """The fixture's Landmark corpus plus a Peak category with its own names and ids."""
+    landmarks = synthetic_corpus_xml(entities=12, mentions_per_entity=4, seed=3)
+    peaks = synthetic_corpus_xml(entities=10, mentions_per_entity=3, seed=4, category="Peak")
+    for old, new in (("Canyon", "Ridge"), ("Harbor", "Bluff"), ("Meadow", "Crest"),
+                     ("Orchard", "Knoll"), ("Summit", "Spire"), ('eid="Id', 'eid="Pk')):
+        peaks = peaks.replace(old, new)
+    entries = peaks.split(" <entries>\n", 1)[1].split(" </entries>", 1)[0]
+    path.write_text(landmarks.replace(" </entries>", entries + " </entries>"))
 
 
 class TestCommands:
@@ -77,6 +88,22 @@ class TestCommands:
         assert run_command(["pipeline", "--config", str(config_path)]) == 0
         for name, blob in first.items():
             assert (workdir / name).read_bytes() == blob, name
+
+    def test_command_chain_matches_pipeline(self, project, tmp_path):
+        config_path, chain_dir = project
+        write_two_category_corpus(tmp_path / "corpus.xml")
+        for command in ("ingest", "fit", "train", "embed-tuples", "embed-mentions",
+                        "build-index", "eval"):
+            assert run_command([command, "--config", str(config_path)]) == 0, command
+        pipeline_dir = tmp_path / "pipeline"
+        assert run_command(["pipeline", "--config", str(config_path),
+                            "--set", f"paths.workdir={pipeline_dir}"]) == 0
+        chain = {p.name: p.read_bytes() for p in chain_dir.iterdir()}
+        piped = {p.name: p.read_bytes() for p in pipeline_dir.iterdir()}
+        assert "model_Peak.ckpt" in chain and "tuples_Landmark.idx" in chain
+        assert set(piped) - set(chain) == {"timings.json"}
+        del piped["timings.json"]
+        assert piped == chain
 
     def test_exact_strategy_link(self, project):
         config_path, workdir = project
@@ -142,6 +169,43 @@ class TestErrors:
         (workdir / "corpus.json").write_text(blob)
         assert run_command(["stats", "--config", str(config_path)]) == 2
         assert "version" in capsys.readouterr().err
+
+        (workdir / "corpus.json").write_text(blob[:500])
+        assert run_command(["stats", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+        assert run_command(["ingest", "--config", str(config_path)]) == 0
+        assert run_command(["fit", "--config", str(config_path)]) == 0
+        splits = (workdir / "splits.json").read_text()
+        (workdir / "splits.json").write_text(splits[: len(splits) // 2])
+        capsys.readouterr()
+        assert run_command(["train", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "splits.json" in err
+
+    def test_override_of_wrong_type_exits_one(self, project, capsys):
+        config_path, _ = project
+        status = run_command(
+            ["ingest", "--config", str(config_path), "--set", "training.batch_size=abc"]
+        )
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "training.batch_size" in err
+        lr = load_config(config_path, overrides=["training.lr=1"]).training.lr
+        assert lr == 1.0 and isinstance(lr, float)
+
+    def test_stale_checkpoint_names_train(self, project, capsys):
+        config_path, _ = project
+        for command in ("ingest", "fit", "train"):
+            assert run_command([command, "--config", str(config_path)]) == 0
+        assert run_command(
+            ["fit", "--config", str(config_path), "--set", "encoder.dim=16"]
+        ) == 0
+        capsys.readouterr()
+        assert run_command(["embed-tuples", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "model_Landmark.ckpt" in err and "rerun `tablelink train`" in err
 
 
 class TestProfiles:

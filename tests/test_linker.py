@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from tablelink.annindex import build_forest
-from tablelink.corpus import RelationSchema, TextMention, load_corpus_xml
+from tablelink.cli import PIPELINE_STAGES, Workdir, run_stages
+from tablelink.corpus import RelationSchema, TextMention, load_corpus_xml, make_stratified_splits
 from tablelink.linker import (
     MENTION_TO_TUPLES,
     TUPLE_TO_MENTIONS,
@@ -16,7 +17,6 @@ from tablelink.linker import (
     category_matches,
     evaluate_precision,
     rank_candidates,
-    retrain_cycle,
     semantic_link,
 )
 from tablelink.neural import DenseNet, EmbedderPair
@@ -242,30 +242,39 @@ def tiny_config(budget=60):
     return config
 
 
+def run_cycle(root, corpus, config):
+    """Ingest an in-memory corpus into ``root`` and run every pipeline stage on it."""
+    ws = Workdir(root)
+    ws.ingest(corpus, make_stratified_splits(corpus, config.split_spec()))
+    return ws, run_stages(ws, config, None, PIPELINE_STAGES)
+
+
 class TestRetrainCycle:
-    def test_smoke_and_report_shape(self, tiny_synthetic_corpus):
-        result = retrain_cycle(tiny_synthetic_corpus, tiny_config())
-        report = result.report
+    """The whole cycle as `pipeline` runs it: fit, train, embed, index, evaluate."""
+
+    def test_smoke_and_report_shape(self, tiny_synthetic_corpus, tmp_path):
+        ws, timings = run_cycle(tmp_path, tiny_synthetic_corpus, tiny_config())
+        report = ws.report
         assert set(report.cells) == {TUPLE_TO_MENTIONS, MENTION_TO_TUPLES}
         for split in ("train", "test", "unseen"):
             cell = report.cells[TUPLE_TO_MENTIONS][split]["Landmark"]
             assert cell["count"] > 0
             p = cell["precision"]
             assert 0.0 <= p[1] <= p[5] <= p[10] <= 1.0
-        assert "Landmark" in result.pairs
-        assert set(result.timings) >= {"fit", "train", "embed", "index", "evaluate", "total"}
+        assert (tmp_path / "model_Landmark.ckpt").exists()
+        assert set(timings) == set(PIPELINE_STAGES)
 
-    def test_rerun_is_identical(self, tiny_synthetic_corpus):
-        r1 = retrain_cycle(tiny_synthetic_corpus, tiny_config())
-        r2 = retrain_cycle(tiny_synthetic_corpus, tiny_config())
-        assert r1.report.to_dict() == r2.report.to_dict()
+    def test_rerun_is_identical(self, tiny_synthetic_corpus, tmp_path):
+        ws1, _ = run_cycle(tmp_path / "a", tiny_synthetic_corpus, tiny_config())
+        ws2, _ = run_cycle(tmp_path / "b", tiny_synthetic_corpus, tiny_config())
+        assert ws1.report.to_dict() == ws2.report.to_dict()
 
-    def test_unseen_entities_never_sampled(self, tiny_synthetic_corpus):
+    def test_unseen_entities_never_sampled(self, tiny_synthetic_corpus, tmp_path):
         from tablelink import neural
 
         config = tiny_config(budget=40)
-        result = retrain_cycle(tiny_synthetic_corpus, config)
-        splits = result.splits
+        ws, _ = run_cycle(tmp_path, tiny_synthetic_corpus, config)
+        splits = ws.splits()
         corpus = tiny_synthetic_corpus
         # rebuild the sampler exactly as training does and draw many batches
         matches, _ = category_matches(corpus, "Landmark")
@@ -280,17 +289,17 @@ class TestRetrainCycle:
             for tk, _ in sampler.sample_pairs():
                 assert entity_of[tk] not in held_out
 
-    def test_unseen_appear_only_in_unseen_cells(self, tiny_synthetic_corpus):
-        result = retrain_cycle(tiny_synthetic_corpus, tiny_config(budget=40))
+    def test_unseen_appear_only_in_unseen_cells(self, tiny_synthetic_corpus, tmp_path):
+        ws, _ = run_cycle(tmp_path, tiny_synthetic_corpus, tiny_config(budget=40))
         counts = {
-            split: result.report.cells[TUPLE_TO_MENTIONS][split]["Landmark"]["count"]
+            split: ws.report.cells[TUPLE_TO_MENTIONS][split]["Landmark"]["count"]
             for split in ("train", "test", "unseen")
         }
-        assert counts["unseen"] == len(result.splits.unseen)
-        assert counts["test"] == len(result.splits.test)
-        assert counts["train"] == len(result.splits.train)
+        assert counts["unseen"] == len(ws.splits().unseen)
+        assert counts["test"] == len(ws.splits().test)
+        assert counts["train"] == len(ws.splits().train)
 
-    def test_no_matches_aborts_with_guidance(self):
+    def test_no_matches_aborts_with_guidance(self, tmp_path):
         # strip every lexicalization token that could bootstrap: numeric-only schema
         xml = (
             "<benchmark><entries>"
@@ -309,7 +318,7 @@ class TestRetrainCycle:
         stripped = Corpus(corpus.schemas, corpus.tuples, corpus.mentions, [])
         config = tiny_config(budget=10)
         with pytest.raises(LinkerError, match="no gold links|no matches|mentions"):
-            retrain_cycle(stripped, config, splits=None)
+            run_cycle(tmp_path, stripped, config)
 
 
 class TestCategoryMatches:
