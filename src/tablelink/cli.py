@@ -40,25 +40,48 @@ def _slug(category):
 
 
 class WorkdirLock:
-    """Exclusive lock file so only one command runs per workdir."""
+    """Exclusive lock file so only one command runs per workdir.
+
+    The file holds the owner's PID. A lock whose process no longer exists is
+    reclaimed once; a live, unreadable or garbled lock is left alone.
+    """
 
     def __init__(self, workdir):
         self.path = Path(workdir) / ".lock"
 
     def __enter__(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise linker.LinkerError(
-                f"workdir is locked by another command; remove {self.path} if stale"
-            ) from None
+        for retry in (False, True):
+            try:
+                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                if retry or not self._owner_is_gone():
+                    raise linker.LinkerError(
+                        f"workdir is locked by another command; remove {self.path} if stale"
+                    ) from None
+                self.path.unlink(missing_ok=True)
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
         return self
 
     def __exit__(self, *exc):
         self.path.unlink(missing_ok=True)
+
+    def _owner_is_gone(self):
+        try:
+            pid = int(self.path.read_text())
+        except (OSError, ValueError):
+            return False
+        if pid <= 0:  # 0 and negative PIDs name process groups, not the owner
+            return False
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        except (OSError, OverflowError):  # alive under another user, or not a PID
+            pass
+        return False
 
 
 def _require(path: Path, producer: str):

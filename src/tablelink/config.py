@@ -132,17 +132,23 @@ class ProjectConfig:
             "index": IndexConfig,
             "split": SplitConfig,
         }
+        if not isinstance(d, dict):
+            raise ConfigError("config must be a JSON object")
+        fields = cls.__dataclass_fields__
         kwargs = {}
         for key, value in d.items():
             if key in known:
-                section = known[key]
-                valid = section.__dataclass_fields__
+                if not isinstance(value, dict):
+                    raise ConfigError(f"config section {key!r} must be an object")
+                valid = known[key].__dataclass_fields__
                 unknown = set(value) - set(valid)
                 if unknown:
                     raise ConfigError(f"unknown {key} config keys: {sorted(unknown)}")
-                kwargs[key] = section(**value)
-            elif key in ("strategy", "eval_ks", "name_attributes"):
-                kwargs[key] = value
+                kwargs[key] = known[key](**{
+                    name: _typed(v, valid[name].type, f"{key}.{name}") for name, v in value.items()
+                })
+            elif key in fields:
+                kwargs[key] = _typed(value, fields[key].type, key)
             else:
                 raise ConfigError(f"unknown config key {key!r}")
         return cls(**kwargs)
@@ -168,14 +174,8 @@ def apply_profile(config: ProjectConfig, profile: str):
     return config
 
 
-def _parse_override(raw, annotation, item):
-    """An override value as its field's declared type; str fields take it verbatim."""
-    if annotation is str:
-        return raw
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
+def _typed(value, annotation, where):
+    """``value`` checked against a field annotation; an int is taken as a float for a float field."""
     options = typing.get_args(annotation) if isinstance(annotation, types.UnionType) else (annotation,)
     for option in options:
         kind, element = typing.get_origin(option) or option, typing.get_args(option)
@@ -184,7 +184,18 @@ def _parse_override(raw, annotation, item):
         if type(value) is kind and not (element and any(type(v) is not element[0] for v in value)):
             return value
     name = annotation.__name__ if isinstance(annotation, type) else annotation
-    raise ConfigError(f"override {item!r}: expected {name}, got {raw!r}")
+    raise ConfigError(f"{where}: expected {name}, got {value!r}")
+
+
+def _parse_override(raw, annotation, item):
+    """An override value as its field's declared type; str fields take it verbatim."""
+    if annotation is str:
+        return raw
+    try:
+        value = json.loads(raw)
+    except json.JSONDecodeError:
+        value = raw
+    return _typed(value, annotation, f"override {item!r}")
 
 
 def apply_overrides(config: ProjectConfig, overrides):
@@ -208,7 +219,11 @@ def apply_overrides(config: ProjectConfig, overrides):
 
 def load_config(path, profile=None, overrides=None):
     with open(path, encoding="utf-8") as f:
-        config = ProjectConfig.from_dict(json.load(f))
+        try:
+            raw = json.load(f)
+        except ValueError as exc:  # malformed JSON or not UTF-8
+            raise ConfigError(f"{path}: not a valid JSON config ({exc})") from None
+    config = ProjectConfig.from_dict(raw)
     if profile:
         apply_profile(config, profile)
     apply_overrides(config, overrides)

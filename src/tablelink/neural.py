@@ -10,6 +10,7 @@ against finite differences.
 
 import json
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -39,7 +40,8 @@ class DenseNet:
 
     Dropout (inverted, keep probability ``keep_prob``) applies to hidden
     activations only and only when ``training`` is set, so inference is
-    deterministic.
+    deterministic. ``backward`` writes into ``grad_weights`` and
+    ``grad_biases``, which ``EmbedderPair`` points into its gradient buffer.
     """
 
     def __init__(self, weights, biases, keep_prob=0.75):
@@ -50,6 +52,8 @@ class DenseNet:
                 raise ValueError("layer dims do not chain")
         self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
         self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        self.grad_weights = [np.zeros(w.shape) for w in self.weights]
+        self.grad_biases = [np.zeros(b.shape) for b in self.biases]
         self.keep_prob = float(keep_prob)
 
     @classmethod
@@ -95,23 +99,25 @@ class DenseNet:
         return a, cache
 
     def backward(self, d_out, cache):
-        """Gradients of all parameters (and the input) given d loss/d output."""
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
+        """Write the parameter gradients given d loss/d output.
+
+        The input gradient is never formed: nothing upstream of the first
+        layer reads it.
+        """
         d_a = np.atleast_2d(d_out)
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
             a_in, z, mask = cache[i]
             if i < last:
                 if mask is not None:
-                    d_a = d_a * mask
+                    d_a *= mask
                 d_z = d_a * elu_grad(z)
             else:
                 d_z = d_a
-            grads_w[i] = d_z.T @ a_in
-            grads_b[i] = d_z.sum(axis=0)
-            d_a = d_z @ self.weights[i]
-        return grads_w, grads_b, d_a
+            np.matmul(d_z.T, a_in, out=self.grad_weights[i])
+            np.sum(d_z, axis=0, out=self.grad_biases[i])
+            if i > 0:
+                d_a = d_z @ self.weights[i]
 
 
 def forward_embed(net: DenseNet, v, training=False, rng=None):
@@ -120,9 +126,29 @@ def forward_embed(net: DenseNet, v, training=False, rng=None):
     return out[0] if np.asarray(v).ndim == 1 else out
 
 
+def _layer_views(buffer, offset, shapes):
+    """Weight and bias views of ``buffer`` from ``offset`` for layer shapes (out, in).
+
+    Returns (weights, biases, offset past the last bias).
+    """
+    weights, biases = [], []
+    for out_dim, in_dim in shapes:
+        end = offset + out_dim * in_dim
+        weights.append(buffer[offset:end].reshape(out_dim, in_dim))
+        biases.append(buffer[end : end + out_dim])
+        offset = end + out_dim
+    return weights, biases, offset
+
+
 @dataclass
 class EmbedderPair:
-    """The two networks of the joint space plus the training margin."""
+    """The two networks of the joint space plus the training margin.
+
+    Every parameter is a view into one contiguous f64 buffer ``flat`` and
+    every gradient a view into ``grad``, both in ``parameters()`` order. A
+    ``flat`` passed in supplies the parameter values in that order;
+    otherwise the nets' arrays are copied into a new buffer.
+    """
 
     net_r: DenseNet
     net_t: DenseNet
@@ -130,6 +156,8 @@ class EmbedderPair:
     margin: float = 0.001
     seed: int = 0
     train_rng: np.random.Generator = None
+    flat: np.ndarray = field(default=None, repr=False, compare=False)
+    grad: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.net_r.output_dim != self.joint_dim or self.net_t.output_dim != self.joint_dim:
@@ -138,6 +166,17 @@ class EmbedderPair:
             raise ValueError("margin must be nonnegative")
         if self.train_rng is None:
             self.train_rng = np.random.default_rng(self.seed)
+        params = self.parameters()
+        if self.flat is None:
+            self.flat = np.concatenate([p.ravel() for p in params])
+        elif self.flat.shape != (sum(p.size for p in params),):
+            raise ValueError("flat does not hold exactly the parameters of both nets")
+        self.grad = np.zeros(self.flat.size)
+        offset = 0
+        for net in (self.net_r, self.net_t):
+            shapes = [w.shape for w in net.weights]
+            net.weights, net.biases, _ = _layer_views(self.flat, offset, shapes)
+            net.grad_weights, net.grad_biases, offset = _layer_views(self.grad, offset, shapes)
 
     @classmethod
     def build(cls, input_dim_r, input_dim_t, hidden_r=(512,), hidden_t=(),
@@ -152,6 +191,14 @@ class EmbedderPair:
         out = []
         for net in (self.net_r, self.net_t):
             for w, b in zip(net.weights, net.biases):
+                out.extend((w, b))
+        return out
+
+    def gradients(self):
+        """Gradient views aligned with ``parameters()``, filled by ``DenseNet.backward``."""
+        out = []
+        for net in (self.net_r, self.net_t):
+            for w, b in zip(net.grad_weights, net.grad_biases):
                 out.extend((w, b))
         return out
 
@@ -297,29 +344,31 @@ def pairwise_contrastive_loss(pair: EmbedderPair, batch: TrainingBatch,
                               margin=None, training=False):
     """Loss over a batch plus exact parameter gradients.
 
-    Returns (loss, gradients aligned with ``pair.parameters()``, stats).
+    Returns (loss, ``pair.gradients()``, stats). The gradients are views of
+    ``pair.grad``, which the next call overwrites.
     """
     margin = pair.margin if margin is None else margin
     rng = pair.train_rng if training else None
     e_r, cache_r = pair.net_r.forward(batch.x_tuples, training=training, rng=rng)
     e_t, cache_t = pair.net_t.forward(batch.x_mentions, training=training, rng=rng)
     loss, d_er, d_et, stats = loss_from_embeddings(e_r, e_t, batch.pos_pairs, margin)
-    gw_r, gb_r, _ = pair.net_r.backward(d_er, cache_r)
-    gw_t, gb_t, _ = pair.net_t.backward(d_et, cache_t)
-    grads = []
-    for gw, gb in ((gw_r, gb_r), (gw_t, gb_t)):
-        for w, b in zip(gw, gb):
-            grads.extend((w, b))
-    return loss, grads, stats
+    pair.net_r.backward(d_er, cache_r)
+    pair.net_t.backward(d_et, cache_t)
+    return loss, pair.gradients(), stats
 
 
 # ---------------------------------------------------------------------------
 # Optimization
 # ---------------------------------------------------------------------------
 
+# Elements per pass of the Adam update: five 256 KiB slices (parameters,
+# gradient, two moments, scratch) stay in a 2 MiB per-core L2 cache.
+ADAM_BLOCK = 32768
+
+
 @dataclass
 class AdamState:
-    """Adam moments plus the stepped learning-rate schedule.
+    """Adam moments over a pair's flat buffer plus the stepped learning-rate schedule.
 
     The effective rate decays exponentially: ``lr * decay^(step // every)``.
     """
@@ -331,17 +380,21 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list = None
-    v: list = None
+    m: np.ndarray = None
+    v: np.ndarray = None
+    scratch: np.ndarray = field(default=None, init=False, repr=False)
 
     def effective_lr(self, step=None):
         step = self.step if step is None else step
         return self.lr * self.decay ** (step // self.decay_every)
 
-    def _ensure(self, params):
+    def _ensure(self, size):
         if self.m is None:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
+            self.m = np.zeros(size)
+            self.v = np.zeros(size)
+            self.scratch = np.empty(min(size, ADAM_BLOCK))
+        elif self.m.size != size:
+            raise ValueError(f"Adam moments hold {self.m.size} parameters, the pair {size}")
 
 
 def gradient_step(pair: EmbedderPair, adam: AdamState, batch: TrainingBatch, margin=None):
@@ -350,8 +403,8 @@ def gradient_step(pair: EmbedderPair, adam: AdamState, batch: TrainingBatch, mar
     Aborts with a diagnostic dump of the offending batch if the loss or any
     gradient is non-finite.
     """
-    loss, grads, stats = pairwise_contrastive_loss(pair, batch, margin=margin, training=True)
-    if not np.isfinite(loss) or any(not np.all(np.isfinite(g)) for g in grads):
+    loss, _, stats = pairwise_contrastive_loss(pair, batch, margin=margin, training=True)
+    if not np.isfinite(loss) or not np.isfinite(pair.grad).all():
         dump = {
             "step": adam.step,
             "tuple_keys": list(batch.tuple_keys),
@@ -360,18 +413,31 @@ def gradient_step(pair: EmbedderPair, adam: AdamState, batch: TrainingBatch, mar
             "loss": repr(loss),
         }
         raise TrainingError(f"non-finite loss or gradient at step {adam.step}: {dump}", batch=dump)
-    params = pair.parameters()
-    adam._ensure(params)
-    lr_t = adam.effective_lr()
+    adam._ensure(pair.flat.size)
     t = adam.step + 1
-    for p, g, m, v in zip(params, grads, adam.m, adam.v):
-        m *= adam.beta1
-        m += (1 - adam.beta1) * g
-        v *= adam.beta2
-        v += (1 - adam.beta2) * np.square(g)
-        m_hat = m / (1 - adam.beta1**t)
-        v_hat = v / (1 - adam.beta2**t)
-        p -= lr_t * m_hat / (np.sqrt(v_hat) + adam.eps)
+    b1, b2 = adam.beta1, adam.beta2
+    # Both bias corrections fold into the step size and epsilon (Kingma & Ba,
+    # arXiv 1412.6980, sec. 2): lr * m_hat / (sqrt(v_hat) + eps) equals
+    # step_size * m / (sqrt(v) + eps_hat).
+    root = math.sqrt(1 - b2**t)
+    step_size = adam.effective_lr() * root / (1 - b1**t)
+    eps_hat = adam.eps * root
+    for start in range(0, pair.flat.size, ADAM_BLOCK):
+        block = slice(start, start + ADAM_BLOCK)
+        p, g, m, v = pair.flat[block], pair.grad[block], adam.m[block], adam.v[block]
+        s = adam.scratch[: p.size]
+        m *= b1
+        np.multiply(g, 1 - b1, out=s)
+        m += s
+        v *= b2
+        np.multiply(g, g, out=s)
+        s *= 1 - b2
+        v += s
+        np.sqrt(v, out=s)
+        s += eps_hat
+        np.divide(m, s, out=s)
+        s *= step_size
+        p -= s
     adam.step += 1
     return loss, stats
 
@@ -391,7 +457,8 @@ def gradient_check(pair: EmbedderPair, batch: TrainingBatch, epsilon=1e-5, margi
         if stats.min_hinge_gap > 10 * epsilon:
             break
         margin += max(0.01, 100 * epsilon) * (attempt + 1)
-    _, analytic, _ = pairwise_contrastive_loss(pair, batch, margin=margin, training=False)
+    _, grads, _ = pairwise_contrastive_loss(pair, batch, margin=margin, training=False)
+    analytic = [g.copy() for g in grads]  # the gradient buffer is reused below
 
     params = pair.parameters()
     max_rel = 0.0
@@ -504,7 +571,7 @@ CKPT_VERSION = 1
 
 
 def save_checkpoint(path, pair: EmbedderPair, step=0, extra=None):
-    """JSON header (shapes, hyper-parameters, seed, step) + f64 LE params."""
+    """JSON header (shapes, hyper-parameters, seed, step) + ``pair.flat`` as f64 LE."""
     header = {
         "format_version": CKPT_VERSION,
         "shapes_r": [list(w.shape) for w in pair.net_r.weights],
@@ -523,8 +590,7 @@ def save_checkpoint(path, pair: EmbedderPair, step=0, extra=None):
         f.write(CKPT_MAGIC)
         f.write(struct.pack("<II", CKPT_VERSION, len(blob)))
         f.write(blob)
-        for p in pair.parameters():
-            f.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
+        f.write(np.ascontiguousarray(pair.flat, dtype="<f8"))
 
 
 def load_checkpoint(path):
@@ -538,33 +604,22 @@ def load_checkpoint(path):
         raise TrainingError(f"{path}: checkpoint version {version} unsupported; expected {CKPT_VERSION}")
     header = json.loads(data[12 : 12 + hlen].decode("utf-8"))
     pos = 12 + hlen
-
-    def read_net(shapes, keep_prob):
-        nonlocal pos
-        weights, biases = [], []
-        for out_dim, in_dim in shapes:
-            n = out_dim * in_dim
-            end = pos + 8 * n
-            if len(data) < end:
-                raise TrainingError(f"{path}: truncated checkpoint")
-            weights.append(np.frombuffer(data[pos:end], dtype="<f8").reshape(out_dim, in_dim).copy())
-            pos = end
-            end = pos + 8 * out_dim
-            if len(data) < end:
-                raise TrainingError(f"{path}: truncated checkpoint")
-            biases.append(np.frombuffer(data[pos:end], dtype="<f8").copy())
-            pos = end
-        return DenseNet(weights, biases, keep_prob=keep_prob)
-
-    net_r = read_net(header["shapes_r"], header["keep_prob_r"])
-    net_t = read_net(header["shapes_t"], header["keep_prob_t"])
-    if pos != len(data):
-        raise TrainingError(f"{path}: {len(data) - pos} trailing bytes after parameters")
+    shapes = header["shapes_r"] + header["shapes_t"]
+    count = sum(out_dim * (in_dim + 1) for out_dim, in_dim in shapes)
+    end = pos + 8 * count
+    if len(data) < end:
+        raise TrainingError(f"{path}: truncated checkpoint")
+    if len(data) > end:
+        raise TrainingError(f"{path}: {len(data) - end} trailing bytes after parameters")
+    flat = np.frombuffer(data, dtype="<f8", count=count, offset=pos).astype(np.float64)
+    weights_r, biases_r, offset = _layer_views(flat, 0, header["shapes_r"])
+    weights_t, biases_t, _ = _layer_views(flat, offset, header["shapes_t"])
     pair = EmbedderPair(
-        net_r=net_r,
-        net_t=net_t,
+        net_r=DenseNet(weights_r, biases_r, keep_prob=header["keep_prob_r"]),
+        net_t=DenseNet(weights_t, biases_t, keep_prob=header["keep_prob_t"]),
         joint_dim=header["joint_dim"],
         margin=header["margin"],
         seed=header["seed"],
+        flat=flat,
     )
     return pair, header

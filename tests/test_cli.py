@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -156,9 +159,23 @@ class TestErrors:
     def test_lock_blocks_concurrent_commands(self, project, capsys):
         config_path, workdir = project
         assert run_command(["ingest", "--config", str(config_path)]) == 0
-        (workdir / ".lock").write_text("12345")
+        (workdir / ".lock").write_text(str(os.getpid()))
         assert run_command(["stats", "--config", str(config_path)]) == 2
         assert "locked" in capsys.readouterr().err
+
+    def test_lock_of_exited_process_is_reclaimed(self, project, capsys):
+        config_path, workdir = project
+        assert run_command(["ingest", "--config", str(config_path)]) == 0
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait(timeout=30)
+        lock = workdir / ".lock"
+        lock.write_text(str(child.pid))
+        assert run_command(["stats", "--config", str(config_path)]) == 0
+        assert not lock.exists()
+        for garbled in ("", "not-a-pid", "0", "-1"):
+            lock.write_text(garbled)
+            assert run_command(["stats", "--config", str(config_path)]) == 2
+            assert "locked" in capsys.readouterr().err
 
     def test_corrupt_artifact_fails_loudly(self, project, capsys):
         config_path, workdir = project
@@ -192,6 +209,27 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "training.batch_size" in err
         lr = load_config(config_path, overrides=["training.lr=1"]).training.lr
+        assert lr == 1.0 and isinstance(lr, float)
+
+    def test_config_file_value_of_wrong_type_exits_one(self, project, capsys):
+        config_path, _ = project
+        config = json.loads(config_path.read_text())
+        for section, key, value in (("training", "batch_size", "abc"),
+                                    ("network", "hidden_r", [32, "x"]),
+                                    (None, "eval_ks", 10)):
+            bad = json.loads(json.dumps(config))
+            (bad[section] if section else bad)[key] = value
+            config_path.write_text(json.dumps(bad))
+            assert run_command(["ingest", "--config", str(config_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and key in err
+        for text in ('{"training": 5}', "[1]", '{"paths": '):
+            config_path.write_text(text)
+            assert run_command(["ingest", "--config", str(config_path)]) == 1
+            assert capsys.readouterr().err.startswith("error: ")
+        config["training"]["lr"] = 1
+        config_path.write_text(json.dumps(config))
+        lr = load_config(config_path).training.lr
         assert lr == 1.0 and isinstance(lr, float)
 
     def test_stale_checkpoint_names_train(self, project, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tablelink.neural import (
+    ADAM_BLOCK,
     AdamState,
     DenseNet,
     EmbedderPair,
@@ -332,6 +333,37 @@ class TestOptimizer:
         for a, b in zip(run(), run()):
             np.testing.assert_array_equal(a, b)
 
+    def test_blocked_update_matches_textbook_adam(self):
+        # the first Adam block ends inside net_r's first weight matrix
+        pair = tiny_pair(seed=4, in_r=300, in_t=50, hidden_r=(120,), joint=16, keep=0.75)
+        assert ADAM_BLOCK < pair.net_r.weights[0].size < pair.flat.size
+        # eps is near the gradient scale, so folding it wrongly moves the result
+        lr, decay, every, b1, b2, eps = 1e-3, 0.9, 10, 0.9, 0.999, 1e-2
+        adam = AdamState(lr=lr, decay=decay, decay_every=every, beta1=b1, beta2=b2, eps=eps)
+        ref = [p.copy() for p in pair.parameters()]
+        m = [np.zeros_like(p) for p in ref]
+        v = [np.zeros_like(p) for p in ref]
+        rng = np.random.default_rng(8)
+        for step in range(32):
+            batch = random_batch(rng, in_r=300, in_t=50, n_r=5, n_t=6)
+            # the same dropout masks for the reference gradients and the step
+            state = pair.train_rng.bit_generator.state
+            _, grads, _ = pairwise_contrastive_loss(pair, batch, training=True)
+            grads = [g.copy() for g in grads]
+            pair.train_rng.bit_generator.state = state
+            gradient_step(pair, adam, batch)
+            t = step + 1
+            lr_t = lr * decay ** (step // every)
+            for p, g, m_i, v_i in zip(ref, grads, m, v):
+                m_i[...] = b1 * m_i + (1 - b1) * g
+                v_i[...] = b2 * v_i + (1 - b2) * g * g
+                m_hat = m_i / (1 - b1**t)
+                v_hat = v_i / (1 - b2**t)
+                p -= lr_t * m_hat / (np.sqrt(v_hat) + eps)
+            for actual, expected in zip(pair.parameters(), ref):
+                np.testing.assert_allclose(actual, expected, rtol=1e-10, atol=0)
+        assert adam.effective_lr() == pytest.approx(lr * decay**3, rel=1e-12)
+
 
 class TestSampler:
     def links_fixture(self):
@@ -400,6 +432,9 @@ class TestCheckpoint:
             np.testing.assert_array_equal(a, b)
         x = np.random.default_rng(0).normal(size=(3, 8))
         np.testing.assert_array_equal(pair.embed_tuples(x), again.embed_tuples(x))
+        resaved = tmp_path / "again.ckpt"
+        save_checkpoint(resaved, again, step=42)
+        assert resaved.read_bytes() == path.read_bytes()
 
     def test_truncated_checkpoint_rejected(self, tmp_path):
         from tablelink.neural import load_checkpoint, save_checkpoint
