@@ -19,7 +19,6 @@ from .corpus import (
     TupleRecord,
     corpus_stats,
     load_corpus_xml,
-    load_relation_table,
     make_splits,
     make_stratified_splits,
     parse_webnlg_entry,
@@ -40,7 +39,6 @@ from .neural import (
     SamplerState,
     TrainingBatch,
     average_positive_score,
-    forward_embed,
     gradient_check,
     gradient_step,
     pairwise_contrastive_loss,

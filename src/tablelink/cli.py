@@ -313,18 +313,17 @@ def stage_link(art: CategoryArtifacts, config, args):
         candidates = linker.bootstrap_category(art.ws.corpus(), art.category, config.name_attributes)
         results = linker.rank_candidates(candidates, direction=direction)
     else:
-        pair = art.pair()
-        side = "mentions" if direction == linker.TUPLE_TO_MENTIONS else "tuples"
+        anchor_side, side = (
+            ("tuples", "mentions") if direction == linker.TUPLE_TO_MENTIONS
+            else ("mentions", "tuples")
+        )
         forest = art.forest(side)
-        tuple_vecs, mention_vecs = art.raw_vectors()
-        anchors = tuple_vecs if direction == linker.TUPLE_TO_MENTIONS else mention_vecs
-        n = args.n or config.index.n
         results = {
             anchor: linker.semantic_link(
-                pair, forest, vec, n, direction=direction, anchor_id=anchor,
+                forest, vec, config.index.n, direction=direction, anchor_id=anchor,
                 search_k=config.index.search_k,
             )
-            for anchor, vec in sorted(anchors.items())
+            for anchor, vec in sorted(art.vectors(anchor_side).items())
         }
     path = art.path("links", "tsv")
     linker.export_links(results, path, strategy=config.strategy)
@@ -333,8 +332,9 @@ def stage_link(art: CategoryArtifacts, config, args):
 
 def stage_eval(art: CategoryArtifacts, config, args):
     linker.evaluate_category(
-        art.ws.report, art.ws.corpus(), art.category, art.ws.splits(), art.pair(),
-        *art.raw_vectors(), art.forest("tuples"), art.forest("mentions"),
+        art.ws.report, art.ws.corpus(), art.category, art.ws.splits(),
+        art.vectors("tuples"), art.vectors("mentions"),
+        art.forest("tuples"), art.forest("mentions"),
         n=max(config.eval_ks), search_k=config.index.search_k,
     )
 
@@ -421,7 +421,6 @@ def build_parser():
                 "--direction", choices=["tuple-to-mentions", "mention-to-tuples"],
                 default="tuple-to-mentions",
             )
-            p.add_argument("--n", type=int, default=None, help="ranked list length")
     return parser
 
 

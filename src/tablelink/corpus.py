@@ -6,8 +6,6 @@ tables (one schema per entity category) and entity mentions in text
 two sides and drive both training and evaluation.
 """
 
-import csv
-import io
 import json
 import logging
 import re
@@ -20,13 +18,13 @@ logger = logging.getLogger(__name__)
 
 ATTRIBUTE_KINDS = ("text", "numeric", "categorical")
 
-# Inference thresholds for delimited/XML data that carries no declared types.
+# Inference thresholds for XML data, which carries no declared types.
 CATEGORICAL_MAX_DISTINCT = 32
 CATEGORICAL_MAX_LEN = 24
 
 
 class CorpusError(ValueError):
-    """Raised for malformed corpus inputs (XML, tables, split specs)."""
+    """Raised for malformed corpus inputs (XML, artifacts, split specs)."""
 
 
 @dataclass(frozen=True)
@@ -608,68 +606,6 @@ def load_corpus_xml(source):
         entry_id = elem.get("eid") or f"e{i}"
         builder.add_entry(_parse_entry_element(elem, entry_id=entry_id))
     return builder.finalize()
-
-
-# ---------------------------------------------------------------------------
-# Delimited relational tables
-# ---------------------------------------------------------------------------
-
-def load_relation_table(schema: RelationSchema, rows, delimiter=","):
-    """Load tuple records from delimited text with a header row.
-
-    Expected header: ``key`` followed by the schema's attribute names and
-    foreign-key names in declaration order. Empty cells are NULL; foreign
-    key cells hold ``|``-separated target keys.
-    """
-    if hasattr(rows, "read"):
-        reader = csv.reader(rows, delimiter=delimiter)
-    else:
-        reader = csv.reader(io.StringIO(rows), delimiter=delimiter)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CorpusError("empty table: missing header row") from None
-    expected = ["key"] + schema.attribute_names + [f for f, _ in schema.foreign_keys]
-    if header != expected:
-        raise CorpusError(
-            f"header mismatch for relation {schema.name!r}: expected {expected}, got {header}"
-        )
-
-    n_attrs = len(schema.attributes)
-    records = []
-    for row_no, row in enumerate(reader, start=1):
-        if len(row) != len(expected):
-            raise CorpusError(
-                f"row {row_no}: expected {len(expected)} cells, got {len(row)}"
-            )
-        key = row[0].strip()
-        if not key:
-            raise CorpusError(f"row {row_no}: empty key")
-        values = {}
-        for (attr, kind), cell in zip(schema.attributes, row[1 : 1 + n_attrs]):
-            cell = cell.strip()
-            if cell == "":
-                continue
-            if kind == "numeric":
-                try:
-                    values[attr] = float(cell)
-                except ValueError:
-                    raise CorpusError(
-                        f"row {row_no}, column {attr!r}: cannot parse numeric value {cell!r}"
-                    ) from None
-            else:
-                values[attr] = cell
-        fk_values = {}
-        for (fk_name, _), cell in zip(schema.foreign_keys, row[1 + n_attrs :]):
-            cell = cell.strip()
-            if cell:
-                fk_values[fk_name] = [t.strip() for t in cell.split("|") if t.strip()]
-        records.append(
-            TupleRecord(
-                relation=schema.name, key=key, entity=key, values=values, fk_values=fk_values
-            )
-        )
-    return records
 
 
 # ---------------------------------------------------------------------------

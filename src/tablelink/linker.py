@@ -10,8 +10,6 @@ import logging
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import annindex, neural
 from .corpus import Corpus
 
@@ -146,12 +144,10 @@ def rank_candidates(candidates, direction=TUPLE_TO_MENTIONS):
     }
 
 
-def semantic_link(pair: neural.EmbedderPair, forest: annindex.RpForest, anchor_vector,
-                  n, direction=TUPLE_TO_MENTIONS, anchor_id="", search_k=None):
-    """Embed an anchor through its side's network and retrieve counterparts."""
-    net = pair.net_r if direction == TUPLE_TO_MENTIONS else pair.net_t
-    embedded = neural.forward_embed(net, np.asarray(anchor_vector, dtype=np.float64))
-    hits = forest.query(embedded, n, search_k=search_k)
+def semantic_link(forest: annindex.RpForest, anchor_embedding, n,
+                  direction=TUPLE_TO_MENTIONS, anchor_id="", search_k=None):
+    """Retrieve an anchor's counterparts by its joint-space embedding, dense-ranked."""
+    hits = forest.query(anchor_embedding, n, search_k=search_k)
     return LinkResult(direction=direction, anchor=anchor_id, ranked=dense_rank(hits))
 
 
@@ -348,10 +344,13 @@ def train_category(corpus: Corpus, category, config, splits, tuple_vecs, mention
     return pair, adam, history
 
 
-def evaluate_category(report, corpus: Corpus, category, splits, pair,
+def evaluate_category(report, corpus: Corpus, category, splits,
                       tuple_vecs, mention_vecs, tuple_forest, mention_forest,
                       n, search_k=None):
-    """Add both link directions of one category to the report, per split."""
+    """Add both link directions of one category to the report, per split.
+
+    ``tuple_vecs`` and ``mention_vecs`` are the joint-space embeddings.
+    """
     entity_of_tuple = {rec.key: rec.entity for rec in corpus.tuples_of_category(category)}
     entity_of_mention = {}
     for link in corpus.links_of_category(category):
@@ -365,7 +364,7 @@ def evaluate_category(report, corpus: Corpus, category, splits, pair,
             if entity_of_tuple[key] not in members or key not in corpus.links_by_tuple:
                 continue
             results[key] = semantic_link(
-                pair, mention_forest, tuple_vecs[key], n,
+                mention_forest, tuple_vecs[key], n,
                 direction=TUPLE_TO_MENTIONS, anchor_id=key, search_k=search_k,
             )
             gold[key] = set(corpus.links_by_tuple[key])
@@ -377,7 +376,7 @@ def evaluate_category(report, corpus: Corpus, category, splits, pair,
             if entity_of_mention[mid] not in members:
                 continue
             results[mid] = semantic_link(
-                pair, tuple_forest, mention_vecs[mid], n,
+                tuple_forest, mention_vecs[mid], n,
                 direction=MENTION_TO_TUPLES, anchor_id=mid, search_k=search_k,
             )
             gold[mid] = set(corpus.links_by_mention.get(mid, ()))

@@ -120,12 +120,6 @@ class DenseNet:
                 d_a = d_z @ self.weights[i]
 
 
-def forward_embed(net: DenseNet, v, training=False, rng=None):
-    """Embed a single raw vector; inference mode is deterministic."""
-    out, _ = net.forward(v, training=training, rng=rng)
-    return out[0] if np.asarray(v).ndim == 1 else out
-
-
 def _layer_views(buffer, offset, shapes):
     """Weight and bias views of ``buffer`` from ``offset`` for layer shapes (out, in).
 

@@ -1,7 +1,20 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from tablelink.corpus import RelationSchema, TupleRecord
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def subprocess_env():
+    """os.environ with src/ on PYTHONPATH, so a child interpreter imports tablelink."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
 
 # Two WebNLG building entries used as parser fixtures.
 PUBLIC_SQUARE_ENTRY = """

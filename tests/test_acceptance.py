@@ -35,7 +35,13 @@ from tablelink.vectorize import (
     vectorize_tuple,
 )
 
-from conftest import COLMORE_ROW_ENTRY, PUBLIC_SQUARE_ENTRY, make_record, random_unit_vectors
+from conftest import (
+    COLMORE_ROW_ENTRY,
+    PUBLIC_SQUARE_ENTRY,
+    make_record,
+    random_unit_vectors,
+    subprocess_env,
+)
 
 
 @contextmanager
@@ -213,7 +219,8 @@ def test_criterion_6_vectorizer_invariants():
             "print(enc.encode('determinism probe text').tobytes().hex())"
         )
         other = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=subprocess_env(),
         ).stdout.strip()
         here = HashingEncoder(dim=32, seed=0).encode("determinism probe text").tobytes().hex()
         assert other == here

@@ -1,14 +1,19 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
 
+from tablelink.annindex import brute_force_knn
 from tablelink.cli import emit_report, run_command
 from tablelink.config import PROFILES, ConfigError, ProjectConfig, apply_profile, load_config
 from tablelink.linker import TUPLE_TO_MENTIONS, EvalReport
 from tablelink.synthetic import synthetic_corpus_xml, write_synthetic_corpus
+from tablelink.vectorize import read_vector_file
+
+INDEX_CHAIN = ("ingest", "fit", "train", "embed-tuples", "embed-mentions", "build-index")
 
 
 @pytest.fixture
@@ -73,12 +78,58 @@ class TestCommands:
         assert status == 1
         assert "build-index" in capsys.readouterr().err
 
-    def test_eval_before_train_names_producer(self, project, capsys):
+    def test_eval_before_embed_names_producer(self, project, capsys):
         config_path, _ = project
         assert run_command(["ingest", "--config", str(config_path)]) == 0
         assert run_command(["fit", "--config", str(config_path)]) == 0
         assert run_command(["eval", "--config", str(config_path)]) == 1
-        assert "train" in capsys.readouterr().err
+        assert "embed-tuples" in capsys.readouterr().err
+
+    def test_link_list_length_is_index_n(self, project, capsys):
+        config_path, workdir = project
+        for command in INDEX_CHAIN:
+            assert run_command([command, "--config", str(config_path)]) == 0, command
+        assert run_command(["link", "--config", str(config_path), "--set", "index.n=3"]) == 0
+        rows = (workdir / "links_Landmark.tsv").read_text().splitlines()[1:]
+        anchors = [row.split("\t")[0] for row in rows]
+        assert anchors and max(anchors.count(a) for a in anchors) <= 3
+        capsys.readouterr()
+        assert run_command(["link", "--config", str(config_path), "--set", "index.n=0"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_link_and_eval_read_only_vectors_and_indexes(self, project, tmp_path):
+        """link and eval rank the stored joint-space vectors: no checkpoint or vectorizer."""
+        config_path, workdir = project
+        for command in INDEX_CHAIN:
+            assert run_command([command, "--config", str(config_path)]) == 0, command
+        bare = tmp_path / "bare"
+        shutil.copytree(workdir, bare)
+        (bare / "model_Landmark.ckpt").unlink()
+        (bare / "vectorizer_Landmark.json").unlink()
+
+        def run_both(*argv):
+            for root in (workdir, bare):
+                assert run_command([*argv, "--config", str(config_path),
+                                    "--set", f"paths.workdir={root}"]) == 0, (argv, root)
+
+        vectors = {side: read_vector_file(workdir / f"{side}_Landmark.vec")
+                   for side in ("tuples", "mentions")}
+        for direction, anchor_side, other_side in (
+            ("tuple-to-mentions", "tuples", "mentions"),
+            ("mention-to-tuples", "mentions", "tuples"),
+        ):
+            run_both("link", "--direction", direction)
+            links = (workdir / "links_Landmark.tsv").read_bytes()
+            assert (bare / "links_Landmark.tsv").read_bytes() == links
+            items = vectors[other_side]
+            for row in links.decode("utf-8").splitlines()[1:]:
+                anchor, counterpart, sc, rank, _ = row.split("\t")
+                if rank == "1":
+                    exact = dict(brute_force_knn(items, vectors[anchor_side][anchor], len(items)))
+                    assert float(sc) == exact[counterpart], (anchor, counterpart)
+        run_both("eval")
+        for name in ("report.json", "report.txt"):
+            assert (bare / name).read_bytes() == (workdir / name).read_bytes(), name
 
     def test_pipeline_rerun_identical(self, project):
         config_path, workdir = project

@@ -13,7 +13,6 @@ from tablelink.corpus import (
     TupleRecord,
     corpus_stats,
     load_corpus_xml,
-    load_relation_table,
     make_splits,
     make_stratified_splits,
     parse_webnlg_entry,
@@ -135,35 +134,6 @@ class TestLoadCorpusXml:
         mention = TextMention(id="m", span=(0, 1), mention_text="v", sentence_text="v here")
         with pytest.raises(CorpusError, match="unknown mention"):
             Corpus({"R": schema}, {"k": rec}, {"m": mention}, [GoldLink("k", "nope")])
-
-
-class TestLoadRelationTable:
-    def test_basic_with_null(self, org_schema):
-        rows = "key,name,sector,founded\nibm,IBM,tech,1911\nhp,HP,tech,\nacme,Acme,retail,1999\n"
-        records = load_relation_table(org_schema, rows)
-        assert len(records) == 3
-        assert records[1].values.get("founded") is None
-        assert records[0].values["founded"] == 1911.0
-
-    def test_header_permuted_rejected(self, org_schema):
-        rows = "key,sector,name,founded\nibm,tech,IBM,1911\n"
-        with pytest.raises(CorpusError, match="header mismatch"):
-            load_relation_table(org_schema, rows)
-
-    def test_bad_numeric_names_row_and_column(self):
-        schema = RelationSchema(name="B", attributes=(("floorCount", "numeric"),))
-        rows = "key,floorCount\nb1,45\nb2,abc\n"
-        with pytest.raises(CorpusError, match=r"row 2.*floorCount"):
-            load_relation_table(schema, rows)
-
-    def test_foreign_key_cells(self):
-        schema = RelationSchema(
-            name="B", attributes=(("name", "text"),), foreign_keys=(("owner", "B"),)
-        )
-        rows = "key,name,owner\nb1,One,\nb2,Two,b1|b3\n"
-        records = load_relation_table(schema, rows)
-        assert records[0].fk_values == {}
-        assert records[1].fk_values == {"owner": ["b1", "b3"]}
 
 
 class TestSplits:

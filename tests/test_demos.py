@@ -1,13 +1,12 @@
 """The demos run end to end. Demo 05 is left out: the pipeline tests cover it."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, subprocess_env
+
 DEMOS = sorted((ROOT / "demos").glob("0[1-4]_*.py"))
 
 
@@ -17,8 +16,6 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_exits_zero(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    result = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=subprocess_env(),
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr

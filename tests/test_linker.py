@@ -19,7 +19,6 @@ from tablelink.linker import (
     rank_candidates,
     semantic_link,
 )
-from tablelink.neural import DenseNet, EmbedderPair
 from tablelink.config import ProjectConfig
 from tablelink.synthetic import synthetic_corpus_xml
 
@@ -131,23 +130,13 @@ class TestRanking:
                 assert rank == oracle
 
 
-def identity_pair(dim):
-    return EmbedderPair(
-        net_r=DenseNet([np.eye(dim)], [np.zeros(dim)]),
-        net_t=DenseNet([np.eye(dim)], [np.zeros(dim)]),
-        joint_dim=dim,
-        margin=0.1,
-    )
-
-
 class TestSemanticLink:
     def test_identical_embedding_ranks_first(self):
         rng = np.random.default_rng(2)
         vectors = {f"m{i}": rng.normal(size=6) for i in range(20)}
         anchor = vectors["m7"].copy()
-        pair = identity_pair(6)
         forest = build_forest(vectors, t=4, leaf_capacity=4, seed=0)
-        result = semantic_link(pair, forest, anchor, 5, anchor_id="t")
+        result = semantic_link(forest, anchor, 5, anchor_id="t")
         cp, sc, rank = result.ranked[0]
         assert cp == "m7"
         assert sc == pytest.approx(0.0, abs=1e-12)
@@ -158,19 +147,17 @@ class TestSemanticLink:
 
         rng = np.random.default_rng(3)
         vectors = {f"m{i}": rng.normal(size=6) for i in range(12)}
-        pair = identity_pair(6)
         forest = build_forest(vectors, t=3, leaf_capacity=16, seed=0)
         anchor = rng.normal(size=6)
-        result = semantic_link(pair, forest, anchor, 6, anchor_id="t")
+        result = semantic_link(forest, anchor, 6, anchor_id="t")
         exact = brute_force_knn(vectors, anchor, 6)
         assert [(cp, sc) for cp, sc, _ in result.ranked] == exact
 
     def test_scores_ascending(self):
         rng = np.random.default_rng(4)
         vectors = {f"m{i}": rng.normal(size=4) for i in range(30)}
-        pair = identity_pair(4)
         forest = build_forest(vectors, t=4, leaf_capacity=8, seed=0)
-        result = semantic_link(pair, forest, rng.normal(size=4), 10, anchor_id="t")
+        result = semantic_link(forest, rng.normal(size=4), 10, anchor_id="t")
         scores = [sc for _, sc, _ in result.ranked]
         assert scores == sorted(scores)
         assert len(result.ranked) == 10

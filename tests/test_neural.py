@@ -13,7 +13,6 @@ from tablelink.neural import (
     TrainingError,
     average_positive_score,
     elu,
-    forward_embed,
     gradient_check,
     gradient_step,
     loss_from_embeddings,
@@ -54,7 +53,7 @@ class TestForward:
     def test_identity_single_layer(self):
         net = DenseNet([np.eye(5)], [np.zeros(5)])
         x = np.arange(5, dtype=float) - 2.0
-        np.testing.assert_array_equal(forward_embed(net, x), x)
+        np.testing.assert_array_equal(net.forward(x)[0][0], x)
 
     def test_dim_mismatch_raises(self):
         net = DenseNet([np.eye(5)], [np.zeros(5)])
@@ -64,8 +63,8 @@ class TestForward:
     def test_inference_is_deterministic(self):
         pair = tiny_pair(keep=0.5)
         x = np.ones(8)
-        a = forward_embed(pair.net_r, x)
-        b = forward_embed(pair.net_r, x)
+        a = pair.net_r.forward(x)[0]
+        b = pair.net_r.forward(x)[0]
         np.testing.assert_array_equal(a, b)
 
     def test_training_dropout_seeded(self):

@@ -23,7 +23,7 @@ from tablelink.vectorize import (
 )
 from tablelink.corpus import TextMention
 
-from conftest import make_record
+from conftest import make_record, subprocess_env
 
 
 def hashing_oracle(text, dim, seed):
@@ -76,7 +76,8 @@ class TestHashingEncoder:
             ".tobytes().hex())"
         )
         other = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=subprocess_env(),
         ).stdout.strip()
         assert other == here
 
