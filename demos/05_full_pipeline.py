@@ -34,8 +34,8 @@ corpus = ws.corpus()
 landmarks = CategoryArtifacts(ws, "Landmark", cat_index=0)
 unseen_entity = sorted(ws.splits().unseen)[0]
 anchor_key = corpus.tuples_by_entity[unseen_entity][0]
-hit_list = semantic_link(landmarks.forest("mentions"), landmarks.vectors("tuples")[anchor_key],
-                         5, anchor_id=anchor_key)
+hit_list = semantic_link(landmarks.forest("mentions"),
+                         {anchor_key: landmarks.vectors("tuples")[anchor_key]}, 5)[anchor_key]
 gold = set(corpus.links_by_tuple[anchor_key])
 print(f"top-5 mentions for unseen entity {unseen_entity}:")
 for mention_id, dist, rank in hit_list.ranked:

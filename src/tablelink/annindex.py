@@ -3,8 +3,9 @@
 Each tree splits the vector space recursively by hyperplanes equidistant
 from two sampled points; queries traverse all trees best-first by margin to
 the splitting planes, merge the collected leaf candidates, and re-rank them
-by exact cosine distance. Forests serialize to a versioned binary file
-designed to be loaded whole.
+by exact cosine distance. A query whose budget covers the whole forest
+skips the trees and ranks every item. Forests serialize to a versioned
+binary file designed to be loaded whole.
 """
 
 import heapq
@@ -37,9 +38,6 @@ class RpNode:
 class RpTree:
     def __init__(self, nodes):
         self.nodes = nodes
-
-    def leaves(self):
-        return [n for n in self.nodes if n.is_leaf]
 
 
 class RpForest:
@@ -78,22 +76,35 @@ class RpForest:
         return query_forest(self, q, n, search_k=search_k)
 
 
-def _score_one(x, nx, q, nq):
-    """Cosine distance of one item against the query; zero vectors score 1."""
-    if nx == 0.0 or nq == 0.0:
-        return 1.0
-    c = float(np.dot(x, q)) / (nx * nq)
-    return 1.0 - max(-1.0, min(1.0, c))
+def cosine_distances(matrix, norms, Q):
+    """Cosine distances of each query row to each item row, a (b, items) block.
+
+    ``norms`` are the items' L2 norms; a zero item or query vector scores 1.
+    Each entry is one einsum reduction over two contiguous rows, so a row
+    scores the same bits alone, in a batch or against a subset of items; a
+    BLAS ``Q @ M.T`` changes the last bits with the batch shape.
+    """
+    Q = np.ascontiguousarray(Q, dtype=np.float64)
+    dist = np.einsum("kj,ij->ki", Q, np.ascontiguousarray(matrix))
+    denom = np.linalg.norm(Q, axis=1)[:, None] * norms
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(dist, denom, out=dist)
+    np.clip(dist, -1.0, 1.0, out=dist)
+    np.subtract(1.0, dist, out=dist)
+    dist[denom == 0.0] = 1.0
+    return dist
 
 
-def _ranked(forest, candidate_indices, q, n):
-    nq = float(np.linalg.norm(q))
-    scored = [
-        (_score_one(forest.matrix[i], float(forest.norms[i]), q, nq), forest.ids[i])
-        for i in candidate_indices
-    ]
-    scored.sort(key=lambda si: (si[0], si[1]))
-    return [(item_id, score) for score, item_id in scored[:n]]
+def _top_n(ids, dist, n):
+    """Per row of ``dist``, the n nearest (id, distance) pairs.
+
+    ``ids`` name the columns in ascending order, so the stable sort breaks
+    ties by id.
+    """
+    order = np.argsort(dist, axis=1, kind="stable")[:, :n]
+    scores = np.take_along_axis(dist, order, axis=1).tolist()
+    return [[(ids[i], score) for i, score in zip(row, row_scores)]
+            for row, row_scores in zip(order.tolist(), scores)]
 
 
 def build_forest(items, t=16, leaf_capacity=16, seed=0):
@@ -168,25 +179,40 @@ def _choose_split(matrix, indices, rng, dim):
 def query_forest(forest: RpForest, q, n, search_k=None):
     """Approximate top-n by cosine distance, ascending, ties by id.
 
-    All trees share one best-first priority queue keyed by the margin to
-    the splitting hyperplanes; traversal stops once every tree contributed
-    at least ceil(search_k / t) candidates and at least search_k distinct
-    candidates were collected (or everything was visited). The merged
-    candidate set is re-ranked by exact cosine distance.
+    ``q`` is one query (returns one list of (id, distance)) or a (b, dim)
+    block (returns b lists). Each query traverses all trees with one
+    best-first priority queue keyed by the margin to the splitting
+    hyperplanes; traversal stops once every tree contributed at least
+    ceil(search_k / t) candidates and at least search_k distinct candidates
+    were collected (or everything was visited), and the candidates are
+    re-ranked by exact cosine distance. When ``n`` or ``search_k`` reaches
+    the forest size that search collects every item, so the whole block is
+    ranked exactly in one kernel call without touching the trees.
     """
     q = np.asarray(q, dtype=np.float64)
     if len(forest) == 0:
         raise AnnIndexError("cannot query an empty forest")
-    if q.shape != (forest.dim,):
+    if q.ndim not in (1, 2) or q.shape[-1] != forest.dim:
         raise AnnIndexError(f"query dim {q.shape} does not match forest dim {forest.dim}")
     if n < 1:
         raise AnnIndexError("n must be >= 1")
-    if n >= len(forest):
-        return _ranked(forest, range(len(forest)), q, n)
+    queries = q.reshape(-1, forest.dim)
     if search_k is None:
         search_k = default_search_k(n, forest.t)
-    per_tree_target = math.ceil(search_k / forest.t)
+    if max(n, search_k) >= len(forest):
+        hits = _top_n(forest.ids, cosine_distances(forest.matrix, forest.norms, queries), n)
+    else:
+        hits = []
+        for row in queries:
+            columns = _traverse(forest, row, search_k)
+            dist = cosine_distances(forest.matrix[columns], forest.norms[columns], row[None])
+            hits.extend(_top_n([forest.ids[i] for i in columns], dist, n))
+    return hits if q.ndim == 2 else hits[0]
 
+
+def _traverse(forest: RpForest, q, search_k):
+    """Ascending indices of the items a best-first search of all trees collects."""
+    per_tree_target = math.ceil(search_k / forest.t)
     heap = []
     counter = 0
     for tree_idx in range(forest.t):
@@ -213,7 +239,7 @@ def query_forest(forest: RpForest, q, n, search_k=None):
         counter += 1
         heapq.heappush(heap, (-min(priority, abs(margin)), counter, tree_idx, far))
         counter += 1
-    return _ranked(forest, sorted(candidates), q, n)
+    return sorted(candidates)
 
 
 def default_search_k(n, t):
@@ -221,20 +247,23 @@ def default_search_k(n, t):
 
 
 def brute_force_knn(items, q, n):
-    """Exact top-n by cosine distance with the same ordering as the forest."""
+    """Exact top-n by cosine distance with the same kernel and ordering as the forest.
+
+    ``items`` is a forest, a dict or (id, vector) pairs; ``q`` is one query.
+    """
+    if n <= 0:
+        return []
     if isinstance(items, RpForest):
-        forest = items
+        ids, matrix, norms = items.ids, items.matrix, items.norms
     else:
         if isinstance(items, dict):
             items = items.items()
         items = sorted(items, key=lambda kv: kv[0])
         ids = [k for k, _ in items]
         matrix = np.stack([np.asarray(v, dtype=np.float64) for _, v in items])
-        forest = RpForest(ids=ids, matrix=matrix, trees=[], leaf_capacity=1, seed=0)
-    if n <= 0:
-        return []
+        norms = np.linalg.norm(matrix, axis=1)
     q = np.asarray(q, dtype=np.float64)
-    return _ranked(forest, range(len(forest)), q, n)
+    return _top_n(ids, cosine_distances(matrix, norms, q[None]), n)[0]
 
 
 # ---------------------------------------------------------------------------

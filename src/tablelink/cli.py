@@ -317,15 +317,11 @@ def stage_link(art: CategoryArtifacts, config, args):
             ("tuples", "mentions") if direction == linker.TUPLE_TO_MENTIONS
             else ("mentions", "tuples")
         )
-        forest = art.forest(side)
-        results = {
-            anchor: linker.semantic_link(
-                forest, vec, config.index.n, direction=direction, anchor_id=anchor,
-                search_k=config.index.search_k,
-            )
-            for anchor, vec in sorted(art.vectors(anchor_side).items())
-        }
-    path = art.path("links", "tsv")
+        results = linker.semantic_link(
+            art.forest(side), art.vectors(anchor_side), config.index.n,
+            direction=direction, search_k=config.index.search_k,
+        )
+    path = art.path("links" if direction == linker.TUPLE_TO_MENTIONS else "mention_links", "tsv")
     linker.export_links(results, path, strategy=config.strategy)
     print(f"linked {len(results)} anchors for {art.category} -> {path.name}")
 

@@ -144,11 +144,21 @@ def rank_candidates(candidates, direction=TUPLE_TO_MENTIONS):
     }
 
 
-def semantic_link(forest: annindex.RpForest, anchor_embedding, n,
-                  direction=TUPLE_TO_MENTIONS, anchor_id="", search_k=None):
-    """Retrieve an anchor's counterparts by its joint-space embedding, dense-ranked."""
-    hits = forest.query(anchor_embedding, n, search_k=search_k)
-    return LinkResult(direction=direction, anchor=anchor_id, ranked=dense_rank(hits))
+def semantic_link(forest: annindex.RpForest, anchors, n,
+                  direction=TUPLE_TO_MENTIONS, search_k=None):
+    """Retrieve each anchor's counterparts by its joint-space embedding, dense-ranked.
+
+    ``anchors`` maps anchor id to joint-space vector; all of them go to the
+    forest in one query block. Returns anchor id -> LinkResult.
+    """
+    if not anchors:
+        return {}
+    keys = sorted(anchors)
+    hits = forest.query([anchors[k] for k in keys], n, search_k=search_k)
+    return {
+        key: LinkResult(direction=direction, anchor=key, ranked=dense_rank(ranked))
+        for key, ranked in zip(keys, hits)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -355,33 +365,22 @@ def evaluate_category(report, corpus: Corpus, category, splits,
     entity_of_mention = {}
     for link in corpus.links_of_category(category):
         entity_of_mention.setdefault(link.mention_id, corpus.tuples[link.tuple_key].entity)
+    directions = (
+        (TUPLE_TO_MENTIONS, entity_of_tuple, tuple_vecs, mention_forest, corpus.links_by_tuple),
+        (MENTION_TO_TUPLES, entity_of_mention, mention_vecs, tuple_forest, corpus.links_by_mention),
+    )
 
     for split in SPLIT_NAMES:
         members = getattr(splits, split)
-
-        results, gold = {}, {}
-        for key in sorted(entity_of_tuple):
-            if entity_of_tuple[key] not in members or key not in corpus.links_by_tuple:
-                continue
-            results[key] = semantic_link(
-                mention_forest, tuple_vecs[key], n,
-                direction=TUPLE_TO_MENTIONS, anchor_id=key, search_k=search_k,
-            )
-            gold[key] = set(corpus.links_by_tuple[key])
-        evaluate_precision(results, gold, ks=report.ks, split=split, category=category,
-                           direction=TUPLE_TO_MENTIONS, report=report)
-
-        results, gold = {}, {}
-        for mid in sorted(entity_of_mention):
-            if entity_of_mention[mid] not in members:
-                continue
-            results[mid] = semantic_link(
-                tuple_forest, mention_vecs[mid], n,
-                direction=MENTION_TO_TUPLES, anchor_id=mid, search_k=search_k,
-            )
-            gold[mid] = set(corpus.links_by_mention.get(mid, ()))
-        evaluate_precision(results, gold, ks=report.ks, split=split, category=category,
-                           direction=MENTION_TO_TUPLES, report=report)
+        for direction, entity_of, vecs, forest, links_by_anchor in directions:
+            anchors = {
+                anchor: vecs[anchor] for anchor, entity in entity_of.items()
+                if entity in members and anchor in links_by_anchor
+            }
+            results = semantic_link(forest, anchors, n, direction=direction, search_k=search_k)
+            gold = {anchor: set(links_by_anchor[anchor]) for anchor in anchors}
+            evaluate_precision(results, gold, ks=report.ks, split=split, category=category,
+                               direction=direction, report=report)
     return report
 
 

@@ -5,6 +5,7 @@ from tablelink.annindex import (
     AnnIndexError,
     brute_force_knn,
     build_forest,
+    cosine_distances,
     default_search_k,
     load_forest,
     query_forest,
@@ -37,7 +38,7 @@ class TestBuild:
         forest = build_forest(items, t=8, leaf_capacity=16, seed=3)
         for tree in forest.trees:
             seen = []
-            for leaf in tree.leaves():
+            for leaf in [n for n in tree.nodes if n.is_leaf]:
                 assert len(leaf.items) <= 16
                 seen.extend(leaf.items)
             assert sorted(seen) == list(range(500))
@@ -54,7 +55,7 @@ class TestBuild:
         items = {f"k{i}": np.ones(4) for i in range(100)}
         forest = build_forest(items, t=3, leaf_capacity=8, seed=0)
         for tree in forest.trees:
-            assert all(len(l.items) <= 8 for l in tree.leaves())
+            assert all(len(l.items) <= 8 for l in [n for n in tree.nodes if n.is_leaf])
         hits = query_forest(forest, np.ones(4), 5)
         assert len(hits) == 5
         assert all(s == pytest.approx(0.0, abs=1e-12) for _, s in hits)
@@ -129,6 +130,52 @@ class TestBruteForce:
         rng = np.random.default_rng(8)
         for q in random_unit_vectors(rng, 20, 8):
             assert query_forest(forest, q, 5) == brute_force_knn(small_items, q, 5)
+
+
+class TestExhaustive:
+    @pytest.fixture
+    def multi_leaf(self):
+        rng = np.random.default_rng(14)
+        items = keyed(random_unit_vectors(rng, 200, 12))
+        forest = build_forest(items, t=3, leaf_capacity=2, seed=4)
+        assert all(len(tree.nodes) > 1 for tree in forest.trees)
+        return items, forest, random_unit_vectors(rng, 15, 12)
+
+    @pytest.mark.parametrize("extra", [0, 7])
+    def test_budget_covering_forest_equals_brute_force(self, multi_leaf, extra):
+        items, forest, queries = multi_leaf
+        search_k = len(forest) + extra
+        block = query_forest(forest, queries, 10, search_k=search_k)
+        assert len(block) == len(queries)
+        for q, hits in zip(queries, block):
+            exact = brute_force_knn(items, q, 10)
+            assert query_forest(forest, q, 10, search_k=search_k) == exact
+            assert hits == exact
+
+
+class TestCosineKernel:
+    def test_row_bits_independent_of_batch_shape(self):
+        rng = np.random.default_rng(15)
+        for dim in (3, 16, 256):
+            matrix = rng.normal(size=(120, dim))
+            norms = np.linalg.norm(matrix, axis=1)
+            queries = rng.normal(size=(40, dim))
+            full = cosine_distances(matrix, norms, queries)
+            reference = 1.0 - (queries @ matrix.T) / np.outer(
+                np.linalg.norm(queries, axis=1), norms)
+            np.testing.assert_allclose(full, reference, rtol=0, atol=1e-12)
+            subset = np.sort(rng.choice(120, size=37, replace=False))
+            for r, q in enumerate(queries):
+                alone = cosine_distances(matrix, norms, q[None])[0]
+                assert np.array_equal(alone, full[r])
+                some = cosine_distances(matrix[subset], norms[subset], q[None])[0]
+                assert np.array_equal(some, full[r, subset])
+
+    def test_zero_vectors_score_one(self):
+        matrix = np.array([[1.0, 0.0], [0.0, 0.0]])
+        dist = cosine_distances(matrix, np.linalg.norm(matrix, axis=1),
+                                np.array([[1.0, 0.0], [0.0, 0.0]]))
+        assert dist.tolist() == [[0.0, 1.0], [1.0, 1.0]]
 
 
 class TestSerialization:

@@ -114,19 +114,25 @@ class TestCommands:
 
         vectors = {side: read_vector_file(workdir / f"{side}_Landmark.vec")
                    for side in ("tuples", "mentions")}
-        for direction, anchor_side, other_side in (
-            ("tuple-to-mentions", "tuples", "mentions"),
-            ("mention-to-tuples", "mentions", "tuples"),
+        for direction, anchor_side, other_side, name in (
+            ("tuple-to-mentions", "tuples", "mentions", "links_Landmark.tsv"),
+            ("mention-to-tuples", "mentions", "tuples", "mention_links_Landmark.tsv"),
         ):
             run_both("link", "--direction", direction)
-            links = (workdir / "links_Landmark.tsv").read_bytes()
-            assert (bare / "links_Landmark.tsv").read_bytes() == links
+            links = (workdir / name).read_bytes()
+            assert (bare / name).read_bytes() == links
             items = vectors[other_side]
             for row in links.decode("utf-8").splitlines()[1:]:
                 anchor, counterpart, sc, rank, _ = row.split("\t")
                 if rank == "1":
                     exact = dict(brute_force_knn(items, vectors[anchor_side][anchor], len(items)))
                     assert float(sc) == exact[counterpart], (anchor, counterpart)
+        for root in (workdir, bare):
+            for name in ("links_Landmark.tsv", "mention_links_Landmark.tsv"):
+                assert (root / name).exists(), (root, name)
+        tuple_anchors = {row.split("\t")[0] for row in
+                         (workdir / "links_Landmark.tsv").read_text().splitlines()[1:]}
+        assert tuple_anchors == set(vectors["tuples"])
         run_both("eval")
         for name in ("report.json", "report.txt"):
             assert (bare / name).read_bytes() == (workdir / name).read_bytes(), name

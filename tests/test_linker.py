@@ -136,7 +136,7 @@ class TestSemanticLink:
         vectors = {f"m{i}": rng.normal(size=6) for i in range(20)}
         anchor = vectors["m7"].copy()
         forest = build_forest(vectors, t=4, leaf_capacity=4, seed=0)
-        result = semantic_link(forest, anchor, 5, anchor_id="t")
+        result = semantic_link(forest, {"t": anchor}, 5)["t"]
         cp, sc, rank = result.ranked[0]
         assert cp == "m7"
         assert sc == pytest.approx(0.0, abs=1e-12)
@@ -149,7 +149,7 @@ class TestSemanticLink:
         vectors = {f"m{i}": rng.normal(size=6) for i in range(12)}
         forest = build_forest(vectors, t=3, leaf_capacity=16, seed=0)
         anchor = rng.normal(size=6)
-        result = semantic_link(forest, anchor, 6, anchor_id="t")
+        result = semantic_link(forest, {"t": anchor}, 6)["t"]
         exact = brute_force_knn(vectors, anchor, 6)
         assert [(cp, sc) for cp, sc, _ in result.ranked] == exact
 
@@ -157,10 +157,30 @@ class TestSemanticLink:
         rng = np.random.default_rng(4)
         vectors = {f"m{i}": rng.normal(size=4) for i in range(30)}
         forest = build_forest(vectors, t=4, leaf_capacity=8, seed=0)
-        result = semantic_link(forest, rng.normal(size=4), 10, anchor_id="t")
+        result = semantic_link(forest, {"t": rng.normal(size=4)}, 10)["t"]
         scores = [sc for _, sc, _ in result.ranked]
         assert scores == sorted(scores)
         assert len(result.ranked) == 10
+
+    @pytest.mark.parametrize("search_k", [None, 24])
+    def test_batch_equals_one_anchor_calls(self, search_k):
+        rng = np.random.default_rng(5)
+        vectors = {f"m{i:03d}": rng.normal(size=8) for i in range(150)}
+        forest = build_forest(vectors, t=4, leaf_capacity=4, seed=1)
+        anchors = {f"t{i:02d}": rng.normal(size=8) for i in range(30)}
+        anchors["t_dup"] = vectors["m007"].copy()
+        batch = semantic_link(forest, anchors, 10, direction=MENTION_TO_TUPLES,
+                              search_k=search_k)
+        merged = {}
+        for anchor, vec in anchors.items():
+            merged.update(semantic_link(forest, {anchor: vec}, 10,
+                                        direction=MENTION_TO_TUPLES, search_k=search_k))
+        assert sorted(batch) == sorted(anchors)
+        assert batch == merged
+
+    def test_no_anchors(self):
+        forest = build_forest({"m": np.ones(3)}, t=1, leaf_capacity=4, seed=0)
+        assert semantic_link(forest, {}, 5) == {}
 
 
 class TestEvaluatePrecision:
