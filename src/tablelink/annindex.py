@@ -4,10 +4,13 @@ Each tree splits the vector space recursively by hyperplanes equidistant
 from two sampled points; queries traverse all trees best-first by margin to
 the splitting planes, merge the collected leaf candidates, and re-rank them
 by exact cosine distance. A query whose budget covers the whole forest
-skips the trees and ranks every item. Forests serialize to a versioned
-binary file designed to be loaded whole.
+skips the trees and ranks every item. A forest is a pure function of its
+vectors and build parameters, so it serializes to a versioned binary file
+of exactly those, and its trees are built from them on the first query
+that traverses them.
 """
 
+import functools
 import heapq
 import math
 import struct
@@ -35,42 +38,38 @@ class RpNode:
         return self.items is not None
 
 
-class RpTree:
-    def __init__(self, nodes):
-        self.nodes = nodes
-
-
 class RpForest:
-    """An immutable forest over a keyed vector set, queryable concurrently."""
+    """An immutable forest over a keyed vector set.
 
-    def __init__(self, ids, matrix, trees, leaf_capacity, seed):
+    Its ``t`` trees are built from ``matrix``, ``leaf_capacity`` and ``seed``
+    on first access to ``trees``; a query whose budget covers the forest
+    never builds them.
+    """
+
+    def __init__(self, ids, matrix, t, leaf_capacity, seed):
+        self.t = int(t)
+        self.leaf_capacity = int(leaf_capacity)
+        if self.t < 1 or self.leaf_capacity < 1:
+            raise AnnIndexError("t and leaf_capacity must be >= 1")
         self.ids = list(ids)
         self.matrix = np.asarray(matrix, dtype=np.float64)
         self.norms = np.linalg.norm(self.matrix, axis=1)
-        self.trees = trees
-        self.leaf_capacity = int(leaf_capacity)
         self.seed = int(seed)
+
+    @functools.cached_property
+    def trees(self):
+        """One list of ``RpNode`` per tree, root first; deterministic per seed."""
+        return [
+            _build_tree(self.matrix, self.leaf_capacity, np.random.default_rng(stream))
+            for stream in np.random.SeedSequence(self.seed).spawn(self.t)
+        ]
 
     @property
     def dim(self):
         return self.matrix.shape[1]
 
-    @property
-    def t(self):
-        return len(self.trees)
-
     def __len__(self):
         return len(self.ids)
-
-    def route(self, tree_index, x):
-        """Follow the sign rule down one tree; returns the leaf node index."""
-        tree = self.trees[tree_index]
-        i = 0
-        while not tree.nodes[i].is_leaf:
-            node = tree.nodes[i]
-            margin = float(node.normal @ x) - node.offset
-            i = node.right if margin > 0 else node.left
-        return i
 
     def query(self, q, n, search_k=None):
         return query_forest(self, q, n, search_k=search_k)
@@ -108,14 +107,10 @@ def _top_n(ids, dist, n):
 
 
 def build_forest(items, t=16, leaf_capacity=16, seed=0):
-    """Build a forest of ``t`` random-projection trees over keyed vectors.
+    """A forest of ``t`` random-projection trees over keyed vectors.
 
-    Splits sample two distinct points p, q of the node's subset and use the
-    hyperplane equidistant from them (normal p - q, offset at the midpoint).
-    Degenerate samples are retried up to 8 times, then a random unit normal
-    is used; if even that fails to separate the points they are split by
-    index parity so the recursion always terminates. Builds are
-    deterministic per seed.
+    Checks the vectors and parameters; the trees themselves are built on the
+    first query that traverses them (``RpForest.trees``).
     """
     if isinstance(items, dict):
         items = items.items()
@@ -128,39 +123,41 @@ def build_forest(items, t=16, leaf_capacity=16, seed=0):
         raise AnnIndexError("item vectors must share one dimension")
     if not np.all(np.isfinite(matrix)):
         raise AnnIndexError("item vectors contain non-finite components")
-    if t < 1 or leaf_capacity < 1:
-        raise AnnIndexError("t and leaf_capacity must be >= 1")
+    return RpForest(ids, matrix, t, leaf_capacity, seed)
 
+
+def _build_tree(matrix, leaf_capacity, rng):
+    """One tree over the rows of ``matrix``, as its node list with the root at 0.
+
+    Splits sample two distinct points p, q of the node's subset and use the
+    hyperplane equidistant from them (normal p - q, offset at the midpoint).
+    Degenerate samples are retried up to 8 times, then a random unit normal
+    is used; if even that fails to separate the points they are split by
+    index parity so the recursion always terminates.
+    """
     dim = matrix.shape[1]
-    streams = np.random.SeedSequence(seed).spawn(t)
-    trees = []
-    for stream in streams:
-        rng = np.random.default_rng(stream)
-        nodes = []
-        # (node slot, item indices) work stack; children appended on demand
-        root_indices = np.arange(len(ids))
-        nodes.append(RpNode())
-        stack = [(0, root_indices)]
-        while stack:
-            slot, indices = stack.pop()
-            if len(indices) <= leaf_capacity:
-                nodes[slot] = RpNode(items=[int(i) for i in indices])
-                continue
-            normal, offset = _choose_split(matrix, indices, rng, dim)
-            margins = matrix[indices] @ normal - offset
-            right_mask = margins > 0
-            if not right_mask.any() or right_mask.all():
-                # identical points: parity split keeps both sides nonempty
-                right_mask = (np.arange(len(indices)) % 2).astype(bool)
-            left_slot, right_slot = len(nodes), len(nodes) + 1
-            nodes.extend((RpNode(), RpNode()))
-            nodes[slot] = RpNode(
-                normal=normal, offset=float(offset), left=left_slot, right=right_slot
-            )
-            stack.append((left_slot, indices[~right_mask]))
-            stack.append((right_slot, indices[right_mask]))
-        trees.append(RpTree(nodes))
-    return RpForest(ids=ids, matrix=matrix, trees=trees, leaf_capacity=leaf_capacity, seed=seed)
+    # (node slot, item indices) work stack; children appended on demand
+    nodes = [RpNode()]
+    stack = [(0, np.arange(len(matrix)))]
+    while stack:
+        slot, indices = stack.pop()
+        if len(indices) <= leaf_capacity:
+            nodes[slot] = RpNode(items=[int(i) for i in indices])
+            continue
+        normal, offset = _choose_split(matrix, indices, rng, dim)
+        margins = matrix[indices] @ normal - offset
+        right_mask = margins > 0
+        if not right_mask.any() or right_mask.all():
+            # identical points: parity split keeps both sides nonempty
+            right_mask = (np.arange(len(indices)) % 2).astype(bool)
+        left_slot, right_slot = len(nodes), len(nodes) + 1
+        nodes.extend((RpNode(), RpNode()))
+        nodes[slot] = RpNode(
+            normal=normal, offset=float(offset), left=left_slot, right=right_slot
+        )
+        stack.append((left_slot, indices[~right_mask]))
+        stack.append((right_slot, indices[right_mask]))
+    return nodes
 
 
 def _choose_split(matrix, indices, rng, dim):
@@ -228,7 +225,7 @@ def _traverse(forest: RpForest, q, search_k):
             break
         neg_priority, _, tree_idx, node_idx = heapq.heappop(heap)
         priority = -neg_priority
-        node = forest.trees[tree_idx].nodes[node_idx]
+        node = forest.trees[tree_idx][node_idx]
         if node.is_leaf:
             per_tree[tree_idx] += len(node.items)
             candidates.update(node.items)
@@ -271,7 +268,7 @@ def brute_force_knn(items, q, n):
 # ---------------------------------------------------------------------------
 
 IDX_MAGIC = b"RPFI"
-IDX_VERSION = 1
+IDX_VERSION = 2
 
 
 def save_forest(forest: RpForest, path):
@@ -293,20 +290,9 @@ def save_forest(forest: RpForest, path):
             f.write(struct.pack("<I", len(kb)))
             f.write(kb)
         f.write(np.ascontiguousarray(forest.matrix, dtype="<f8").tobytes())
-        for tree in forest.trees:
-            f.write(struct.pack("<Q", len(tree.nodes)))
-            for node in tree.nodes:
-                if node.is_leaf:
-                    f.write(struct.pack("<B", 1))
-                    f.write(struct.pack("<I", len(node.items)))
-                    f.write(np.asarray(node.items, dtype="<u4").tobytes())
-                else:
-                    f.write(struct.pack("<B", 0))
-                    f.write(np.ascontiguousarray(node.normal, dtype="<f8").tobytes())
-                    f.write(struct.pack("<dII", node.offset, node.left, node.right))
 
 
-def load_forest(path, expected_dim=None):
+def load_forest(path):
     """Load a saved forest; truncated or mismatched files raise, whole."""
     with open(path, "rb") as f:
         data = f.read()
@@ -317,9 +303,8 @@ def load_forest(path, expected_dim=None):
         if version != IDX_VERSION:
             raise AnnIndexError(
                 f"{path}: index version {version} unsupported; expected {IDX_VERSION}"
+                " (rerun `tablelink build-index`)"
             )
-        if expected_dim is not None and dim != expected_dim:
-            raise AnnIndexError(f"{path}: index dim {dim}, expected {expected_dim}")
         pos = 4 + struct.calcsize("<IIIIqQ")
         ids = []
         for _ in range(count):
@@ -333,38 +318,8 @@ def load_forest(path, expected_dim=None):
         if len(data) < end:
             raise struct.error("truncated vector matrix")
         matrix = np.frombuffer(data[pos:end], dtype="<f8").reshape(count, dim).copy()
-        pos = end
-        trees = []
-        for _ in range(t):
-            (n_nodes,) = struct.unpack_from("<Q", data, pos)
-            pos += 8
-            nodes = []
-            for _ in range(n_nodes):
-                (kind,) = struct.unpack_from("<B", data, pos)
-                pos += 1
-                if kind == 1:
-                    (n_items,) = struct.unpack_from("<I", data, pos)
-                    pos += 4
-                    end = pos + 4 * n_items
-                    if len(data) < end:
-                        raise struct.error("truncated leaf")
-                    items = np.frombuffer(data[pos:end], dtype="<u4").tolist()
-                    pos = end
-                    nodes.append(RpNode(items=[int(i) for i in items]))
-                elif kind == 0:
-                    end = pos + 8 * dim
-                    if len(data) < end:
-                        raise struct.error("truncated normal")
-                    normal = np.frombuffer(data[pos:end], dtype="<f8").copy()
-                    pos = end
-                    offset, left, right = struct.unpack_from("<dII", data, pos)
-                    pos += struct.calcsize("<dII")
-                    nodes.append(RpNode(normal=normal, offset=offset, left=left, right=right))
-                else:
-                    raise AnnIndexError(f"{path}: unknown node kind {kind}")
-            trees.append(RpTree(nodes))
     except struct.error as exc:
         raise AnnIndexError(f"{path}: truncated or corrupt index file: {exc}") from exc
-    if pos != len(data):
-        raise AnnIndexError(f"{path}: {len(data) - pos} trailing bytes after last tree")
-    return RpForest(ids=ids, matrix=matrix, trees=trees, leaf_capacity=leaf_capacity, seed=seed)
+    if end != len(data):
+        raise AnnIndexError(f"{path}: {len(data) - end} trailing bytes after the vector matrix")
+    return RpForest(ids, matrix, t, leaf_capacity, seed)

@@ -8,7 +8,7 @@ learning rate 1e-5 with 0.9 decay every 1000 batches, 200 trees, top-10).
 import json
 import types
 import typing
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .corpus import SplitSpec
 
@@ -119,9 +119,6 @@ class ProjectConfig:
             raise ConfigError("eval_ks must be nonempty positive integers")
         return self
 
-    def to_dict(self):
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d):
         known = {
@@ -229,7 +226,3 @@ def load_config(path, profile=None, overrides=None):
     apply_overrides(config, overrides)
     return config.validate()
 
-
-def save_config(config: ProjectConfig, path):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(config.to_dict(), f, sort_keys=True, indent=1)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -29,8 +31,8 @@ class TestBuild:
     def test_small_set_single_leaf_per_tree(self, small_items):
         forest = build_forest(small_items, t=4, leaf_capacity=16, seed=0)
         for tree in forest.trees:
-            assert len(tree.nodes) == 1
-            assert sorted(tree.nodes[0].items) == list(range(10))
+            assert len(tree) == 1
+            assert sorted(tree[0].items) == list(range(10))
 
     def test_leaves_partition_items(self):
         rng = np.random.default_rng(1)
@@ -38,7 +40,7 @@ class TestBuild:
         forest = build_forest(items, t=8, leaf_capacity=16, seed=3)
         for tree in forest.trees:
             seen = []
-            for leaf in [n for n in tree.nodes if n.is_leaf]:
+            for leaf in [n for n in tree if n.is_leaf]:
                 assert len(leaf.items) <= 16
                 seen.extend(leaf.items)
             assert sorted(seen) == list(range(500))
@@ -55,7 +57,7 @@ class TestBuild:
         items = {f"k{i}": np.ones(4) for i in range(100)}
         forest = build_forest(items, t=3, leaf_capacity=8, seed=0)
         for tree in forest.trees:
-            assert all(len(l.items) <= 8 for l in [n for n in tree.nodes if n.is_leaf])
+            assert all(len(l.items) <= 8 for l in [n for n in tree if n.is_leaf])
         hits = query_forest(forest, np.ones(4), 5)
         assert len(hits) == 5
         assert all(s == pytest.approx(0.0, abs=1e-12) for _, s in hits)
@@ -87,13 +89,15 @@ class TestQuery:
             query_forest(forest, np.ones(5), 3)
 
     def test_routing_consistency(self):
+        """A one-leaf search of one tree reaches the leaf that holds the query item."""
         rng = np.random.default_rng(4)
         items = keyed(random_unit_vectors(rng, 300, 16))
-        forest = build_forest(items, t=5, leaf_capacity=8, seed=5)
-        for idx, key in ((0, "v0000"), (123, "v0123"), (299, "v0299")):
-            for tree_index, tree in enumerate(forest.trees):
-                leaf = tree.nodes[forest.route(tree_index, items[key])]
-                assert idx in leaf.items
+        for seed in (5, 6, 7, 8):
+            forest = build_forest(items, t=1, leaf_capacity=8, seed=seed)
+            for key in ("v0000", "v0123", "v0299"):
+                [(hit, dist)] = query_forest(forest, items[key], 1, search_k=1)
+                assert hit == key
+                assert dist == pytest.approx(0.0, abs=1e-12)
 
     def test_tie_break_by_ascending_id(self):
         v = np.array([1.0, 0.0])
@@ -138,7 +142,7 @@ class TestExhaustive:
         rng = np.random.default_rng(14)
         items = keyed(random_unit_vectors(rng, 200, 12))
         forest = build_forest(items, t=3, leaf_capacity=2, seed=4)
-        assert all(len(tree.nodes) > 1 for tree in forest.trees)
+        assert all(len(tree) > 1 for tree in forest.trees)
         return items, forest, random_unit_vectors(rng, 15, 12)
 
     @pytest.mark.parametrize("extra", [0, 7])
@@ -187,7 +191,9 @@ class TestSerialization:
         save_forest(forest, path)
         loaded = load_forest(path)
         for q in random_unit_vectors(rng, 100, 24):
-            assert query_forest(loaded, q, 10) == query_forest(forest, q, 10)
+            # a budget below the item count traverses the rebuilt trees
+            assert query_forest(loaded, q, 10, search_k=60) == query_forest(
+                forest, q, 10, search_k=60)
 
     def test_save_is_bit_exact_after_roundtrip(self, tmp_path):
         rng = np.random.default_rng(10)
@@ -208,25 +214,37 @@ class TestSerialization:
             load_forest(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
-        import struct
-
         rng = np.random.default_rng(12)
         forest = build_forest(keyed(random_unit_vectors(rng, 20, 8)), t=2, leaf_capacity=8, seed=0)
         path = tmp_path / "f.idx"
         save_forest(forest, path)
         data = bytearray(path.read_bytes())
-        data[4:8] = struct.pack("<I", 9)
-        path.write_bytes(bytes(data))
-        with pytest.raises(AnnIndexError, match="version 9"):
-            load_forest(path)
+        for version in (9, 1):  # 1 stored the trees
+            data[4:8] = struct.pack("<I", version)
+            path.write_bytes(bytes(data))
+            with pytest.raises(AnnIndexError, match=f"version {version} .*tablelink build-index"):
+                load_forest(path)
 
-    def test_expected_dim_mismatch_rejected(self, tmp_path):
-        rng = np.random.default_rng(13)
+    @pytest.mark.parametrize("offset", [12, 16])  # t, leaf_capacity
+    def test_zero_parameter_in_header_rejected(self, tmp_path, offset):
+        rng = np.random.default_rng(16)
         forest = build_forest(keyed(random_unit_vectors(rng, 20, 8)), t=2, leaf_capacity=8, seed=0)
         path = tmp_path / "f.idx"
         save_forest(forest, path)
-        with pytest.raises(AnnIndexError, match="dim"):
-            load_forest(path, expected_dim=16)
+        data = bytearray(path.read_bytes())
+        data[offset:offset + 4] = struct.pack("<I", 0)
+        path.write_bytes(bytes(data))
+        with pytest.raises(AnnIndexError, match="t and leaf_capacity"):
+            load_forest(path)
+
+    def test_file_holds_header_ids_and_matrix_only(self, tmp_path):
+        rng = np.random.default_rng(17)
+        forest = build_forest(keyed(random_unit_vectors(rng, 30, 8)), t=50, leaf_capacity=2, seed=0)
+        path = tmp_path / "f.idx"
+        save_forest(forest, path)
+        header = 4 + struct.calcsize("<IIIIqQ")
+        assert path.stat().st_size == header + 30 * (4 + len("v0000")) + 8 * 30 * 8
+        assert "trees" not in vars(load_forest(path))
 
 
 class TestDefaults:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from tablelink import annindex
 from tablelink.annindex import brute_force_knn
 from tablelink.cli import emit_report, run_command
 from tablelink.config import PROFILES, ConfigError, ProjectConfig, apply_profile, load_config
@@ -136,6 +137,23 @@ class TestCommands:
         run_both("eval")
         for name in ("report.json", "report.txt"):
             assert (bare / name).read_bytes() == (workdir / name).read_bytes(), name
+
+    def test_trees_built_only_by_a_narrow_query(self, project, monkeypatch):
+        """At the default budget no command builds a tree; a budget of 1 does."""
+        config_path, _ = project
+
+        class TreeBuilt(Exception):
+            pass
+
+        def no_trees(*args):
+            raise TreeBuilt
+
+        monkeypatch.setattr(annindex, "_build_tree", no_trees)
+        for argv in (*([c] for c in INDEX_CHAIN), ["link"],
+                     ["link", "--direction", "mention-to-tuples"], ["eval"]):
+            assert run_command([*argv, "--config", str(config_path)]) == 0, argv
+        with pytest.raises(TreeBuilt):
+            run_command(["link", "--config", str(config_path), "--set", "index.search_k=1"])
 
     def test_pipeline_rerun_identical(self, project):
         config_path, workdir = project
