@@ -5,13 +5,13 @@ Run from the repository root:  python demos/03_train_joint_space.py
 
 import numpy as np
 
+from tablelink.annindex import cosine_distances
 from tablelink.neural import (
     AdamState,
     EmbedderPair,
     SamplerState,
     gradient_check,
     sample_batch,
-    score,
     train_pair,
 )
 
@@ -50,10 +50,9 @@ print("loss: first=%.3f mid=%.3f last=%.3f" % (history[0][2], history[200][2], h
 
 # After training, a tuple scores its own mentions well below the others.
 e = "e3"
-own = np.mean([score(pair.embed_tuples(vectors_r[e][None])[0],
-                     pair.embed_mentions(vectors_t[m][None])[0])
-               for _, m in links[e]])
-other = np.mean([score(pair.embed_tuples(vectors_r[e][None])[0],
-                       pair.embed_mentions(vectors_t[m][None])[0])
-                 for f in entities if f != e for _, m in links[f]])
-print(f"mean cosine distance to own mentions: {own:.3f}, to others: {other:.3f}")
+anchor = pair.embed_tuples(vectors_r[e][None])
+joint = pair.embed_mentions(np.stack(list(vectors_t.values())))
+dist = cosine_distances(joint, np.linalg.norm(joint, axis=1), anchor)[0]
+own = np.array([mid.startswith(e + ".") for mid in vectors_t])
+print(f"mean cosine distance to own mentions: {dist[own].mean():.3f}, "
+      f"to others: {dist[~own].mean():.3f}")

@@ -38,11 +38,9 @@ from .neural import (
     EmbedderPair,
     SamplerState,
     TrainingBatch,
-    average_positive_score,
     gradient_check,
     gradient_step,
     pairwise_contrastive_loss,
-    score,
 )
 from .vectorize import (
     HashingEncoder,

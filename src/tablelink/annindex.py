@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .vectorize import VectorizeError, keyed_matrix, read_keyed_matrix, write_keyed_matrix
+
 
 class AnnIndexError(ValueError):
     """Raised for malformed queries and index files."""
@@ -112,15 +114,9 @@ def build_forest(items, t=16, leaf_capacity=16, seed=0):
     Checks the vectors and parameters; the trees themselves are built on the
     first query that traverses them (``RpForest.trees``).
     """
-    if isinstance(items, dict):
-        items = items.items()
-    items = sorted(items, key=lambda kv: kv[0])
-    if not items:
+    ids, matrix = keyed_matrix(items)
+    if not ids:
         raise AnnIndexError("cannot build a forest over zero items")
-    ids = [k for k, _ in items]
-    matrix = np.stack([np.asarray(v, dtype=np.float64) for _, v in items])
-    if matrix.ndim != 2:
-        raise AnnIndexError("item vectors must share one dimension")
     if not np.all(np.isfinite(matrix)):
         raise AnnIndexError("item vectors contain non-finite components")
     return RpForest(ids, matrix, t, leaf_capacity, seed)
@@ -253,18 +249,15 @@ def brute_force_knn(items, q, n):
     if isinstance(items, RpForest):
         ids, matrix, norms = items.ids, items.matrix, items.norms
     else:
-        if isinstance(items, dict):
-            items = items.items()
-        items = sorted(items, key=lambda kv: kv[0])
-        ids = [k for k, _ in items]
-        matrix = np.stack([np.asarray(v, dtype=np.float64) for _, v in items])
+        ids, matrix = keyed_matrix(items)
         norms = np.linalg.norm(matrix, axis=1)
     q = np.asarray(q, dtype=np.float64)
     return _top_n(ids, cosine_distances(matrix, norms, q[None]), n)[0]
 
 
 # ---------------------------------------------------------------------------
-# Serialization (layout documented in docs/FORMATS.md)
+# Serialization: a header, then the keyed-matrix body of ``*.vec`` files
+# (layout documented in docs/FORMATS.md)
 # ---------------------------------------------------------------------------
 
 IDX_MAGIC = b"RPFI"
@@ -285,11 +278,7 @@ def save_forest(forest: RpForest, path):
                 len(forest),
             )
         )
-        for item_id in forest.ids:
-            kb = str(item_id).encode("utf-8")
-            f.write(struct.pack("<I", len(kb)))
-            f.write(kb)
-        f.write(np.ascontiguousarray(forest.matrix, dtype="<f8").tobytes())
+        write_keyed_matrix(f, forest.ids, forest.matrix)
 
 
 def load_forest(path):
@@ -300,26 +289,15 @@ def load_forest(path):
         raise AnnIndexError(f"{path}: not a forest index file (bad magic)")
     try:
         version, dim, t, leaf_capacity, seed, count = struct.unpack_from("<IIIIqQ", data, 4)
-        if version != IDX_VERSION:
-            raise AnnIndexError(
-                f"{path}: index version {version} unsupported; expected {IDX_VERSION}"
-                " (rerun `tablelink build-index`)"
-            )
-        pos = 4 + struct.calcsize("<IIIIqQ")
-        ids = []
-        for _ in range(count):
-            (klen,) = struct.unpack_from("<I", data, pos)
-            pos += 4
-            if len(data) < pos + klen:
-                raise struct.error("truncated id table")
-            ids.append(data[pos : pos + klen].decode("utf-8"))
-            pos += klen
-        end = pos + 8 * count * dim
-        if len(data) < end:
-            raise struct.error("truncated vector matrix")
-        matrix = np.frombuffer(data[pos:end], dtype="<f8").reshape(count, dim).copy()
     except struct.error as exc:
         raise AnnIndexError(f"{path}: truncated or corrupt index file: {exc}") from exc
-    if end != len(data):
-        raise AnnIndexError(f"{path}: {len(data) - end} trailing bytes after the vector matrix")
+    if version != IDX_VERSION:
+        raise AnnIndexError(
+            f"{path}: index version {version} unsupported; expected {IDX_VERSION}"
+            " (rerun `tablelink build-index`)"
+        )
+    try:
+        ids, matrix = read_keyed_matrix(data, 4 + struct.calcsize("<IIIIqQ"), count, dim)
+    except VectorizeError as exc:
+        raise AnnIndexError(f"{path}: truncated or corrupt index file: {exc}") from exc
     return RpForest(ids, matrix, t, leaf_capacity, seed)

@@ -15,8 +15,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import annindex, linker, neural, vectorize
 from .config import ConfigError, load_config
 from .corpus import Corpus, CorpusError, Splits, corpus_stats, load_corpus_xml, make_stratified_splits
@@ -286,9 +284,8 @@ def _stage_embed(art: CategoryArtifacts, side):
     pair = art.pair()
     embed = pair.embed_tuples if side == "tuples" else pair.embed_mentions
     tuple_vecs, mention_vecs = art.raw_vectors()
-    raw = tuple_vecs if side == "tuples" else mention_vecs
-    keys = sorted(raw)
-    vectors = dict(zip(keys, embed(np.stack([raw[k] for k in keys]))))
+    keys, raw = vectorize.keyed_matrix(tuple_vecs if side == "tuples" else mention_vecs)
+    vectors = dict(zip(keys, embed(raw)))
     path = art.put(side, "vec", vectors)
     vectorize.write_vector_file(path, vectors)
     print(f"embedded {len(vectors)} {side} for {art.category} -> {path.name}")

@@ -76,9 +76,6 @@ class TupleRecord:
     values: dict  # attribute name -> scalar (absent = NULL)
     fk_values: dict = field(default_factory=dict)  # fk name -> list of target keys
 
-    def value(self, attribute: str):
-        return self.values.get(attribute)
-
     def fk_targets(self, fk_name: str):
         return self.fk_values.get(fk_name, [])
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from . import annindex, neural
 from .corpus import Corpus
+from .vectorize import keyed_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -153,8 +154,8 @@ def semantic_link(forest: annindex.RpForest, anchors, n,
     """
     if not anchors:
         return {}
-    keys = sorted(anchors)
-    hits = forest.query([anchors[k] for k in keys], n, search_k=search_k)
+    keys, block = keyed_matrix(anchors)
+    hits = forest.query(block, n, search_k=search_k)
     return {
         key: LinkResult(direction=direction, anchor=key, ranked=dense_rank(ranked))
         for key, ranked in zip(keys, hits)

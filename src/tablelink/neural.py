@@ -207,30 +207,6 @@ class EmbedderPair:
 # Scoring and loss
 # ---------------------------------------------------------------------------
 
-def score(u, v):
-    """Cosine distance 1 - cos(u, v) in [0, 2]; small means similar.
-
-    A zero vector carries no direction, so its score is defined as 1.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"dim mismatch: {u.shape} vs {v.shape}")
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 1.0
-    c = float(np.dot(u, v) / (nu * nv))
-    return 1.0 - max(-1.0, min(1.0, c))
-
-
-def average_positive_score(anchor, positives):
-    """Arithmetic mean of score(anchor, p) over the positive set."""
-    positives = list(positives)
-    if not positives:
-        raise ValueError("average_positive_score needs at least one positive")
-    return float(np.mean([score(anchor, p) for p in positives]))
-
-
 @dataclass
 class LossStats:
     active_terms: int = 0

@@ -10,7 +10,7 @@ import hashlib
 import json
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,13 +76,6 @@ def encoder_from_config(config: dict) -> HashingEncoder:
 
 
 @dataclass
-class VectorizeDiagnostics:
-    """Counters for degenerate inputs seen while vectorizing."""
-
-    dangling_fk_targets: int = 0
-
-
-@dataclass
 class VectorizerModel:
     """Fitted per-schema vectorization state.
 
@@ -99,7 +92,6 @@ class VectorizerModel:
     numeric_stats: dict  # attr -> (mean, std)
     vocabularies: dict  # attr -> {value: index}, UNK last
     fk_depth: int = 1
-    diagnostics: VectorizeDiagnostics = field(default_factory=VectorizeDiagnostics)
 
     UNK = "\x00UNK"
 
@@ -266,8 +258,8 @@ def vectorize_attribute(model: VectorizerModel, attribute: str, value) -> np.nda
 def embed_foreign_key(model: VectorizerModel, fk_values, tuple_lookup, depth=None) -> np.ndarray:
     """Component-wise sum of referenced tuples' vectors at depth-1.
 
-    Dangling target keys contribute nothing and are counted in the model's
-    diagnostics; an empty target list yields the zero vector.
+    Dangling target keys contribute nothing (``Corpus.dangling_fks`` lists
+    them at load); an empty target list yields the zero vector.
     """
     depth = model.fk_depth if depth is None else depth
     if depth < 1:
@@ -275,10 +267,8 @@ def embed_foreign_key(model: VectorizerModel, fk_values, tuple_lookup, depth=Non
     out = np.zeros(model.dim(depth - 1), dtype=np.float64)
     for key in fk_values:
         target = tuple_lookup(key) if callable(tuple_lookup) else tuple_lookup.get(key)
-        if target is None:
-            model.diagnostics.dangling_fk_targets += 1
-            continue
-        out += vectorize_tuple(model, target, depth=depth - 1, tuple_lookup=tuple_lookup)
+        if target is not None:
+            out += vectorize_tuple(model, target, depth=depth - 1, tuple_lookup=tuple_lookup)
     return out
 
 
@@ -322,64 +312,88 @@ def vectorize_mention(model_or_encoder, mention) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Keyed vector files
+# Keyed vector files: a keyed vector set is (ascending keys, f64 matrix) in
+# memory and a keyed-matrix body on disk, in ``*.vec`` and ``*.idx`` alike
 # ---------------------------------------------------------------------------
 
 VEC_MAGIC = b"TLVC"
-VEC_VERSION = 1
+VEC_VERSION = 2
+VEC_HEADER = 4 + struct.calcsize("<IIQ")  # magic, version, dim, count
 
 
-def write_vector_file(path, items):
-    """Write keyed vectors: per record a key, a u32 dim, then f64 LE values."""
+def keyed_matrix(items):
+    """(ascending keys, f64 matrix of their rows) of a dict or (key, vector) pairs."""
     if isinstance(items, dict):
         items = items.items()
     items = sorted(items, key=lambda kv: kv[0])
+    rows = [np.asarray(v, dtype=np.float64) for _, v in items]
+    shapes = {row.shape for row in rows}
+    if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+        raise VectorizeError(
+            f"keyed vectors must be 1-D of one dimension; got shapes {sorted(shapes)}"
+        )
+    return [k for k, _ in items], np.stack(rows) if rows else np.empty((0, 0))
+
+
+def write_keyed_matrix(f, keys, matrix):
+    """Write the body shared by ``*.vec`` and ``*.idx``: id table, then f64 LE rows."""
+    for key in keys:
+        kb = str(key).encode("utf-8")
+        f.write(struct.pack("<I", len(kb)))
+        f.write(kb)
+    f.write(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
+
+
+def read_keyed_matrix(data, pos, count, dim):
+    """Parse a body written by ``write_keyed_matrix`` that ends ``data``.
+
+    Returns (keys, matrix); a short id table, a key that is not UTF-8, a
+    short matrix or trailing bytes raise ``VectorizeError``.
+    """
+    keys = []
+    for _ in range(count):
+        klen = int.from_bytes(data[pos : pos + 4], "little")
+        pos += 4 + klen
+        if len(data) < pos:
+            raise VectorizeError("truncated id table")
+        try:
+            keys.append(data[pos - klen : pos].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise VectorizeError(f"id table key is not UTF-8: {exc}") from None
+    end = pos + 8 * count * dim
+    if len(data) < end:
+        raise VectorizeError("truncated vector matrix")
+    if len(data) > end:
+        raise VectorizeError(f"{len(data) - end} trailing bytes after the vector matrix")
+    matrix = np.frombuffer(data, dtype="<f8", count=count * dim, offset=pos)
+    return keys, matrix.reshape(count, dim).copy()
+
+
+def write_vector_file(path, items):
+    """Write keyed vectors: header (magic, version, dim, count), then the keyed-matrix body."""
+    keys, matrix = keyed_matrix(items)
     with open(path, "wb") as f:
         f.write(VEC_MAGIC)
-        f.write(struct.pack("<II", VEC_VERSION, len(items)))
-        for key, vec in items:
-            arr = np.ascontiguousarray(np.asarray(vec, dtype=np.float64), dtype="<f8")
-            if arr.ndim != 1:
-                raise VectorizeError(f"vector for key {key!r} is not 1-D")
-            kb = key.encode("utf-8")
-            f.write(struct.pack("<I", len(kb)))
-            f.write(kb)
-            f.write(struct.pack("<I", arr.shape[0]))
-            f.write(arr.tobytes())
+        f.write(struct.pack("<IIQ", VEC_VERSION, matrix.shape[1], len(keys)))
+        write_keyed_matrix(f, keys, matrix)
 
 
-def read_vector_file(path, expected_dim=None):
-    """Read a keyed vector file back into a key -> vector dict."""
+def read_vector_file(path):
+    """Read a keyed vector file back into a key -> vector dict (rows of one matrix)."""
     with open(path, "rb") as f:
         data = f.read()
-    view = memoryview(data)
     if data[:4] != VEC_MAGIC:
         raise VectorizeError(f"{path}: not a keyed vector file (bad magic)")
-    version, count = struct.unpack_from("<II", view, 4)
+    if len(data) < VEC_HEADER:
+        raise VectorizeError(f"{path}: truncated vector file header")
+    version, dim, count = struct.unpack_from("<IIQ", data, 4)
     if version != VEC_VERSION:
-        raise VectorizeError(f"{path}: vector file version {version} unsupported; expected {VEC_VERSION}")
-    pos, out = 12, {}
-    for _ in range(count):
-        try:
-            (klen,) = struct.unpack_from("<I", view, pos)
-            pos += 4
-            if len(view) < pos + klen:
-                raise struct.error("truncated key")
-            key = bytes(view[pos : pos + klen]).decode("utf-8")
-            pos += klen
-            (dim,) = struct.unpack_from("<I", view, pos)
-            pos += 4
-            end = pos + 8 * dim
-            if len(view) < end:
-                raise struct.error("truncated vector")
-            out[key] = np.frombuffer(view[pos:end], dtype="<f8").astype(np.float64)
-            pos = end
-        except struct.error as exc:
-            raise VectorizeError(f"{path}: truncated or corrupt vector file: {exc}") from exc
-        if expected_dim is not None and out[key].shape[0] != expected_dim:
-            raise VectorizeError(
-                f"{path}: vector for {key!r} has dim {out[key].shape[0]}, expected {expected_dim}"
-            )
-    if pos != len(data):
-        raise VectorizeError(f"{path}: {len(data) - pos} trailing bytes after last record")
-    return out
+        raise VectorizeError(
+            f"{path}: vector file version {version} unsupported; expected {VEC_VERSION}"
+            " (rerun `tablelink embed-tuples` / `embed-mentions`)"
+        )
+    try:
+        keys, matrix = read_keyed_matrix(data, VEC_HEADER, count, dim)
+    except VectorizeError as exc:
+        raise VectorizeError(f"{path}: truncated or corrupt vector file: {exc}") from exc
+    return dict(zip(keys, matrix))

@@ -13,6 +13,7 @@ from tablelink.annindex import (
     query_forest,
     save_forest,
 )
+from tablelink.vectorize import VectorizeError
 
 from conftest import random_unit_vectors
 
@@ -65,6 +66,10 @@ class TestBuild:
     def test_empty_items_rejected(self):
         with pytest.raises(AnnIndexError, match="zero items"):
             build_forest({}, t=2, leaf_capacity=4, seed=0)
+
+    def test_ragged_vectors_rejected(self):
+        with pytest.raises(VectorizeError, match="one dimension"):
+            build_forest({"a": np.ones(3), "b": np.ones(4)})
 
 
 class TestQuery:
@@ -174,6 +179,20 @@ class TestCosineKernel:
                 assert np.array_equal(alone, full[r])
                 some = cosine_distances(matrix[subset], norms[subset], q[None])[0]
                 assert np.array_equal(some, full[r, subset])
+
+    def test_distance_properties(self):
+        def score(u, v):
+            return cosine_distances(u[None], np.linalg.norm(u[None], axis=1), v[None])[0, 0]
+
+        u = np.array([0.3, -2.0, 1.0])
+        assert score(u, u) == 0.0
+        assert score(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
+        assert score(u, -u) == pytest.approx(2.0, abs=1e-15)
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            u, v = rng.normal(size=3), rng.normal(size=3)
+            assert score(u, v) == score(v, u)
+            assert score(3.7 * u, v) == pytest.approx(score(u, v), abs=1e-12)
 
     def test_zero_vectors_score_one(self):
         matrix = np.array([[1.0, 0.0], [0.0, 0.0]])

@@ -275,6 +275,15 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "splits.json" in err
 
+        for command in ("ingest", "train", "embed-tuples"):
+            assert run_command([command, "--config", str(config_path)]) == 0, command
+        vec = workdir / "tuples_Landmark.vec"
+        vec.write_bytes(vec.read_bytes()[:-8])
+        capsys.readouterr()
+        assert run_command(["build-index", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and vec.name in err
+
     def test_override_of_wrong_type_exits_one(self, project, capsys):
         config_path, _ = project
         status = run_command(

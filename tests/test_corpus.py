@@ -135,6 +135,14 @@ class TestLoadCorpusXml:
         with pytest.raises(CorpusError, match="unknown mention"):
             Corpus({"R": schema}, {"k": rec}, {"m": mention}, [GoldLink("k", "nope")])
 
+    def test_dangling_fk_targets_listed(self, caplog):
+        schema = RelationSchema(name="R", attributes=(("a", "text"),), foreign_keys=(("ref", "R"),))
+        rec = TupleRecord(relation="R", key="k", entity="k", values={"a": "v"},
+                          fk_values={"ref": ["k", "gone"]})
+        corpus = Corpus({"R": schema}, {"k": rec}, {}, [])
+        assert corpus.dangling_fks == [("k", "ref", "gone")]
+        assert "1 dangling foreign-key target" in caplog.text
+
 
 class TestSplits:
     def test_hundred_entities(self):

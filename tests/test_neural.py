@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tablelink.annindex import cosine_distances
 from tablelink.neural import (
     ADAM_BLOCK,
     AdamState,
@@ -11,14 +12,13 @@ from tablelink.neural import (
     SamplerState,
     TrainingBatch,
     TrainingError,
-    average_positive_score,
     elu,
     gradient_check,
     gradient_step,
     loss_from_embeddings,
     pairwise_contrastive_loss,
     sample_batch,
-    score,
+    score_matrix,
     train_pair,
 )
 
@@ -75,43 +75,36 @@ class TestForward:
 
 
 class TestScore:
+    """The trainer's cosine distance, one pair at a time through ``score_matrix``."""
+
+    @staticmethod
+    def score(u, v):
+        return score_matrix(np.atleast_2d(u), np.atleast_2d(v))[0][0, 0]
+
     def test_identical_vectors(self):
         u = np.array([0.3, -2.0, 1.0])
-        assert score(u, u) == 0.0
+        assert self.score(u, u) == 0.0
 
     def test_orthogonal_unit_vectors(self):
-        assert score(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
+        assert self.score(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
 
     def test_opposite_vectors(self):
         u = np.array([1.0, 2.0])
-        assert score(u, -u) == pytest.approx(2.0, abs=1e-15)
+        assert self.score(u, -u) == pytest.approx(2.0, abs=1e-15)
 
     def test_zero_vector_scores_one(self):
-        assert score(np.zeros(3), np.ones(3)) == 1.0
+        assert self.score(np.zeros(3), np.ones(3)) == 1.0
 
     def test_symmetry_and_scale_invariance(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             u, v = rng.normal(size=3), rng.normal(size=3)
-            assert score(u, v) == score(v, u)
-            assert score(3.7 * u, v) == pytest.approx(score(u, v), abs=1e-12)
+            assert self.score(u, v) == self.score(v, u)
+            assert self.score(3.7 * u, v) == pytest.approx(self.score(u, v), abs=1e-12)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            score(np.ones(2), np.ones(3))
-
-    def test_average_positive_score(self):
-        anchor = np.array([1.0, 0.0])
-        # positives at cosine distances 0.2 and 0.4 from the anchor
-        p1 = np.array([0.8, math.sqrt(1 - 0.64)])
-        p2 = np.array([0.6, math.sqrt(1 - 0.36)])
-        assert average_positive_score(anchor, [p1, p2]) == pytest.approx(0.3, abs=1e-12)
-        assert average_positive_score(anchor, [p2]) == pytest.approx(0.4, abs=1e-12)
-        assert average_positive_score(anchor, [anchor]) == 0.0
-
-    def test_average_positive_score_empty_rejected(self):
-        with pytest.raises(ValueError):
-            average_positive_score(np.ones(2), [])
+            self.score(np.ones(2), np.ones(3))
 
 
 class TestLoss:
@@ -250,7 +243,9 @@ class TestGradients:
             c = float(u @ v) / (nu * nv)
             return -(v / (nu * nv) - c * u / nu**2)
 
-        assert loss == pytest.approx(1.5 + score(u, p) - score(u, n), abs=1e-12)
+        # reference distances from the index kernel, which does not normalise first
+        s_p, s_n = cosine_distances(np.stack([p, n]), np.linalg.norm([p, n], axis=1), u[None])[0]
+        assert loss == pytest.approx(1.5 + s_p - s_n, abs=1e-12)
         d_u = d_score(u, p) - d_score(u, n)
         d_p = d_score(p, u)
         d_n = -d_score(n, u)

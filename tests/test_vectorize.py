@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from tablelink.annindex import AnnIndexError, build_forest, load_forest, save_forest
 from tablelink.corpus import RelationSchema, TupleRecord
 from tablelink.vectorize import (
     HashingEncoder,
@@ -15,6 +16,7 @@ from tablelink.vectorize import (
     VectorizerModel,
     embed_foreign_key,
     fit_vectorizer,
+    keyed_matrix,
     read_vector_file,
     vectorize_attribute,
     vectorize_mention,
@@ -215,7 +217,6 @@ class TestForeignKeys:
         model = self.make_model([make_record(schema, "t", a=1.0)], schema)
         got = embed_foreign_key(model, ["missing"], {})
         assert np.all(got == 0.0)
-        assert model.diagnostics.dangling_fk_targets == 1
 
     def test_cycle_terminates_with_hand_unrolled_value(self):
         schema = RelationSchema(
@@ -356,8 +357,55 @@ class TestVectorFiles:
         with pytest.raises(VectorizeError, match="magic"):
             read_vector_file(path)
 
-    def test_expected_dim_checked(self, tmp_path):
+    def test_version_1_rejected_with_embed_hint(self, tmp_path):
         path = tmp_path / "x.vec"
-        write_vector_file(path, {"a": np.ones(4)})
-        with pytest.raises(VectorizeError, match="dim"):
-            read_vector_file(path, expected_dim=5)
+        # a v1 file: magic, version 1, count 1, then key, per-record dim, values
+        path.write_bytes(b"TLVC" + struct.pack("<III", 1, 1, 1) + b"a"
+                         + struct.pack("<I", 2) + np.ones(2).tobytes())
+        with pytest.raises(VectorizeError, match="version 1 .*tablelink embed-tuples"):
+            read_vector_file(path)
+
+    def test_layout_is_header_then_index_body(self, tmp_path):
+        rng = np.random.default_rng(3)
+        items = {f"key{i}": rng.normal(size=6) for i in range(11)}
+        write_vector_file(tmp_path / "x.vec", items)
+        save_forest(build_forest(items, t=2, leaf_capacity=4, seed=0), tmp_path / "x.idx")
+        vec, idx = (tmp_path / "x.vec").read_bytes(), (tmp_path / "x.idx").read_bytes()
+        assert len(vec) == 20 + sum(4 + len(k) for k in items) + 8 * 11 * 6
+        assert vec[20:] == idx[36:]
+
+    @pytest.mark.parametrize("suffix", ["vec", "idx"])
+    @pytest.mark.parametrize("change, message", [
+        ("cut", "truncated"), ("extra", "1 trailing bytes"), ("bad-key", "not UTF-8"),
+    ])
+    def test_corrupt_keyed_matrix_body_raises(self, tmp_path, suffix, change, message):
+        items = {"a": np.ones(4), "b": np.zeros(4)}
+        path = tmp_path / f"x.{suffix}"
+        if suffix == "vec":
+            write_vector_file(path, items)
+            read, error, header = read_vector_file, VectorizeError, 20
+        else:
+            save_forest(build_forest(items, t=2, leaf_capacity=4, seed=0), path)
+            read, error, header = load_forest, AnnIndexError, 36
+        data = bytearray(path.read_bytes())
+        if change == "cut":
+            del data[-1]
+        elif change == "extra":
+            data.append(0)
+        else:
+            data[header + 4] = 0xFF  # first byte of the first key
+        path.write_bytes(bytes(data))
+        with pytest.raises(error, match=message):
+            read(path)
+
+
+class TestKeyedMatrix:
+    def test_sorted_keys_and_stacked_rows(self):
+        keys, matrix = keyed_matrix([("b", [1, 2]), ("a", np.array([3.0, 4.0]))])
+        assert keys == ["a", "b"]
+        assert matrix.dtype == np.float64
+        np.testing.assert_array_equal(matrix, [[3.0, 4.0], [1.0, 2.0]])
+
+    def test_not_1d_rejected(self):
+        with pytest.raises(VectorizeError, match="1-D of one dimension"):
+            keyed_matrix({"a": np.ones((2, 2))})
