@@ -13,12 +13,12 @@ that traverses them.
 import functools
 import heapq
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .vectorize import VectorizeError, keyed_matrix, read_keyed_matrix, write_keyed_matrix
+from . import formats
+from .vectorize import keyed_matrix
 
 
 class AnnIndexError(ValueError):
@@ -262,42 +262,20 @@ def brute_force_knn(items, q, n):
 
 IDX_MAGIC = b"RPFI"
 IDX_VERSION = 2
+IDX_HEADER = "<IIIIqQ"  # version, dim, t, leaf capacity, seed, count
 
 
 def save_forest(forest: RpForest, path):
-    with open(path, "wb") as f:
-        f.write(IDX_MAGIC)
-        f.write(
-            struct.pack(
-                "<IIIIqQ",
-                IDX_VERSION,
-                forest.dim,
-                forest.t,
-                forest.leaf_capacity,
-                forest.seed,
-                len(forest),
-            )
-        )
-        write_keyed_matrix(f, forest.ids, forest.matrix)
+    with formats.write_binary(path, IDX_MAGIC, IDX_HEADER, IDX_VERSION, forest.dim, forest.t,
+                              forest.leaf_capacity, forest.seed, len(forest)) as f:
+        formats.write_keyed_matrix(f, forest.ids, forest.matrix)
 
 
 def load_forest(path):
     """Load a saved forest; truncated or mismatched files raise, whole."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != IDX_MAGIC:
-        raise AnnIndexError(f"{path}: not a forest index file (bad magic)")
-    try:
-        version, dim, t, leaf_capacity, seed, count = struct.unpack_from("<IIIIqQ", data, 4)
-    except struct.error as exc:
-        raise AnnIndexError(f"{path}: truncated or corrupt index file: {exc}") from exc
-    if version != IDX_VERSION:
-        raise AnnIndexError(
-            f"{path}: index version {version} unsupported; expected {IDX_VERSION}"
-            " (rerun `tablelink build-index`)"
-        )
-    try:
-        ids, matrix = read_keyed_matrix(data, 4 + struct.calcsize("<IIIIqQ"), count, dim)
-    except VectorizeError as exc:
-        raise AnnIndexError(f"{path}: truncated or corrupt index file: {exc}") from exc
-    return RpForest(ids, matrix, t, leaf_capacity, seed)
+    return formats.read_binary(path, IDX_MAGIC, IDX_HEADER, IDX_VERSION, AnnIndexError,
+                               "`tablelink build-index`", _parse_forest)
+
+
+def _parse_forest(data, offset, dim, t, leaf_capacity, seed, count):
+    return RpForest(*formats.read_keyed_matrix(data, offset, dim, count), t, leaf_capacity, seed)

@@ -15,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import annindex, linker, neural, vectorize
+from . import annindex, formats, linker, neural, vectorize
 from .config import ConfigError, load_config
 from .corpus import Corpus, CorpusError, Splits, corpus_stats, load_corpus_xml, make_stratified_splits
 
@@ -150,17 +150,18 @@ class CategoryArtifacts:
     def vectorizer(self) -> vectorize.VectorizerModel:
         return self._get(self.path("vectorizer", "json"), "fit", vectorize.VectorizerModel.load)
 
-    def raw_vectors(self):
-        """(tuple vectors, mention vectors) before the networks, built once."""
-        if "raw" not in self._memo:
+    def raw_vectors(self, side):
+        """Vectors of one side ("tuples" or "mentions") before the networks, built once."""
+        if ("raw", side) not in self._memo:
             corpus, model = self.ws.corpus(), self.vectorizer()
-            self._memo["raw"] = (
-                {rec.key: vectorize.vectorize_tuple(model, rec, tuple_lookup=corpus.tuples)
-                 for rec in corpus.tuples_of_category(self.category)},
-                {m.id: vectorize.vectorize_mention(model, m)
-                 for m in corpus.mentions_of_category(self.category)},
-            )
-        return self._memo["raw"]
+            if side == "tuples":
+                vectors = {rec.key: vectorize.vectorize_tuple(model, rec, tuple_lookup=corpus.tuples)
+                           for rec in corpus.tuples_of_category(self.category)}
+            else:
+                vectors = {m.id: vectorize.vectorize_mention(model, m)
+                           for m in corpus.mentions_of_category(self.category)}
+            self._memo["raw", side] = vectors
+        return self._memo["raw", side]
 
     def pair(self) -> neural.EmbedderPair:
         return self._get(self.path("model", "ckpt"), "train", self._load_pair)
@@ -267,10 +268,10 @@ def stage_fit(art: CategoryArtifacts, config, args):
 
 
 def stage_train(art: CategoryArtifacts, config, args):
-    tuple_vecs, mention_vecs = art.raw_vectors()
     with open(art.path("train", "log"), "w", encoding="utf-8") as log:
         pair, adam, history = linker.train_category(
-            art.ws.corpus(), art.category, config, art.ws.splits(), tuple_vecs, mention_vecs,
+            art.ws.corpus(), art.category, config, art.ws.splits(),
+            art.raw_vectors("tuples"), art.raw_vectors("mentions"),
             cat_index=art.cat_index,
             progress=lambda step, lr, loss: log.write(f"{step}\t{lr:.6e}\t{loss:.6e}\n"),
         )
@@ -283,8 +284,7 @@ def stage_train(art: CategoryArtifacts, config, args):
 def _stage_embed(art: CategoryArtifacts, side):
     pair = art.pair()
     embed = pair.embed_tuples if side == "tuples" else pair.embed_mentions
-    tuple_vecs, mention_vecs = art.raw_vectors()
-    keys, raw = vectorize.keyed_matrix(tuple_vecs if side == "tuples" else mention_vecs)
+    keys, raw = vectorize.keyed_matrix(art.raw_vectors(side))
     vectors = dict(zip(keys, embed(raw)))
     path = art.put(side, "vec", vectors)
     vectorize.write_vector_file(path, vectors)
@@ -381,8 +381,7 @@ def cmd_pipeline(config, args):
     timings = {"ingest": time.perf_counter() - started}
     timings.update(run_stages(ws, config, args, PIPELINE_STAGES))
     timings["total"] = time.perf_counter() - started
-    with open(ws.root / "timings.json", "w", encoding="utf-8") as f:
-        json.dump({k: round(v, 3) for k, v in timings.items()}, f, sort_keys=True, indent=1)
+    formats.save_json(ws.root / "timings.json", {k: round(v, 3) for k, v in timings.items()})
     print(f"stage timings (s): {json.dumps({k: round(v, 2) for k, v in sorted(timings.items())})}")
 
 

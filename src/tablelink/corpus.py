@@ -6,13 +6,14 @@ tables (one schema per entity category) and entity mentions in text
 two sides and drive both training and evaluation.
 """
 
-import json
 import logging
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import formats
 
 logger = logging.getLogger(__name__)
 
@@ -151,12 +152,11 @@ class Splits:
         )
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, sort_keys=True, indent=1)
+        formats.save_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path):
-        return _load_json_artifact(path, cls.from_dict)
+        return formats.load_json(path, cls.from_dict, CorpusError)
 
 
 @dataclass(frozen=True)
@@ -316,21 +316,11 @@ class Corpus:
         return cls(schemas, tuples, mentions, links)
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, sort_keys=True, indent=1)
+        formats.save_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path):
-        return _load_json_artifact(path, cls.from_dict)
-
-
-def _load_json_artifact(path, from_dict):
-    """Parse a JSON artifact; truncated or malformed content raises CorpusError."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            return from_dict(json.load(f))
-    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError, AttributeError) as exc:
-        raise CorpusError(f"{path}: malformed artifact ({type(exc).__name__}: {exc})") from None
+        return formats.load_json(path, cls.from_dict, CorpusError)
 
 
 # ---------------------------------------------------------------------------
@@ -477,13 +467,14 @@ def _parse_entry_element(elem, entry_id=None):
 class CorpusBuilder:
     """Accumulates parsed entries and finalizes schemas and indices.
 
-    Records with the same entity and identical content are merged; same
-    entity with a different attribute set gets a fresh ``entity#n`` key.
+    Records of one relation with the same entity and identical content are
+    merged; the same entity with other content, or in another relation, gets
+    a fresh ``entity#n`` key.
     """
 
     def __init__(self):
         self._records = {}  # key -> TupleRecord
-        self._content = {}  # (entity, content signature) -> key
+        self._content = {}  # (relation, entity, content signature) -> key
         self._entity_counts = {}
         self._mentions = {}
         self._links = []
@@ -495,6 +486,7 @@ class CorpusBuilder:
         key_of_subject = {}
         for rec in entry.records:
             sig = (
+                rec.relation,
                 rec.entity,
                 tuple(sorted(rec.values.items())),
                 tuple(sorted((k, tuple(v)) for k, v in rec.fk_values.items())),

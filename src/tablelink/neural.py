@@ -11,10 +11,11 @@ against finite differences.
 import json
 import logging
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import formats
 
 logger = logging.getLogger(__name__)
 
@@ -251,38 +252,24 @@ def loss_from_embeddings(e_r, e_t, pos_pairs, margin):
     d_s = np.zeros_like(s)
     loss = 0.0
 
-    # tuple-side anchors (rows)
-    npos_r = pos.sum(axis=1)
-    has_pos_r = npos_r > 0
-    stats.skipped_tuple_anchors = int((~has_pos_r).sum())
-    if has_pos_r.any():
-        avg_r = np.where(has_pos_r, (s * pos).sum(axis=1) / np.maximum(npos_r, 1), 0.0)
-        hinge = margin + avg_r[:, None] - s
-        relevant = ~pos & has_pos_r[:, None]
+    # tuple anchors are rows (axis 1), mention anchors columns (axis 0)
+    for axis, skipped in ((1, "skipped_tuple_anchors"), (0, "skipped_mention_anchors")):
+        npos = pos.sum(axis=axis)
+        has_pos = npos > 0
+        setattr(stats, skipped, int((~has_pos).sum()))
+        if not has_pos.any():
+            continue
+        avg = np.where(has_pos, (s * pos).sum(axis=axis) / np.maximum(npos, 1), 0.0)
+        hinge = margin + np.expand_dims(avg, axis) - s
+        relevant = ~pos & np.expand_dims(has_pos, axis)
         active = relevant & (hinge > 0)
         if relevant.any():
             stats.min_hinge_gap = min(stats.min_hinge_gap, float(np.min(np.abs(hinge[relevant]))))
         loss += float(hinge[active].sum())
         stats.active_terms += int(active.sum())
         d_s -= active.astype(np.float64)
-        n_active = active.sum(axis=1)
-        d_s += pos * np.where(has_pos_r, n_active / np.maximum(npos_r, 1), 0.0)[:, None]
-
-    # mention-side anchors (columns)
-    npos_t = pos.sum(axis=0)
-    has_pos_t = npos_t > 0
-    stats.skipped_mention_anchors = int((~has_pos_t).sum())
-    if has_pos_t.any():
-        avg_t = np.where(has_pos_t, (s * pos).sum(axis=0) / np.maximum(npos_t, 1), 0.0)
-        hinge = margin + avg_t[None, :] - s
-        relevant = ~pos & has_pos_t[None, :]
-        active = relevant & (hinge > 0)
-        if relevant.any():
-            stats.min_hinge_gap = min(stats.min_hinge_gap, float(np.min(np.abs(hinge[relevant]))))
-        loss += float(hinge[active].sum())
-        stats.active_terms += int(active.sum())
-        d_s -= active.astype(np.float64)
-        d_s += pos * np.where(has_pos_t, active.sum(axis=0) / np.maximum(npos_t, 1), 0.0)[None, :]
+        share = np.where(has_pos, active.sum(axis=axis) / np.maximum(npos, 1), 0.0)
+        d_s += pos * np.expand_dims(share, axis)
 
     # back through S = 1 - U V^T and the row normalizations
     d_c = -d_s
@@ -538,6 +525,7 @@ def train_pair(pair: EmbedderPair, adam: AdamState, sampler: SamplerState,
 
 CKPT_MAGIC = b"TLCK"
 CKPT_VERSION = 1
+CKPT_HEADER = "<II"  # version, JSON header length
 
 
 def save_checkpoint(path, pair: EmbedderPair, step=0, extra=None):
@@ -556,40 +544,32 @@ def save_checkpoint(path, pair: EmbedderPair, step=0, extra=None):
     if extra:
         header["extra"] = extra
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<II", CKPT_VERSION, len(blob)))
+    with formats.write_binary(path, CKPT_MAGIC, CKPT_HEADER, CKPT_VERSION, len(blob)) as f:
         f.write(blob)
         f.write(np.ascontiguousarray(pair.flat, dtype="<f8"))
 
 
 def load_checkpoint(path):
     """Rebuild an EmbedderPair from a checkpoint; returns (pair, header)."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != CKPT_MAGIC:
-        raise TrainingError(f"{path}: not a model checkpoint (bad magic)")
-    version, hlen = struct.unpack_from("<II", data, 4)
-    if version != CKPT_VERSION:
-        raise TrainingError(f"{path}: checkpoint version {version} unsupported; expected {CKPT_VERSION}")
-    header = json.loads(data[12 : 12 + hlen].decode("utf-8"))
-    pos = 12 + hlen
-    shapes = header["shapes_r"] + header["shapes_t"]
-    count = sum(out_dim * (in_dim + 1) for out_dim, in_dim in shapes)
-    end = pos + 8 * count
-    if len(data) < end:
-        raise TrainingError(f"{path}: truncated checkpoint")
-    if len(data) > end:
-        raise TrainingError(f"{path}: {len(data) - end} trailing bytes after parameters")
-    flat = np.frombuffer(data, dtype="<f8", count=count, offset=pos).astype(np.float64)
-    weights_r, biases_r, offset = _layer_views(flat, 0, header["shapes_r"])
-    weights_t, biases_t, _ = _layer_views(flat, offset, header["shapes_t"])
-    pair = EmbedderPair(
-        net_r=DenseNet(weights_r, biases_r, keep_prob=header["keep_prob_r"]),
-        net_t=DenseNet(weights_t, biases_t, keep_prob=header["keep_prob_t"]),
-        joint_dim=header["joint_dim"],
-        margin=header["margin"],
-        seed=header["seed"],
-        flat=flat,
-    )
-    return pair, header
+
+    def parse(data, offset, hlen):
+        header, nets, count, hyper = formats.parse_json(
+            data[offset : offset + hlen], path, _read_header, TrainingError
+        )
+        flat = formats.read_f64(data, offset + hlen, count)
+        start, built = 0, []
+        for shapes, keep_prob in nets:
+            weights, biases, start = _layer_views(flat, start, shapes)
+            built.append(DenseNet(weights, biases, keep_prob=keep_prob))
+        return EmbedderPair(*built, **hyper, flat=flat), header
+
+    return formats.read_binary(path, CKPT_MAGIC, CKPT_HEADER, CKPT_VERSION, TrainingError,
+                               "`tablelink train`", parse)
+
+
+def _read_header(header):
+    """(header, (layer shapes, keep probability) of each net, parameter count, pair kwargs)."""
+    nets = [(header["shapes_r"], header["keep_prob_r"]), (header["shapes_t"], header["keep_prob_t"])]
+    count = sum(out_dim * (in_dim + 1) for shapes, _ in nets for out_dim, in_dim in shapes)
+    hyper = {key: header[key] for key in ("joint_dim", "margin", "seed")}
+    return header, nets, count, hyper

@@ -7,13 +7,13 @@ the encodings of the mention surface form and of its covering sentence.
 """
 
 import hashlib
-import json
 import re
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import formats
 from .corpus import RelationSchema
 
 
@@ -177,13 +177,11 @@ class VectorizerModel:
         )
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, sort_keys=True, indent=1)
+        formats.save_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+        return formats.load_json(path, cls.from_dict, VectorizeError)
 
 
 def fit_vectorizer(tuples, schema: RelationSchema, encoder: HashingEncoder, fk_depth=1):
@@ -313,12 +311,13 @@ def vectorize_mention(model_or_encoder, mention) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Keyed vector files: a keyed vector set is (ascending keys, f64 matrix) in
-# memory and a keyed-matrix body on disk, in ``*.vec`` and ``*.idx`` alike
+# memory and a keyed-matrix body (``formats``) on disk, in ``*.vec`` and
+# ``*.idx`` alike
 # ---------------------------------------------------------------------------
 
 VEC_MAGIC = b"TLVC"
 VEC_VERSION = 2
-VEC_HEADER = 4 + struct.calcsize("<IIQ")  # magic, version, dim, count
+VEC_HEADER = "<IIQ"  # version, dim, count
 
 
 def keyed_matrix(items):
@@ -335,65 +334,17 @@ def keyed_matrix(items):
     return [k for k, _ in items], np.stack(rows) if rows else np.empty((0, 0))
 
 
-def write_keyed_matrix(f, keys, matrix):
-    """Write the body shared by ``*.vec`` and ``*.idx``: id table, then f64 LE rows."""
-    for key in keys:
-        kb = str(key).encode("utf-8")
-        f.write(struct.pack("<I", len(kb)))
-        f.write(kb)
-    f.write(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
-
-
-def read_keyed_matrix(data, pos, count, dim):
-    """Parse a body written by ``write_keyed_matrix`` that ends ``data``.
-
-    Returns (keys, matrix); a short id table, a key that is not UTF-8, a
-    short matrix or trailing bytes raise ``VectorizeError``.
-    """
-    keys = []
-    for _ in range(count):
-        klen = int.from_bytes(data[pos : pos + 4], "little")
-        pos += 4 + klen
-        if len(data) < pos:
-            raise VectorizeError("truncated id table")
-        try:
-            keys.append(data[pos - klen : pos].decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise VectorizeError(f"id table key is not UTF-8: {exc}") from None
-    end = pos + 8 * count * dim
-    if len(data) < end:
-        raise VectorizeError("truncated vector matrix")
-    if len(data) > end:
-        raise VectorizeError(f"{len(data) - end} trailing bytes after the vector matrix")
-    matrix = np.frombuffer(data, dtype="<f8", count=count * dim, offset=pos)
-    return keys, matrix.reshape(count, dim).copy()
-
-
 def write_vector_file(path, items):
     """Write keyed vectors: header (magic, version, dim, count), then the keyed-matrix body."""
     keys, matrix = keyed_matrix(items)
-    with open(path, "wb") as f:
-        f.write(VEC_MAGIC)
-        f.write(struct.pack("<IIQ", VEC_VERSION, matrix.shape[1], len(keys)))
-        write_keyed_matrix(f, keys, matrix)
+    with formats.write_binary(path, VEC_MAGIC, VEC_HEADER, VEC_VERSION, matrix.shape[1], len(keys)) as f:
+        formats.write_keyed_matrix(f, keys, matrix)
 
 
 def read_vector_file(path):
     """Read a keyed vector file back into a key -> vector dict (rows of one matrix)."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != VEC_MAGIC:
-        raise VectorizeError(f"{path}: not a keyed vector file (bad magic)")
-    if len(data) < VEC_HEADER:
-        raise VectorizeError(f"{path}: truncated vector file header")
-    version, dim, count = struct.unpack_from("<IIQ", data, 4)
-    if version != VEC_VERSION:
-        raise VectorizeError(
-            f"{path}: vector file version {version} unsupported; expected {VEC_VERSION}"
-            " (rerun `tablelink embed-tuples` / `embed-mentions`)"
-        )
-    try:
-        keys, matrix = read_keyed_matrix(data, VEC_HEADER, count, dim)
-    except VectorizeError as exc:
-        raise VectorizeError(f"{path}: truncated or corrupt vector file: {exc}") from exc
+    keys, matrix = formats.read_binary(
+        path, VEC_MAGIC, VEC_HEADER, VEC_VERSION, VectorizeError,
+        "`tablelink embed-tuples` / `embed-mentions`", formats.read_keyed_matrix,
+    )
     return dict(zip(keys, matrix))

@@ -284,6 +284,27 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and vec.name in err
 
+    @pytest.mark.parametrize("artifact, corrupt, command", [
+        ("vectorizer_Landmark.json", lambda b: b[: len(b) // 2], "train"),
+        ("vectorizer_Landmark.json", lambda b: b.replace(b'"encoder"', b'"encodex"'), "train"),
+        ("model_Landmark.ckpt", lambda b: b[:6], "embed-tuples"),
+        ("model_Landmark.ckpt", lambda b: b[:12] + b"\xff" + b[13:], "embed-tuples"),
+        ("model_Landmark.ckpt", lambda b: b.replace(b'"joint_dim"', b'"joint_dix"'), "embed-tuples"),
+        ("tuples_Landmark.vec", lambda b: b[:10], "build-index"),
+        ("mentions_Landmark.idx", lambda b: b[:10], "link"),
+    ], ids=["vectorizer-cut", "vectorizer-no-encoder", "ckpt-cut-6", "ckpt-header-not-utf8",
+            "ckpt-no-joint-dim", "vec-cut-10", "idx-cut-10"])
+    def test_corrupt_artifact_exits_two_naming_it(self, project, capsys, artifact, corrupt, command):
+        config_path, workdir = project
+        for step in INDEX_CHAIN:
+            assert run_command([step, "--config", str(config_path)]) == 0, step
+        path = workdir / artifact
+        path.write_bytes(corrupt(path.read_bytes()))
+        capsys.readouterr()
+        assert run_command([command, "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and artifact in err
+
     def test_override_of_wrong_type_exits_one(self, project, capsys):
         config_path, _ = project
         status = run_command(

@@ -17,6 +17,7 @@ from tablelink.corpus import (
     make_stratified_splits,
     parse_webnlg_entry,
 )
+from tablelink.vectorize import HashingEncoder, fit_vectorizer, vectorize_tuple
 
 from conftest import COLMORE_ROW_ENTRY, PUBLIC_SQUARE_ENTRY
 
@@ -116,6 +117,25 @@ class TestLoadCorpusXml:
         assert len(corpus.tuples) == 1
         assert len(corpus.mentions) == 2
         assert len(corpus.links) == 2
+
+    def test_shared_sub_entity_gets_a_record_per_category(self):
+        person = """
+        <entry size="2" eid="Id7" category="Person">
+          <modifiedtripleset>
+            <mtriple>Alan_Walker | mentor | John_Madin</mtriple>
+            <mtriple>John_Madin | birthPlace | Birmingham</mtriple>
+          </modifiedtripleset>
+          <lex lid="Id1">Alan Walker was mentored by John Madin.</lex>
+        </entry>
+        """
+        xml = f"<benchmark><entries>{COLMORE_ROW_ENTRY}{person}</entries></benchmark>"
+        corpus = load_corpus_xml(xml)
+        assert corpus.tuples["John_Madin"].relation == "Building"
+        assert corpus.tuples["John_Madin#2"].relation == "Person"
+        assert corpus.tuples["Alan_Walker"].fk_values == {"mentor": ["John_Madin#2"]}
+        schema = corpus.schemas["Person"]
+        model = fit_vectorizer(corpus.tuples_of_category("Person"), schema, HashingEncoder(dim=8))
+        vectorize_tuple(model, corpus.tuples["Alan_Walker"], tuple_lookup=corpus.tuples)
 
     def test_same_subject_new_content_gets_new_record(self):
         second = PUBLIC_SQUARE_ENTRY.replace("Id24", "Id25").replace(
