@@ -1,24 +1,40 @@
 """The framing of every workdir artifact, written and checked in one place.
 
-Readers raise the caller's error type, naming the file, and never return a
-partial object (see "Common framing" in docs/FORMATS.md).
+Writers replace a file whole or not at all. Readers raise the caller's error
+type, naming the file, and never return a partial object (see "Common
+framing" in docs/FORMATS.md).
 """
 
 import json
+import os
 import struct
 from contextlib import contextmanager
 
 import numpy as np
 
 
-class FormatError(ValueError):
-    """A body that disagrees with its header; ``read_binary`` re-raises it."""
+@contextmanager
+def _replacing(path, mode, **kwargs):
+    """Yield a file in ``path``'s directory that replaces ``path`` once the block ends.
+
+    If the block raises, the temporary file is removed and ``path`` is left
+    as it was.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 @contextmanager
 def write_binary(path, magic, fmt, *fields):
     """Yield ``path`` open for its body after the magic and header (version first)."""
-    with open(path, "wb") as f:
+    with _replacing(path, "wb") as f:
         f.write(magic)
         f.write(struct.pack(fmt, *fields))
         yield f
@@ -28,7 +44,9 @@ def read_binary(path, magic, fmt, version, error, rerun, parse):
     """``parse(data, body offset, *header fields after the version)`` of a binary artifact.
 
     A bad magic, a short header, another version (the message says to rerun
-    ``rerun``) and a ``FormatError`` from ``parse`` raise ``error``.
+    ``rerun``) and a ``ValueError`` from ``parse`` (a body that disagrees with
+    its header, or values of the wrong shape) raise ``error``; an ``error``
+    that ``parse`` raises passes through.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -42,7 +60,9 @@ def read_binary(path, magic, fmt, version, error, rerun, parse):
         raise error(f"{path}: format version {found} unsupported; expected {version} (rerun {rerun})")
     try:
         return parse(data, offset, *fields)
-    except FormatError as exc:
+    except error:
+        raise
+    except ValueError as exc:
         raise error(f"{path}: {exc}") from None
 
 
@@ -50,9 +70,9 @@ def read_f64(data, pos, count):
     """The ``count`` little-endian f64 values that end ``data`` at ``pos``, as a new array."""
     end = pos + 8 * count
     if len(data) < end:
-        raise FormatError(f"truncated f64 values ({len(data) - pos} of {end - pos} bytes)")
+        raise ValueError(f"truncated f64 values ({len(data) - pos} of {end - pos} bytes)")
     if len(data) > end:
-        raise FormatError(f"{len(data) - end} trailing bytes after the f64 values")
+        raise ValueError(f"{len(data) - end} trailing bytes after the f64 values")
     return np.frombuffer(data, dtype="<f8", count=count, offset=pos).astype(np.float64)
 
 
@@ -73,18 +93,18 @@ def read_keyed_matrix(data, pos, dim, count):
     """(keys, matrix) of a body that ends ``data``, in the ``*.vec`` header's argument order.
 
     A short id table, a key that is not UTF-8, a short matrix or trailing
-    bytes raise ``FormatError``.
+    bytes raise ``ValueError``.
     """
     keys = []
     for _ in range(count):
         klen = int.from_bytes(data[pos : pos + 4], "little")
         pos += 4 + klen
         if len(data) < pos:
-            raise FormatError("truncated id table")
+            raise ValueError("truncated id table")
         try:
             keys.append(data[pos - klen : pos].decode("utf-8"))
         except UnicodeDecodeError as exc:
-            raise FormatError(f"id table key is not UTF-8: {exc}") from None
+            raise ValueError(f"id table key is not UTF-8: {exc}") from None
     return keys, read_f64(data, pos, count * dim).reshape(count, dim)
 
 
@@ -94,7 +114,7 @@ def read_keyed_matrix(data, pos, dim, count):
 
 def save_json(path, obj):
     """Write ``obj`` as UTF-8 JSON, keys sorted, indent 1."""
-    with open(path, "w", encoding="utf-8") as f:
+    with _replacing(path, "w", encoding="utf-8") as f:
         json.dump(obj, f, sort_keys=True, indent=1)
 
 
@@ -108,10 +128,13 @@ def parse_json(blob, path, from_dict, error):
     """``from_dict`` of the UTF-8 JSON bytes ``blob`` read from ``path``.
 
     Bytes that are not UTF-8 or JSON and a document ``from_dict`` cannot read
-    (a missing key, a wrong type) raise ``error``; errors ``from_dict`` raises
-    itself, such as an unsupported version, pass through.
+    (a missing key, a wrong type, a value of the wrong shape) raise ``error``;
+    an ``error`` that ``from_dict`` raises itself, such as an unsupported
+    version, passes through.
     """
     try:
         return from_dict(json.loads(blob.decode("utf-8")))
-    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError, AttributeError) as exc:
+    except error:
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise error(f"{path}: malformed artifact ({type(exc).__name__}: {exc})") from None

@@ -507,16 +507,54 @@ def sample_batch(sampler: SamplerState, gold_pairs, vectors_r, vectors_t):
 
 def train_pair(pair: EmbedderPair, adam: AdamState, sampler: SamplerState,
                gold_pairs, vectors_r, vectors_t, batches, log_fn=None):
-    """Run a fixed budget of sampled batches; returns the loss history."""
+    """Run a fixed budget of sampled batches; returns the loss history.
+
+    A first-layer column that is zero in every row the sampler can draw has
+    a zero gradient at every step, and Adam from zero moments never moves
+    it. So a compact pair that holds only the live columns is trained, on
+    the live slice of each drawable row, and its values are written back;
+    the dead columns keep their initial values. ``adam`` holds the moments
+    of the live parameters only. The compact pair shares ``pair.train_rng``,
+    so the dropout draws are those of training the full pair.
+    """
+    drawable = [link for links in sampler.links_by_entity.values() for link in links]
+    keys_r = {tk for tk, _ in drawable}
+    keys_t = {mid for _, mid in drawable}
+    live_r = _live_columns(vectors_r, keys_r, pair.net_r.input_dim)
+    live_t = _live_columns(vectors_t, keys_t, pair.net_t.input_dim)
+    compact = EmbedderPair(
+        net_r=_first_layer_columns(pair.net_r, live_r),
+        net_t=_first_layer_columns(pair.net_t, live_t),
+        joint_dim=pair.joint_dim, margin=pair.margin, seed=pair.seed, train_rng=pair.train_rng,
+    )
+    rows_r = {k: vectors_r[k][live_r] for k in keys_r}
+    rows_t = {k: vectors_t[k][live_t] for k in keys_t}
     history = []
     for _ in range(batches):
-        batch = sample_batch(sampler, gold_pairs, vectors_r, vectors_t)
+        batch = sample_batch(sampler, gold_pairs, rows_r, rows_t)
         lr = adam.effective_lr()
-        loss, _ = gradient_step(pair, adam, batch)
+        loss, _ = gradient_step(compact, adam, batch)
         history.append((adam.step - 1, lr, loss))
         if log_fn is not None:
             log_fn(adam.step - 1, lr, loss)
+    for net, trained, live in ((pair.net_r, compact.net_r, live_r), (pair.net_t, compact.net_t, live_t)):
+        net.weights[0][:, live] = trained.weights[0]
+        for p, value in zip(net.weights[1:] + net.biases, trained.weights[1:] + trained.biases):
+            p[...] = value
     return history
+
+
+def _live_columns(vectors, keys, dim):
+    """Indices of the columns that are nonzero in at least one of the rows ``keys``."""
+    live = np.zeros(dim, dtype=bool)
+    for key in keys:
+        live |= vectors[key] != 0
+    return np.flatnonzero(live)
+
+
+def _first_layer_columns(net, live):
+    """A copy of ``net`` whose first layer reads only the input columns ``live``."""
+    return DenseNet([net.weights[0][:, live], *net.weights[1:]], net.biases, keep_prob=net.keep_prob)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,16 @@ from tablelink.vectorize import read_vector_file
 INDEX_CHAIN = ("ingest", "fit", "train", "embed-tuples", "embed-mentions", "build-index")
 
 
+def first_attribute_of_one(blob, *schema_path):
+    """A JSON artifact whose first schema attribute pair is cut to its name."""
+    doc = json.loads(blob)
+    schema = doc
+    for key in schema_path:
+        schema = schema[key]
+    schema["attributes"][0] = schema["attributes"][0][:1]
+    return json.dumps(doc).encode("utf-8")
+
+
 @pytest.fixture
 def project(tmp_path):
     corpus_path = tmp_path / "corpus.xml"
@@ -290,10 +300,15 @@ class TestErrors:
         ("model_Landmark.ckpt", lambda b: b[:6], "embed-tuples"),
         ("model_Landmark.ckpt", lambda b: b[:12] + b"\xff" + b[13:], "embed-tuples"),
         ("model_Landmark.ckpt", lambda b: b.replace(b'"joint_dim"', b'"joint_dix"'), "embed-tuples"),
+        ("model_Landmark.ckpt", lambda b: b.replace(b'"joint_dim": 16', b'"joint_dim": 15'),
+         "embed-tuples"),
+        ("vectorizer_Landmark.json", lambda b: first_attribute_of_one(b, "schema"), "train"),
+        ("corpus.json", lambda b: first_attribute_of_one(b, "schemas", "Landmark"), "fit"),
         ("tuples_Landmark.vec", lambda b: b[:10], "build-index"),
         ("mentions_Landmark.idx", lambda b: b[:10], "link"),
     ], ids=["vectorizer-cut", "vectorizer-no-encoder", "ckpt-cut-6", "ckpt-header-not-utf8",
-            "ckpt-no-joint-dim", "vec-cut-10", "idx-cut-10"])
+            "ckpt-no-joint-dim", "ckpt-joint-dim-disagrees", "vectorizer-attribute-of-one",
+            "corpus-attribute-of-one", "vec-cut-10", "idx-cut-10"])
     def test_corrupt_artifact_exits_two_naming_it(self, project, capsys, artifact, corrupt, command):
         config_path, workdir = project
         for step in INDEX_CHAIN:

@@ -473,3 +473,48 @@ class TestTrainLoop:
         assert len(history) == 10
         assert logged == history
         assert [h[0] for h in history] == list(range(10))
+
+    def sparse_fixture(self):
+        """Six entities whose rows leave some columns zero, plus rows no link reaches."""
+        rng = np.random.default_rng(21)
+        vectors_r, vectors_t, links = {}, {}, {}
+        for i in range(6):
+            vectors_r[f"E{i}"] = np.zeros(12)
+            vectors_r[f"E{i}"][[2 + i, 8 + i % 3]] = rng.normal(size=2)
+            for j in range(2):
+                mid = f"m{i}.{j}"
+                vectors_t[mid] = np.zeros(10)
+                vectors_t[mid][[1 + i, 7 + j]] = rng.normal(size=2)
+            links[f"E{i}"] = [(f"E{i}", f"m{i}.{j}") for j in range(2)]
+        # columns 11 and 9 are nonzero only in rows that no link reaches
+        vectors_r["X"] = rng.normal(size=12)
+        vectors_t["mX"] = rng.normal(size=10)
+        gold = {pair for pairs in links.values() for pair in pairs} | {("X", "mX")}
+        return links, gold, vectors_r, vectors_t, [0, 1, 11], [0, 9]
+
+    def test_only_reachable_columns_train_and_the_rest_match_dense_training(self):
+        links, gold, vectors_r, vectors_t, dead_r, dead_t = self.sparse_fixture()
+        batches, hidden = 40, 6
+        pair = tiny_pair(seed=5, in_r=12, in_t=10, hidden_r=(hidden,), joint=4, keep=0.75)
+        init_r, init_t = pair.net_r.weights[0].copy(), pair.net_t.weights[0].copy()
+        adam = AdamState(lr=1e-2)
+        history = train_pair(pair, adam, SamplerState(links, batch_size=2, seed=3),
+                             gold, vectors_r, vectors_t, batches=batches)
+
+        ref = tiny_pair(seed=5, in_r=12, in_t=10, hidden_r=(hidden,), joint=4, keep=0.75)
+        ref_adam = AdamState(lr=1e-2)
+        ref_sampler = SamplerState(links, batch_size=2, seed=3)
+        ref_losses = []
+        for _ in range(batches):
+            batch = sample_batch(ref_sampler, gold, vectors_r, vectors_t)
+            ref_losses.append(gradient_step(ref, ref_adam, batch)[0])
+
+        w_r, w_t = pair.net_r.weights[0], pair.net_t.weights[0]
+        np.testing.assert_array_equal(w_r[:, dead_r], init_r[:, dead_r])
+        np.testing.assert_array_equal(w_t[:, dead_t], init_t[:, dead_t])
+        assert not np.array_equal(w_r, init_r) and not np.array_equal(w_t, init_t)
+        for actual, expected in zip(pair.parameters(), ref.parameters()):
+            np.testing.assert_allclose(actual, expected, rtol=1e-9, atol=0)
+        np.testing.assert_allclose([h[2] for h in history], ref_losses, rtol=1e-9, atol=0)
+        assert adam.step == ref_adam.step == batches
+        assert adam.m.size == pair.flat.size - hidden * len(dead_r) - 4 * len(dead_t)
