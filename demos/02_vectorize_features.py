@@ -43,15 +43,16 @@ print("sector one-hot for 'retail' (unseen -> UNK):",
       vectorize_attribute(model, "sector", "retail"))
 print("NULL founded ->", vectorize_attribute(model, "founded", None))
 
-# The tuple vector concatenates all attribute sections, then one summed
-# vector per foreign key (targets contribute at depth 0, without their own
-# fk sections), then one presence bit per field.
+# The tuple vector concatenates all attribute sections, then one section per
+# foreign key that sums the targets' base vectors (their attribute sections
+# and presence bits, without their own fk sections), then one presence bit
+# per field.
 lookup = {r.key: r for r in records}
-vec = vectorize_tuple(model, records[2], tuple_lookup=lookup)
+vec = vectorize_tuple(model, records[2], lookup)
 print("\nlayout:", model.layout())
 print("tuple vector dim:", vec.shape[0])
 
 mention = TextMention(id="m1", span=(0, 7), mention_text="Red Hat",
                       sentence_text="Red Hat shipped a new release this week.")
-mv = vectorize_mention(model, mention)
+mv = vectorize_mention(model.encoder, mention)
 print("mention vector dim (2 x encoder dim):", mv.shape[0])

@@ -242,7 +242,7 @@ def default_search_k(n, t):
 def brute_force_knn(items, q, n):
     """Exact top-n by cosine distance with the same kernel and ordering as the forest.
 
-    ``items`` is a forest, a dict or (id, vector) pairs; ``q`` is one query.
+    ``items`` is a forest or an id -> vector dict; ``q`` is one query.
     """
     if n <= 0:
         return []

@@ -155,10 +155,10 @@ class CategoryArtifacts:
         if ("raw", side) not in self._memo:
             corpus, model = self.ws.corpus(), self.vectorizer()
             if side == "tuples":
-                vectors = {rec.key: vectorize.vectorize_tuple(model, rec, tuple_lookup=corpus.tuples)
+                vectors = {rec.key: vectorize.vectorize_tuple(model, rec, corpus.tuples)
                            for rec in corpus.tuples_of_category(self.category)}
             else:
-                vectors = {m.id: vectorize.vectorize_mention(model, m)
+                vectors = {m.id: vectorize.vectorize_mention(model.encoder, m)
                            for m in corpus.mentions_of_category(self.category)}
             self._memo["raw", side] = vectors
         return self._memo["raw", side]
@@ -268,7 +268,7 @@ def stage_fit(art: CategoryArtifacts, config, args):
 
 
 def stage_train(art: CategoryArtifacts, config, args):
-    with open(art.path("train", "log"), "w", encoding="utf-8") as log:
+    with formats.replacing(art.path("train", "log"), "w", encoding="utf-8") as log:
         pair, adam, history = linker.train_category(
             art.ws.corpus(), art.category, config, art.ws.splits(),
             art.raw_vectors("tuples"), art.raw_vectors("mentions"),
@@ -316,7 +316,7 @@ def stage_link(art: CategoryArtifacts, config, args):
         )
         results = linker.semantic_link(
             art.forest(side), art.vectors(anchor_side), config.index.n,
-            direction=direction, search_k=config.index.search_k,
+            search_k=config.index.search_k,
         )
     path = art.path("links" if direction == linker.TUPLE_TO_MENTIONS else "mention_links", "tsv")
     linker.export_links(results, path, strategy=config.strategy)
@@ -365,9 +365,11 @@ def run_stages(ws: Workdir, config, args, names):
                 timings[name] += time.perf_counter() - started
     if "eval" in names:
         ws.report.finalize_overall()
-        (ws.root / "report.json").write_bytes(emit_report(ws.report, "json"))
-        (ws.root / "report.txt").write_bytes(emit_report(ws.report, "table"))
-        sys.stdout.write(emit_report(ws.report, "table").decode("utf-8"))
+        table = emit_report(ws.report, "table")
+        for name, blob in (("report.json", emit_report(ws.report, "json")), ("report.txt", table)):
+            with formats.replacing(ws.root / name, "wb") as f:
+                f.write(blob)
+        sys.stdout.write(table.decode("utf-8"))
     return timings
 
 
@@ -428,7 +430,7 @@ def run_command(argv):
         if not args.command:
             raise UsageError("missing command; see --help")
         config = load_config(args.config, profile=args.profile, overrides=args.overrides)
-    except (UsageError, ConfigError, FileNotFoundError) as exc:
+    except (UsageError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     started = time.perf_counter()

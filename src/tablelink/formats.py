@@ -14,7 +14,7 @@ import numpy as np
 
 
 @contextmanager
-def _replacing(path, mode, **kwargs):
+def replacing(path, mode, **kwargs):
     """Yield a file in ``path``'s directory that replaces ``path`` once the block ends.
 
     If the block raises, the temporary file is removed and ``path`` is left
@@ -34,7 +34,7 @@ def _replacing(path, mode, **kwargs):
 @contextmanager
 def write_binary(path, magic, fmt, *fields):
     """Yield ``path`` open for its body after the magic and header (version first)."""
-    with _replacing(path, "wb") as f:
+    with replacing(path, "wb") as f:
         f.write(magic)
         f.write(struct.pack(fmt, *fields))
         yield f
@@ -114,7 +114,7 @@ def read_keyed_matrix(data, pos, dim, count):
 
 def save_json(path, obj):
     """Write ``obj`` as UTF-8 JSON, keys sorted, indent 1."""
-    with _replacing(path, "w", encoding="utf-8") as f:
+    with replacing(path, "w", encoding="utf-8") as f:
         json.dump(obj, f, sort_keys=True, indent=1)
 
 

@@ -10,7 +10,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 
-from . import annindex, neural
+from . import annindex, formats, neural
 from .corpus import Corpus
 from .vectorize import keyed_matrix
 
@@ -40,7 +40,6 @@ class MatchCandidate:
 class LinkResult:
     """Ranked counterparts of one anchor: (counterpart, score, dense rank)."""
 
-    direction: str
     anchor: str
     ranked: list
 
@@ -71,10 +70,9 @@ def bootstrap_exact_match(tuples, mentions, schemas, name_attributes=None):
     A candidate (r, t) is emitted iff the full token sequence of one of r's
     designated name attributes occurs contiguously (case-folded) in t's
     sentence. Name attributes default to the first text attribute of each
-    schema. Scores are the 1.0 sentinel: the strategy carries no similarity.
+    schema (``schemas`` maps relation name to schema). Scores are the 1.0
+    sentinel: the strategy carries no similarity.
     """
-    if hasattr(schemas, "attribute_names"):
-        schemas = {schemas.name: schemas}
     name_attributes = dict(name_attributes or {})
     attrs_by_relation = {}
     for relation, schema in schemas.items():
@@ -140,13 +138,12 @@ def rank_candidates(candidates, direction=TUPLE_TO_MENTIONS):
         )
         groups.setdefault(anchor, []).append((counterpart, c.score))
     return {
-        anchor: LinkResult(direction=direction, anchor=anchor, ranked=dense_rank(scored))
+        anchor: LinkResult(anchor=anchor, ranked=dense_rank(scored))
         for anchor, scored in groups.items()
     }
 
 
-def semantic_link(forest: annindex.RpForest, anchors, n,
-                  direction=TUPLE_TO_MENTIONS, search_k=None):
+def semantic_link(forest: annindex.RpForest, anchors, n, search_k=None):
     """Retrieve each anchor's counterparts by its joint-space embedding, dense-ranked.
 
     ``anchors`` maps anchor id to joint-space vector; all of them go to the
@@ -157,7 +154,7 @@ def semantic_link(forest: annindex.RpForest, anchors, n,
     keys, block = keyed_matrix(anchors)
     hits = forest.query(block, n, search_k=search_k)
     return {
-        key: LinkResult(direction=direction, anchor=key, ranked=dense_rank(ranked))
+        key: LinkResult(anchor=key, ranked=dense_rank(ranked))
         for key, ranked in zip(keys, hits)
     }
 
@@ -230,24 +227,6 @@ class EvalReport:
                 for direction, by_split in self.cells.items()
             },
         }
-
-    @classmethod
-    def from_dict(cls, d):
-        if d.get("format_version") != 1:
-            raise LinkerError(
-                f"unsupported report format version {d.get('format_version')!r}; expected 1"
-            )
-        report = cls(ks=tuple(d["ks"]), primary_direction=d["primary_direction"])
-        for direction, by_split in d["cells"].items():
-            for split, by_category in by_split.items():
-                for category, cell in by_category.items():
-                    report.cells.setdefault(direction, {}).setdefault(split, {})[category] = {
-                        "count": cell["count"],
-                        "excluded": cell["excluded"],
-                        "hits": {int(k): v for k, v in cell["hits"].items()},
-                        "precision": {int(k): v for k, v in cell["precision"].items()},
-                    }
-        return report
 
 
 def evaluate_precision(results, gold, ks=(1, 5, 10), split="test", category="overall",
@@ -378,7 +357,7 @@ def evaluate_category(report, corpus: Corpus, category, splits,
                 anchor: vecs[anchor] for anchor, entity in entity_of.items()
                 if entity in members and anchor in links_by_anchor
             }
-            results = semantic_link(forest, anchors, n, direction=direction, search_k=search_k)
+            results = semantic_link(forest, anchors, n, search_k=search_k)
             gold = {anchor: set(links_by_anchor[anchor]) for anchor in anchors}
             evaluate_precision(results, gold, ks=report.ks, split=split, category=category,
                                direction=direction, report=report)
@@ -387,7 +366,7 @@ def evaluate_category(report, corpus: Corpus, category, splits,
 
 def export_links(results, path, strategy="semantic"):
     """Write ranked links as delimited text: anchor, counterpart, score, rank."""
-    with open(path, "w", encoding="utf-8") as f:
+    with formats.replacing(path, "w", encoding="utf-8") as f:
         f.write("anchor\tcounterpart\tscore\trank\tstrategy\n")
         for anchor in sorted(results):
             for counterpart, score, rank in results[anchor].ranked:

@@ -1,8 +1,9 @@
 """Raw vector representations of tuple records and text mentions.
 
 Tuples are vectorized attribute by attribute (text encoder output, normalized
-numerics, one-hot categoricals) plus summed foreign-key target vectors and
-per-field presence bits, concatenated in schema order. Mentions concatenate
+numerics, one-hot categoricals) plus, per foreign key, the summed base vectors
+of its targets (their attribute sections and presence bits) and per-field
+presence bits, concatenated in schema order. Mentions concatenate
 the encodings of the mention surface form and of its covering sentence.
 """
 
@@ -81,17 +82,13 @@ class VectorizerModel:
 
     ``numeric_stats`` maps attribute name to (mean, population std) over the
     non-NULL fit values; ``vocabularies`` map categorical attributes to their
-    value->slot dictionaries with a trailing UNK slot. ``fk_depth`` bounds the
-    foreign-key recursion; at depth 0 the fk sections are dropped entirely, so
-    cycles terminate and a referenced tuple contributes its attribute sections
-    and presence bits only.
+    value->slot dictionaries with a trailing UNK slot.
     """
 
     schema: RelationSchema
     encoder: HashingEncoder
     numeric_stats: dict  # attr -> (mean, std)
     vocabularies: dict  # attr -> {value: index}, UNK last
-    fk_depth: int = 1
 
     UNK = "\x00UNK"
 
@@ -108,20 +105,12 @@ class VectorizerModel:
     def presence_dim(self) -> int:
         return len(self.schema.attributes) + len(self.schema.foreign_keys)
 
-    def base_dim(self) -> int:
-        """Tuple-vector dim at fk depth 0 (attribute sections + presence)."""
+    def fk_section_dim(self) -> int:
+        """Dim of a base vector (attribute sections + presence), which each fk section sums."""
         return sum(self.attribute_dim(a) for a in self.schema.attribute_names) + self.presence_dim()
 
-    def fk_section_dim(self, depth=None) -> int:
-        depth = self.fk_depth if depth is None else depth
-        return self.dim(depth - 1)
-
-    def dim(self, depth=None) -> int:
-        depth = self.fk_depth if depth is None else depth
-        d = self.base_dim()
-        if depth >= 1:
-            d += len(self.schema.foreign_keys) * self.dim(depth - 1)
-        return d
+    def dim(self) -> int:
+        return (1 + len(self.schema.foreign_keys)) * self.fk_section_dim()
 
     def layout(self):
         """Ordered (section, name, offset, dim) entries of the tuple vector."""
@@ -152,13 +141,13 @@ class VectorizerModel:
             "vocabularies": {
                 a: sorted(v, key=v.get) for a, v in sorted(self.vocabularies.items())
             },
-            "fk_depth": self.fk_depth,
             # informative; recomputed from the schema and encoder on load
             "layout": [list(entry) for entry in self.layout()],
         }
 
     @classmethod
     def from_dict(cls, d):
+        # a stored foreign-key depth (always 1 where present) is ignored: the depth is one
         if d.get("format_version") != 1:
             raise VectorizeError(
                 f"unsupported vectorizer format version {d.get('format_version')!r}; expected 1"
@@ -173,7 +162,6 @@ class VectorizerModel:
             encoder=encoder_from_config(d["encoder"]),
             numeric_stats={a: (s[0], s[1]) for a, s in d["numeric_stats"].items()},
             vocabularies={a: {v: i for i, v in enumerate(vals)} for a, vals in d["vocabularies"].items()},
-            fk_depth=d["fk_depth"],
         )
 
     def save(self, path):
@@ -184,7 +172,14 @@ class VectorizerModel:
         return formats.load_json(path, cls.from_dict, VectorizeError)
 
 
-def fit_vectorizer(tuples, schema: RelationSchema, encoder: HashingEncoder, fk_depth=1):
+def _check_relation(schema: RelationSchema, rec):
+    if rec.relation != schema.name:
+        raise VectorizeError(
+            f"tuple {rec.key!r} belongs to relation {rec.relation!r}, not {schema.name!r}"
+        )
+
+
+def fit_vectorizer(tuples, schema: RelationSchema, encoder: HashingEncoder):
     """Fit numeric stats and categorical vocabularies over a tuple set.
 
     Numeric attributes get mean and population standard deviation over
@@ -196,10 +191,7 @@ def fit_vectorizer(tuples, schema: RelationSchema, encoder: HashingEncoder, fk_d
     if not records:
         raise VectorizeError("cannot fit a vectorizer on an empty tuple set")
     for rec in records:
-        if rec.relation != schema.name:
-            raise VectorizeError(
-                f"tuple {rec.key!r} belongs to relation {rec.relation!r}, not {schema.name!r}"
-            )
+        _check_relation(schema, rec)
         for attr in rec.values:
             schema.kind_of(attr)
 
@@ -225,13 +217,7 @@ def fit_vectorizer(tuples, schema: RelationSchema, encoder: HashingEncoder, fk_d
             vocab = {v: i for i, v in enumerate(seen)}
             vocab[VectorizerModel.UNK] = len(vocab)
             vocabularies[attr] = vocab
-    return VectorizerModel(
-        schema=schema,
-        encoder=encoder,
-        numeric_stats=numeric_stats,
-        vocabularies=vocabularies,
-        fk_depth=fk_depth,
-    )
+    return VectorizerModel(schema, encoder, numeric_stats, vocabularies)
 
 
 def vectorize_attribute(model: VectorizerModel, attribute: str, value) -> np.ndarray:
@@ -253,59 +239,56 @@ def vectorize_attribute(model: VectorizerModel, attribute: str, value) -> np.nda
     return out
 
 
-def embed_foreign_key(model: VectorizerModel, fk_values, tuple_lookup, depth=None) -> np.ndarray:
-    """Component-wise sum of referenced tuples' vectors at depth-1.
-
-    Dangling target keys contribute nothing (``Corpus.dangling_fks`` lists
-    them at load); an empty target list yields the zero vector.
-    """
-    depth = model.fk_depth if depth is None else depth
-    if depth < 1:
-        raise VectorizeError("embed_foreign_key requires depth >= 1")
-    out = np.zeros(model.dim(depth - 1), dtype=np.float64)
-    for key in fk_values:
-        target = tuple_lookup(key) if callable(tuple_lookup) else tuple_lookup.get(key)
-        if target is not None:
-            out += vectorize_tuple(model, target, depth=depth - 1, tuple_lookup=tuple_lookup)
-    return out
-
-
-def vectorize_tuple(model: VectorizerModel, rec, depth=None, tuple_lookup=None) -> np.ndarray:
-    """Full tuple vector: attribute sections, fk sums, presence bits.
-
-    At depth 0 the foreign-key sections are dropped, which both bounds the
-    recursion and excludes a tuple's own fk part from the contribution it
-    makes to referencing tuples.
-    """
-    depth = model.fk_depth if depth is None else depth
-    if rec.relation != model.schema.name:
-        raise VectorizeError(
-            f"tuple {rec.key!r} belongs to relation {rec.relation!r}, not {model.schema.name!r}"
-        )
-    sections = [
+def _sections(model: VectorizerModel, rec):
+    """A tuple's attribute sections and its presence bits, the parts of its base vector."""
+    _check_relation(model.schema, rec)
+    attrs = [
         vectorize_attribute(model, attr, rec.values.get(attr))
         for attr in model.schema.attribute_names
     ]
-    if depth >= 1:
-        lookup = tuple_lookup if tuple_lookup is not None else {}
-        for fk_name, _ in model.schema.foreign_keys:
-            sections.append(
-                embed_foreign_key(model, rec.fk_targets(fk_name), lookup, depth=depth)
-            )
     presence = [
         1.0 if rec.values.get(attr) not in (None, "") else 0.0
         for attr in model.schema.attribute_names
     ] + [1.0 if rec.fk_targets(fk_name) else 0.0 for fk_name, _ in model.schema.foreign_keys]
-    sections.append(np.asarray(presence, dtype=np.float64))
-    out = np.concatenate(sections) if sections else np.zeros(0)
+    return attrs, np.asarray(presence, dtype=np.float64)
+
+
+def embed_foreign_key(model: VectorizerModel, fk_values, tuple_lookup) -> np.ndarray:
+    """Component-wise sum of the referenced tuples' base vectors.
+
+    A base vector is a tuple's attribute sections, then its presence bits,
+    without fk sections. ``tuple_lookup`` maps tuple keys to records.
+    Dangling target keys contribute nothing (``Corpus.dangling_fks`` lists
+    them at load); an empty target list yields the zero vector.
+    """
+    out = np.zeros(model.fk_section_dim(), dtype=np.float64)
+    for key in fk_values:
+        target = tuple_lookup.get(key)
+        if target is not None:
+            attrs, presence = _sections(model, target)
+            out += np.concatenate([*attrs, presence])
+    return out
+
+
+def vectorize_tuple(model: VectorizerModel, rec, tuple_lookup) -> np.ndarray:
+    """Full tuple vector: attribute sections, fk sums, presence bits.
+
+    The fk sections sum base vectors, which hold no fk sections, so a
+    referenced tuple contributes one level deep and cycles terminate.
+    """
+    attrs, presence = _sections(model, rec)
+    fk_sections = [
+        embed_foreign_key(model, rec.fk_targets(fk_name), tuple_lookup)
+        for fk_name, _ in model.schema.foreign_keys
+    ]
+    out = np.concatenate([*attrs, *fk_sections, presence])
     if not np.all(np.isfinite(out)):
         raise VectorizeError(f"non-finite components in vector of tuple {rec.key!r}")
     return out
 
 
-def vectorize_mention(model_or_encoder, mention) -> np.ndarray:
+def vectorize_mention(encoder: HashingEncoder, mention) -> np.ndarray:
     """Mention vector: encode(mention text) concatenated with encode(sentence)."""
-    encoder = getattr(model_or_encoder, "encoder", model_or_encoder)
     return np.concatenate([encoder.encode(mention.mention_text), encoder.encode(mention.sentence_text)])
 
 
@@ -321,17 +304,15 @@ VEC_HEADER = "<IIQ"  # version, dim, count
 
 
 def keyed_matrix(items):
-    """(ascending keys, f64 matrix of their rows) of a dict or (key, vector) pairs."""
-    if isinstance(items, dict):
-        items = items.items()
-    items = sorted(items, key=lambda kv: kv[0])
-    rows = [np.asarray(v, dtype=np.float64) for _, v in items]
+    """(ascending keys, f64 matrix of their rows) of a key -> vector dict."""
+    keys = sorted(items)
+    rows = [np.asarray(items[k], dtype=np.float64) for k in keys]
     shapes = {row.shape for row in rows}
     if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
         raise VectorizeError(
             f"keyed vectors must be 1-D of one dimension; got shapes {sorted(shapes)}"
         )
-    return [k for k, _ in items], np.stack(rows) if rows else np.empty((0, 0))
+    return keys, np.stack(rows) if rows else np.empty((0, 0))
 
 
 def write_vector_file(path, items):

@@ -235,6 +235,15 @@ class TestErrors:
         assert status == 1
         assert "training.lr" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    def test_unreadable_config_exits_one(self, tmp_path, capsys, kind):
+        path = tmp_path / "c.json"
+        if kind == "directory":
+            path.mkdir()
+        assert run_command(["ingest", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "c.json" in err[0]
+
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"paths": {"corpus": "x", "typo_key": "y"}}))
@@ -402,12 +411,6 @@ class TestEmitReport:
         cells = lines[1].split()
         assert cells[0] == "Building"
         assert cells[1:] == ["1.00"] * 9
-
-    def test_json_roundtrip(self):
-        report = one_category_report(0.5)
-        blob = emit_report(report, "json")
-        again = EvalReport.from_dict(json.loads(blob.decode()))
-        assert again.to_dict() == report.to_dict()
 
     def test_empty_report_header_only(self):
         report = EvalReport(ks=(1, 5, 10))

@@ -9,7 +9,6 @@ from tablelink.corpus import RelationSchema, TextMention, load_corpus_xml, make_
 from tablelink.linker import (
     MENTION_TO_TUPLES,
     TUPLE_TO_MENTIONS,
-    EvalReport,
     LinkerError,
     LinkResult,
     MatchCandidate,
@@ -37,7 +36,7 @@ class TestBootstrap:
             mention("m1", "IBM reported strong sales this quarter."),
             mention("m2", "Big Blue beat expectations.", mtext="Big Blue"),
         ]
-        candidates = bootstrap_exact_match(org_tuples, mentions, org_schema)
+        candidates = bootstrap_exact_match(org_tuples, mentions, {org_schema.name: org_schema})
         got = {(c.tuple_key, c.mention_id) for c in candidates}
         assert ("IBM", "m1") in got
         assert all(m != "m2" for _, m in got)
@@ -45,13 +44,13 @@ class TestBootstrap:
 
     def test_containment_asymmetry(self, org_schema, org_tuples):
         mentions = [mention("m1", "HP Inc. announced a merger.", mtext="HP Inc.")]
-        candidates = bootstrap_exact_match(org_tuples, mentions, org_schema)
+        candidates = bootstrap_exact_match(org_tuples, mentions, {org_schema.name: org_schema})
         got = {(c.tuple_key, c.mention_id) for c in candidates}
         # "HP" is contained in the sentence, "HP Inc." is too
         assert ("HP", "m1") in got
         assert ("HP Inc.", "m1") in got
         short = [mention("m2", "Only HP appears here.")]
-        candidates = bootstrap_exact_match(org_tuples, short, org_schema)
+        candidates = bootstrap_exact_match(org_tuples, short, {org_schema.name: org_schema})
         got = {(c.tuple_key, c.mention_id) for c in candidates}
         assert ("HP", "m2") in got
         assert ("HP Inc.", "m2") not in got
@@ -60,7 +59,7 @@ class TestBootstrap:
         schema = RelationSchema(name="N", attributes=(("x", "numeric"),))
         records = [make_record(schema, "k", x=1.0)]
         with caplog.at_level(logging.WARNING):
-            out = bootstrap_exact_match(records, [mention("m", "Anything.")], schema)
+            out = bootstrap_exact_match(records, [mention("m", "Anything.")], {"N": schema})
         assert out == []
         assert any("no text attributes" in r.message for r in caplog.records)
 
@@ -76,7 +75,7 @@ class TestBootstrap:
             cleaned = "".join(ch if ch.isalnum() else " " for ch in text.lower())
             return cleaned.split()
 
-        for c in bootstrap_exact_match(org_tuples, mentions, org_schema):
+        for c in bootstrap_exact_match(org_tuples, mentions, {org_schema.name: org_schema}):
             rec = next(r for r in org_tuples if r.key == c.tuple_key)
             sent = words(next(m for m in mentions if m.id == c.mention_id).sentence_text)
             name = words(rec.values["name"])
@@ -169,12 +168,10 @@ class TestSemanticLink:
         forest = build_forest(vectors, t=4, leaf_capacity=4, seed=1)
         anchors = {f"t{i:02d}": rng.normal(size=8) for i in range(30)}
         anchors["t_dup"] = vectors["m007"].copy()
-        batch = semantic_link(forest, anchors, 10, direction=MENTION_TO_TUPLES,
-                              search_k=search_k)
+        batch = semantic_link(forest, anchors, 10, search_k=search_k)
         merged = {}
         for anchor, vec in anchors.items():
-            merged.update(semantic_link(forest, {anchor: vec}, 10,
-                                        direction=MENTION_TO_TUPLES, search_k=search_k))
+            merged.update(semantic_link(forest, {anchor: vec}, 10, search_k=search_k))
         assert sorted(batch) == sorted(anchors)
         assert batch == merged
 
@@ -186,7 +183,7 @@ class TestSemanticLink:
 class TestEvaluatePrecision:
     def make_results(self, gold_rank, n=10):
         ranked = [(f"m{r}", 0.01 * r, r) for r in range(1, n + 1)]
-        results = {"t": LinkResult(TUPLE_TO_MENTIONS, "t", ranked)}
+        results = {"t": LinkResult("t", ranked)}
         gold = {"t": {f"m{gold_rank}"}}
         return results, gold
 
@@ -205,7 +202,7 @@ class TestEvaluatePrecision:
 
     def test_anchor_without_gold_excluded(self):
         results, gold = self.make_results(1)
-        results["orphan"] = LinkResult(TUPLE_TO_MENTIONS, "orphan", [("m1", 0.1, 1)])
+        results["orphan"] = LinkResult("orphan", [("m1", 0.1, 1)])
         report = evaluate_precision(results, gold)
         cell = report.cells[TUPLE_TO_MENTIONS]["test"]["overall"]
         assert cell["count"] == 1
@@ -218,18 +215,11 @@ class TestEvaluatePrecision:
             for a in range(10):
                 order = rng.permutation(20)
                 ranked = [(f"m{j}", 0.01 * r, r + 1) for r, j in enumerate(order)]
-                results[f"t{a}"] = LinkResult(TUPLE_TO_MENTIONS, f"t{a}", ranked)
+                results[f"t{a}"] = LinkResult(f"t{a}", ranked)
                 gold[f"t{a}"] = {f"m{int(rng.integers(20))}"}
             report = evaluate_precision(results, gold)
             cell = report.cells[TUPLE_TO_MENTIONS]["test"]["overall"]["precision"]
             assert cell[1] <= cell[5] <= cell[10]
-
-    def test_report_json_roundtrip(self):
-        results, gold = self.make_results(3)
-        report = evaluate_precision(results, gold, split="train", category="Building")
-        report.finalize_overall()
-        again = EvalReport.from_dict(report.to_dict())
-        assert again.to_dict() == report.to_dict()
 
 
 @pytest.fixture(scope="module")
@@ -352,7 +342,7 @@ class TestCategoryMatches:
 class TestExportLinks:
     def test_tsv_format(self, tmp_path):
         results = {
-            "t1": LinkResult(TUPLE_TO_MENTIONS, "t1", [("m1", 0.25, 1), ("m2", 0.5, 2)])
+            "t1": LinkResult("t1", [("m1", 0.25, 1), ("m2", 0.5, 2)])
         }
         path = tmp_path / "links.tsv"
         from tablelink.linker import export_links

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import re
 import struct
@@ -167,7 +168,7 @@ class TestVectorizeAttribute:
         model = fit_vectorizer(records, mixed_schema, HashingEncoder(dim=8, seed=0))
         assert np.all(vectorize_attribute(model, "desc", None) == 0.0)
         rec = make_record(mixed_schema, "k2", x=1.0, kind="a")
-        vec = vectorize_tuple(model, rec)
+        vec = vectorize_tuple(model, rec, {})
         layout = {(kind, name): (off, dim) for kind, name, off, dim in model.layout()}
         p_off, p_dim = layout[("presence", "")]
         presence = vec[p_off : p_off + p_dim]
@@ -187,19 +188,29 @@ class TestForeignKeys:
     def make_model(self, records, schema):
         return fit_vectorizer(records, schema, HashingEncoder(dim=8, seed=0))
 
-    def test_sum_of_depth_zero_vectors(self):
+    def test_sum_of_base_vectors(self):
         schema = RelationSchema(
             name="R", attributes=(("a", "numeric"), ("b", "numeric")),
             foreign_keys=(("ref", "R"),),
         )
         t1 = make_record(schema, "t1", a=1.0)
         t2 = make_record(schema, "t2", b=1.0)
-        model = self.make_model([t1, t2], schema)
-        # stats over a single non-NULL value each: mean fallback keeps std 1
-        lookup = {"t1": t1, "t2": t2}
-        got = embed_foreign_key(model, ["t1", "t2"], lookup)
-        expected = vectorize_tuple(model, t1, depth=0) + vectorize_tuple(model, t2, depth=0)
-        np.testing.assert_array_equal(got, expected)
+        t3 = TupleRecord(relation="R", key="t3", entity="t3", values={"a": 3.0, "b": 5.0},
+                         fk_values={"ref": ["t1"]})
+        model = self.make_model([t1, t2, t3], schema)
+        assert model.numeric_stats == {"a": (2.0, 1.0), "b": (3.0, 2.0)}
+        # base vector: [normalized a, normalized b, presence(a), presence(b), presence(ref)];
+        # t3's own fk section is not part of it
+        base_t1 = [-1.0, 0.0, 1.0, 0.0, 0.0]
+        base_t2 = [0.0, -1.0, 0.0, 1.0, 0.0]
+        base_t3 = [1.0, 1.0, 1.0, 1.0, 1.0]
+        lookup = {"t1": t1, "t2": t2, "t3": t3}
+        got = embed_foreign_key(model, ["t1", "t2", "t3"], lookup)
+        np.testing.assert_array_equal(got, np.sum([base_t1, base_t2, base_t3], axis=0))
+        # and the fk section of a full tuple vector is that same sum
+        np.testing.assert_array_equal(
+            vectorize_tuple(model, t3, lookup), [1.0, 1.0] + base_t1 + [1.0, 1.0, 1.0]
+        )
 
     def test_empty_fk_list_is_zero(self):
         schema = RelationSchema(
@@ -321,6 +332,29 @@ class TestModelSerialization:
                 vectorize_tuple(again, rec, tuple_lookup={}),
             )
 
+    def test_fk_depth_key_of_older_files_is_ignored(self, tmp_path):
+        schema = RelationSchema(
+            name="R", attributes=(("d", "text"), ("x", "numeric")), foreign_keys=(("ref", "R"),)
+        )
+        records = {
+            f"k{i}": TupleRecord(relation="R", key=f"k{i}", entity=f"k{i}",
+                                 values={"d": f"words {i}", "x": float(i)},
+                                 fk_values={"ref": [f"k{(i + 1) % 4}", f"k{(i + 2) % 4}"]})
+            for i in range(4)
+        }
+        model = fit_vectorizer(records.values(), schema, HashingEncoder(dim=16, seed=3))
+        path = tmp_path / "vectorizer.json"
+        model.save(path)
+        doc = json.loads(path.read_text())
+        assert "fk_depth" not in doc
+        # as in the vectorizer files of earlier versions
+        doc["fk_depth"] = 1
+        path.write_text(json.dumps(doc, sort_keys=True, indent=1))
+        again = VectorizerModel.load(path)
+        for rec in records.values():
+            assert (vectorize_tuple(again, rec, records).tobytes()
+                    == vectorize_tuple(model, rec, records).tobytes())
+
     def test_version_mismatch_rejected(self, mixed_schema, tmp_path):
         records = [make_record(mixed_schema, "k", desc="w", x=1.0, kind="a")]
         model = fit_vectorizer(records, mixed_schema, HashingEncoder(dim=8, seed=0))
@@ -401,7 +435,7 @@ class TestVectorFiles:
 
 class TestKeyedMatrix:
     def test_sorted_keys_and_stacked_rows(self):
-        keys, matrix = keyed_matrix([("b", [1, 2]), ("a", np.array([3.0, 4.0]))])
+        keys, matrix = keyed_matrix({"b": [1, 2], "a": np.array([3.0, 4.0])})
         assert keys == ["a", "b"]
         assert matrix.dtype == np.float64
         np.testing.assert_array_equal(matrix, [[3.0, 4.0], [1.0, 2.0]])
