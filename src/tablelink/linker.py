@@ -38,9 +38,8 @@ class MatchCandidate:
 
 @dataclass
 class LinkResult:
-    """Ranked counterparts of one anchor: (counterpart, score, dense rank)."""
+    """Ranked counterparts of the anchor that keys it: (counterpart, score, dense rank)."""
 
-    anchor: str
     ranked: list
 
 
@@ -138,7 +137,7 @@ def rank_candidates(candidates, direction=TUPLE_TO_MENTIONS):
         )
         groups.setdefault(anchor, []).append((counterpart, c.score))
     return {
-        anchor: LinkResult(anchor=anchor, ranked=dense_rank(scored))
+        anchor: LinkResult(dense_rank(scored))
         for anchor, scored in groups.items()
     }
 
@@ -154,7 +153,7 @@ def semantic_link(forest: annindex.RpForest, anchors, n, search_k=None):
     keys, block = keyed_matrix(anchors)
     hits = forest.query(block, n, search_k=search_k)
     return {
-        key: LinkResult(anchor=key, ranked=dense_rank(ranked))
+        key: LinkResult(dense_rank(ranked))
         for key, ranked in zip(keys, hits)
     }
 

@@ -43,6 +43,8 @@ class DenseNet:
     activations only and only when ``training`` is set, so inference is
     deterministic. ``backward`` writes into ``grad_weights`` and
     ``grad_biases``, which ``EmbedderPair`` points into its gradient buffer.
+    Every array, inputs and activations included, takes the dtype of the
+    weights given.
     """
 
     def __init__(self, weights, biases, keep_prob=0.75):
@@ -51,10 +53,11 @@ class DenseNet:
         for i in range(len(weights) - 1):
             if weights[i + 1].shape[1] != weights[i].shape[0]:
                 raise ValueError("layer dims do not chain")
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
-        self.grad_weights = [np.zeros(w.shape) for w in self.weights]
-        self.grad_biases = [np.zeros(b.shape) for b in self.biases]
+        self.weights = [np.asarray(w) for w in weights]
+        self.biases = [np.asarray(b) for b in biases]
+        # np.zeros, not zeros_like: calloc leaves the pages untouched until written
+        self.grad_weights = [np.zeros(w.shape, dtype=w.dtype) for w in self.weights]
+        self.grad_biases = [np.zeros(b.shape, dtype=b.dtype) for b in self.biases]
         self.keep_prob = float(keep_prob)
 
     @classmethod
@@ -77,7 +80,7 @@ class DenseNet:
 
     def forward(self, x, training=False, rng=None):
         """Batched forward pass; returns (output, cache for backward)."""
-        a = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        a = np.atleast_2d(np.asarray(x, dtype=self.weights[0].dtype))
         if a.shape[1] != self.input_dim:
             raise ValueError(f"input dim {a.shape[1]} != net input dim {self.input_dim}")
         cache = []
@@ -90,7 +93,7 @@ class DenseNet:
                 if training and self.keep_prob < 1.0:
                     if rng is None:
                         raise ValueError("training-mode forward needs an rng for dropout")
-                    mask = (rng.random(h.shape) < self.keep_prob) / self.keep_prob
+                    mask = (rng.random(h.shape) < self.keep_prob) / h.dtype.type(self.keep_prob)
                     h = h * mask
                 cache.append((a, z, mask))
                 a = h
@@ -139,10 +142,10 @@ def _layer_views(buffer, offset, shapes):
 class EmbedderPair:
     """The two networks of the joint space plus the training margin.
 
-    Every parameter is a view into one contiguous f64 buffer ``flat`` and
-    every gradient a view into ``grad``, both in ``parameters()`` order. A
-    ``flat`` passed in supplies the parameter values in that order;
-    otherwise the nets' arrays are copied into a new buffer.
+    Every parameter is a view into one contiguous buffer ``flat`` and every
+    gradient a view into ``grad``, both in ``parameters()`` order and of the
+    nets' dtype. A ``flat`` passed in supplies the parameter values in that
+    order; otherwise the nets' arrays are copied into a new buffer.
     """
 
     net_r: DenseNet
@@ -166,7 +169,7 @@ class EmbedderPair:
             self.flat = np.concatenate([p.ravel() for p in params])
         elif self.flat.shape != (sum(p.size for p in params),):
             raise ValueError("flat does not hold exactly the parameters of both nets")
-        self.grad = np.zeros(self.flat.size)
+        self.grad = np.zeros(self.flat.size, dtype=self.flat.dtype)
         offset = 0
         for net in (self.net_r, self.net_t):
             shapes = [w.shape for w in net.weights]
@@ -235,8 +238,8 @@ def loss_from_embeddings(e_r, e_t, pos_pairs, margin):
     contribute symmetrically. Anchors without in-batch positives are
     skipped and counted. Returns (loss, dL/dE_R, dL/dE_T, stats).
     """
-    e_r = np.atleast_2d(np.asarray(e_r, dtype=np.float64))
-    e_t = np.atleast_2d(np.asarray(e_t, dtype=np.float64))
+    e_r = np.atleast_2d(np.asarray(e_r))
+    e_t = np.atleast_2d(np.asarray(e_t))
     a, b = e_r.shape[0], e_t.shape[0]
     if not (np.all(np.isfinite(e_r)) and np.all(np.isfinite(e_t))):
         # surface as a non-finite loss so the optimizer aborts with a dump
@@ -254,7 +257,7 @@ def loss_from_embeddings(e_r, e_t, pos_pairs, margin):
 
     # tuple anchors are rows (axis 1), mention anchors columns (axis 0)
     for axis, skipped in ((1, "skipped_tuple_anchors"), (0, "skipped_mention_anchors")):
-        npos = pos.sum(axis=axis)
+        npos = pos.sum(axis=axis, dtype=s.dtype)
         has_pos = npos > 0
         setattr(stats, skipped, int((~has_pos).sum()))
         if not has_pos.any():
@@ -267,8 +270,8 @@ def loss_from_embeddings(e_r, e_t, pos_pairs, margin):
             stats.min_hinge_gap = min(stats.min_hinge_gap, float(np.min(np.abs(hinge[relevant]))))
         loss += float(hinge[active].sum())
         stats.active_terms += int(active.sum())
-        d_s -= active.astype(np.float64)
-        share = np.where(has_pos, active.sum(axis=axis) / np.maximum(npos, 1), 0.0)
+        d_s -= active
+        share = np.where(has_pos, active.sum(axis=axis, dtype=s.dtype) / np.maximum(npos, 1), 0.0)
         d_s += pos * np.expand_dims(share, axis)
 
     # back through S = 1 - U V^T and the row normalizations
@@ -318,8 +321,9 @@ def pairwise_contrastive_loss(pair: EmbedderPair, batch: TrainingBatch,
 # Optimization
 # ---------------------------------------------------------------------------
 
-# Elements per pass of the Adam update: five 256 KiB slices (parameters,
-# gradient, two moments, scratch) stay in a 2 MiB per-core L2 cache.
+# Elements per pass of the Adam update. Its five slices (parameters,
+# gradient, two moments, scratch) take 5 * 32768 * itemsize bytes, 640 KiB
+# in f32 and 1.25 MiB in f64, so they stay in a 2 MiB per-core L2 cache.
 ADAM_BLOCK = 32768
 
 
@@ -327,7 +331,8 @@ ADAM_BLOCK = 32768
 class AdamState:
     """Adam moments over a pair's flat buffer plus the stepped learning-rate schedule.
 
-    The effective rate decays exponentially: ``lr * decay^(step // every)``.
+    The moments take the size and dtype of the first buffer stepped. The
+    effective rate decays exponentially: ``lr * decay^(step // every)``.
     """
 
     lr: float = 1e-5
@@ -345,13 +350,14 @@ class AdamState:
         step = self.step if step is None else step
         return self.lr * self.decay ** (step // self.decay_every)
 
-    def _ensure(self, size):
+    def _ensure(self, flat):
         if self.m is None:
-            self.m = np.zeros(size)
-            self.v = np.zeros(size)
-            self.scratch = np.empty(min(size, ADAM_BLOCK))
-        elif self.m.size != size:
-            raise ValueError(f"Adam moments hold {self.m.size} parameters, the pair {size}")
+            self.m = np.zeros(flat.size, dtype=flat.dtype)
+            self.v = np.zeros(flat.size, dtype=flat.dtype)
+            self.scratch = np.empty(min(flat.size, ADAM_BLOCK), dtype=flat.dtype)
+        elif self.m.size != flat.size or self.m.dtype != flat.dtype:
+            raise ValueError(f"Adam moments hold {self.m.size} {self.m.dtype} parameters, "
+                             f"the pair {flat.size} {flat.dtype}")
 
 
 def gradient_step(pair: EmbedderPair, adam: AdamState, batch: TrainingBatch, margin=None):
@@ -370,7 +376,7 @@ def gradient_step(pair: EmbedderPair, adam: AdamState, batch: TrainingBatch, mar
             "loss": repr(loss),
         }
         raise TrainingError(f"non-finite loss or gradient at step {adam.step}: {dump}", batch=dump)
-    adam._ensure(pair.flat.size)
+    adam._ensure(pair.flat)
     t = adam.step + 1
     b1, b2 = adam.beta1, adam.beta2
     # Both bias corrections fold into the step size and epsilon (Kingma & Ba,
@@ -513,9 +519,12 @@ def train_pair(pair: EmbedderPair, adam: AdamState, sampler: SamplerState,
     a zero gradient at every step, and Adam from zero moments never moves
     it. So a compact pair that holds only the live columns is trained, on
     the live slice of each drawable row, and its values are written back;
-    the dead columns keep their initial values. ``adam`` holds the moments
-    of the live parameters only. The compact pair shares ``pair.train_rng``,
-    so the dropout draws are those of training the full pair.
+    the dead columns keep their initial values. The compact pair, its rows
+    and ``adam``'s moments are float32, so a step moves half the bytes of
+    f64; write-back widens the trained values exactly into the f64 pair.
+    ``adam`` holds the moments of the live parameters only. The compact
+    pair shares ``pair.train_rng``, so the dropout draws are those of
+    training the full pair.
     """
     drawable = [link for links in sampler.links_by_entity.values() for link in links]
     keys_r = {tk for tk, _ in drawable}
@@ -527,8 +536,8 @@ def train_pair(pair: EmbedderPair, adam: AdamState, sampler: SamplerState,
         net_t=_first_layer_columns(pair.net_t, live_t),
         joint_dim=pair.joint_dim, margin=pair.margin, seed=pair.seed, train_rng=pair.train_rng,
     )
-    rows_r = {k: vectors_r[k][live_r] for k in keys_r}
-    rows_t = {k: vectors_t[k][live_t] for k in keys_t}
+    rows_r = {k: vectors_r[k][live_r].astype(np.float32) for k in keys_r}
+    rows_t = {k: vectors_t[k][live_t].astype(np.float32) for k in keys_t}
     history = []
     for _ in range(batches):
         batch = sample_batch(sampler, gold_pairs, rows_r, rows_t)
@@ -553,8 +562,10 @@ def _live_columns(vectors, keys, dim):
 
 
 def _first_layer_columns(net, live):
-    """A copy of ``net`` whose first layer reads only the input columns ``live``."""
-    return DenseNet([net.weights[0][:, live], *net.weights[1:]], net.biases, keep_prob=net.keep_prob)
+    """A float32 copy of ``net`` whose first layer reads only the input columns ``live``."""
+    weights = [net.weights[0][:, live], *net.weights[1:]]
+    return DenseNet([w.astype(np.float32) for w in weights],
+                    [b.astype(np.float32) for b in net.biases], keep_prob=net.keep_prob)
 
 
 # ---------------------------------------------------------------------------

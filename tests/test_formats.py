@@ -16,8 +16,8 @@ def write_lines(path, lines):
 
 
 def write_links(path, second_ranked):
-    export_links({"t1": LinkResult("t1", [("m1", 0.5, 1)]),
-                  "t2": LinkResult("t2", second_ranked)}, path)
+    export_links({"t1": LinkResult([("m1", 0.5, 1)]),
+                  "t2": LinkResult(second_ranked)}, path)
 
 
 class TestAtomicWrites:

@@ -17,9 +17,12 @@ from tablelink.linker import (
     evaluate_precision,
     rank_candidates,
     semantic_link,
+    train_category,
 )
 from tablelink.config import ProjectConfig
+from tablelink.neural import save_checkpoint
 from tablelink.synthetic import synthetic_corpus_xml
+from tablelink.vectorize import HashingEncoder, fit_vectorizer, vectorize_mention, vectorize_tuple
 
 from conftest import make_record
 
@@ -183,7 +186,7 @@ class TestSemanticLink:
 class TestEvaluatePrecision:
     def make_results(self, gold_rank, n=10):
         ranked = [(f"m{r}", 0.01 * r, r) for r in range(1, n + 1)]
-        results = {"t": LinkResult("t", ranked)}
+        results = {"t": LinkResult(ranked)}
         gold = {"t": {f"m{gold_rank}"}}
         return results, gold
 
@@ -202,7 +205,7 @@ class TestEvaluatePrecision:
 
     def test_anchor_without_gold_excluded(self):
         results, gold = self.make_results(1)
-        results["orphan"] = LinkResult("orphan", [("m1", 0.1, 1)])
+        results["orphan"] = LinkResult([("m1", 0.1, 1)])
         report = evaluate_precision(results, gold)
         cell = report.cells[TUPLE_TO_MENTIONS]["test"]["overall"]
         assert cell["count"] == 1
@@ -215,7 +218,7 @@ class TestEvaluatePrecision:
             for a in range(10):
                 order = rng.permutation(20)
                 ranked = [(f"m{j}", 0.01 * r, r + 1) for r, j in enumerate(order)]
-                results[f"t{a}"] = LinkResult(f"t{a}", ranked)
+                results[f"t{a}"] = LinkResult(ranked)
                 gold[f"t{a}"] = {f"m{int(rng.integers(20))}"}
             report = evaluate_precision(results, gold)
             cell = report.cells[TUPLE_TO_MENTIONS]["test"]["overall"]["precision"]
@@ -265,6 +268,25 @@ class TestRetrainCycle:
         ws1, _ = run_cycle(tmp_path / "a", tiny_synthetic_corpus, tiny_config())
         ws2, _ = run_cycle(tmp_path / "b", tiny_synthetic_corpus, tiny_config())
         assert ws1.report.to_dict() == ws2.report.to_dict()
+
+    def test_train_category_twice_gives_identical_checkpoints(self, tiny_synthetic_corpus,
+                                                              tmp_path):
+        corpus, config = tiny_synthetic_corpus, tiny_config(budget=30)
+        splits = make_stratified_splits(corpus, config.split_spec())
+        encoder = HashingEncoder(dim=config.encoder.dim, seed=config.encoder.seed)
+        tuples = corpus.tuples_of_category("Landmark")
+        model = fit_vectorizer(tuples, corpus.schemas["Landmark"], encoder)
+        tuple_vecs = {rec.key: vectorize_tuple(model, rec, corpus.tuples) for rec in tuples}
+        mention_vecs = {m.id: vectorize_mention(encoder, m)
+                        for m in corpus.mentions_of_category("Landmark")}
+        blobs = []
+        for name in ("a.ckpt", "b.ckpt"):
+            pair, adam, _ = train_category(corpus, "Landmark", config, splits,
+                                           tuple_vecs, mention_vecs)
+            assert pair.flat.dtype == np.float64
+            save_checkpoint(tmp_path / name, pair, step=adam.step)
+            blobs.append((tmp_path / name).read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_unseen_entities_never_sampled(self, tiny_synthetic_corpus, tmp_path):
         from tablelink import neural
@@ -342,7 +364,7 @@ class TestCategoryMatches:
 class TestExportLinks:
     def test_tsv_format(self, tmp_path):
         results = {
-            "t1": LinkResult("t1", [("m1", 0.25, 1), ("m2", 0.5, 2)])
+            "t1": LinkResult([("m1", 0.25, 1), ("m2", 0.5, 2)])
         }
         path = tmp_path / "links.tsv"
         from tablelink.linker import export_links

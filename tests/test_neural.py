@@ -30,6 +30,16 @@ def tiny_pair(seed=0, in_r=8, in_t=10, hidden_r=(6,), joint=4, margin=0.2, keep=
     )
 
 
+def float32_copy(pair):
+    """``pair`` with every parameter rounded to float32, on a fresh dropout rng of its seed."""
+    nets = [
+        DenseNet([w.astype(np.float32) for w in net.weights],
+                 [b.astype(np.float32) for b in net.biases], keep_prob=net.keep_prob)
+        for net in (pair.net_r, pair.net_t)
+    ]
+    return EmbedderPair(*nets, joint_dim=pair.joint_dim, margin=pair.margin, seed=pair.seed)
+
+
 def random_batch(rng, in_r=8, in_t=10, n_r=3, n_t=4):
     pos = [(i, i) for i in range(min(n_r, n_t))]
     return TrainingBatch(
@@ -501,7 +511,8 @@ class TestTrainLoop:
         history = train_pair(pair, adam, SamplerState(links, batch_size=2, seed=3),
                              gold, vectors_r, vectors_t, batches=batches)
 
-        ref = tiny_pair(seed=5, in_r=12, in_t=10, hidden_r=(hidden,), joint=4, keep=0.75)
+        # train_pair steps in float32, so the dense reference does too
+        ref = float32_copy(tiny_pair(seed=5, in_r=12, in_t=10, hidden_r=(hidden,), joint=4, keep=0.75))
         ref_adam = AdamState(lr=1e-2)
         ref_sampler = SamplerState(links, batch_size=2, seed=3)
         ref_losses = []
@@ -513,8 +524,56 @@ class TestTrainLoop:
         np.testing.assert_array_equal(w_r[:, dead_r], init_r[:, dead_r])
         np.testing.assert_array_equal(w_t[:, dead_t], init_t[:, dead_t])
         assert not np.array_equal(w_r, init_r) and not np.array_equal(w_t, init_t)
+        live_r = np.setdiff1d(np.arange(12), dead_r)
+        live_t = np.setdiff1d(np.arange(10), dead_t)
+        np.testing.assert_allclose(w_r[:, live_r], ref.net_r.weights[0][:, live_r], rtol=1e-9, atol=0)
+        np.testing.assert_allclose(w_t[:, live_t], ref.net_t.weights[0][:, live_t], rtol=1e-9, atol=0)
         for actual, expected in zip(pair.parameters(), ref.parameters()):
-            np.testing.assert_allclose(actual, expected, rtol=1e-9, atol=0)
+            if actual is not w_r and actual is not w_t:
+                np.testing.assert_allclose(actual, expected, rtol=1e-9, atol=0)
         np.testing.assert_allclose([h[2] for h in history], ref_losses, rtol=1e-9, atol=0)
         assert adam.step == ref_adam.step == batches
         assert adam.m.size == pair.flat.size - hidden * len(dead_r) - 4 * len(dead_t)
+
+    def test_write_back_widens_float32_values_into_the_f64_pair(self):
+        links, gold, vectors_r, vectors_t, dead_r, dead_t = self.sparse_fixture()
+        pair = tiny_pair(seed=5, in_r=12, in_t=10, hidden_r=(6,), joint=4, keep=0.75)
+        init = pair.flat.copy()
+        adam = AdamState(lr=1e-2)
+        train_pair(pair, adam, SamplerState(links, batch_size=2, seed=3),
+                   gold, vectors_r, vectors_t, batches=20)
+        assert pair.flat.dtype == np.float64 and adam.m.dtype == np.float32
+        after = pair.flat.copy()
+        for w, cols in ((pair.net_r.weights[0], dead_r), (pair.net_t.weights[0], dead_t)):
+            w[:, cols] = np.nan  # marks the dead entries of flat through the views
+        dead = np.isnan(pair.flat)
+        # the dead columns keep their f64 initial bits, which float32 cannot hold
+        np.testing.assert_array_equal(after[dead], init[dead])
+        assert np.any(init[dead] != init[dead].astype(np.float32))
+        trained = after[~dead]
+        np.testing.assert_array_equal(trained, trained.astype(np.float32))
+        assert not np.array_equal(trained, init[~dead])
+
+
+class TestDtypeFollowsArrays:
+    def test_float32_pair_steps_in_float32(self):
+        pair = float32_copy(tiny_pair(seed=2, keep=0.75))
+        batch = random_batch(np.random.default_rng(3))
+        out, cache = pair.net_r.forward(batch.x_tuples, training=True, rng=pair.train_rng)
+        assert out.dtype == np.float32
+        assert all(arr.dtype == np.float32 for layer in cache for arr in layer if arr is not None)
+        loss, d_er, d_et, _ = loss_from_embeddings(out, pair.embed_mentions(batch.x_mentions),
+                                                   batch.pos_pairs, 1.0)
+        assert loss > 0 and d_er.dtype == d_et.dtype == np.float32
+        adam = AdamState(lr=1e-3)
+        for _ in range(3):
+            gradient_step(pair, adam, batch)
+        arrays = (pair.flat, pair.grad, adam.m, adam.v, adam.scratch)
+        assert all(arr.dtype == np.float32 for arr in arrays)
+
+    def test_moments_of_another_dtype_rejected(self):
+        batch = random_batch(np.random.default_rng(3))
+        adam = AdamState()
+        gradient_step(tiny_pair(seed=2), adam, batch)
+        with pytest.raises(ValueError, match="float64 parameters, the pair .* float32"):
+            gradient_step(float32_copy(tiny_pair(seed=2)), adam, batch)
