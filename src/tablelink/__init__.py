@@ -44,6 +44,7 @@ from .neural import (
 )
 from .vectorize import (
     HashingEncoder,
+    KeyedVectors,
     VectorizerModel,
     embed_foreign_key,
     fit_vectorizer,

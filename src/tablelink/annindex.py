@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import formats
-from .vectorize import keyed_matrix
+from .vectorize import KeyedVectors
 
 
 class AnnIndexError(ValueError):
@@ -40,8 +40,8 @@ class RpNode:
         return self.items is not None
 
 
-class RpForest:
-    """An immutable forest over a keyed vector set.
+class RpForest(KeyedVectors):
+    """An immutable keyed vector set with a forest over it.
 
     Its ``t`` trees are built from ``matrix``, ``leaf_capacity`` and ``seed``
     on first access to ``trees``; a query whose budget covers the forest
@@ -49,13 +49,11 @@ class RpForest:
     """
 
     def __init__(self, ids, matrix, t, leaf_capacity, seed):
+        super().__init__(ids, matrix)
         self.t = int(t)
         self.leaf_capacity = int(leaf_capacity)
         if self.t < 1 or self.leaf_capacity < 1:
             raise AnnIndexError("t and leaf_capacity must be >= 1")
-        self.ids = list(ids)
-        self.matrix = np.asarray(matrix, dtype=np.float64)
-        self.norms = np.linalg.norm(self.matrix, axis=1)
         self.seed = int(seed)
 
     @functools.cached_property
@@ -65,13 +63,6 @@ class RpForest:
             _build_tree(self.matrix, self.leaf_capacity, np.random.default_rng(stream))
             for stream in np.random.SeedSequence(self.seed).spawn(self.t)
         ]
-
-    @property
-    def dim(self):
-        return self.matrix.shape[1]
-
-    def __len__(self):
-        return len(self.ids)
 
     def query(self, q, n, search_k=None):
         return query_forest(self, q, n, search_k=search_k)
@@ -109,17 +100,18 @@ def _top_n(ids, dist, n):
 
 
 def build_forest(items, t=16, leaf_capacity=16, seed=0):
-    """A forest of ``t`` random-projection trees over keyed vectors.
+    """A forest of ``t`` random-projection trees over keyed vectors (``KeyedVectors.of``).
 
-    Checks the vectors and parameters; the trees themselves are built on the
-    first query that traverses them (``RpForest.trees``).
+    Checks the vectors and parameters; the forest shares their matrix, and
+    the trees themselves are built on the first query that traverses them
+    (``RpForest.trees``).
     """
-    ids, matrix = keyed_matrix(items)
-    if not ids:
+    items = KeyedVectors.of(items)
+    if not items:
         raise AnnIndexError("cannot build a forest over zero items")
-    if not np.all(np.isfinite(matrix)):
+    if not np.all(np.isfinite(items.matrix)):
         raise AnnIndexError("item vectors contain non-finite components")
-    return RpForest(ids, matrix, t, leaf_capacity, seed)
+    return RpForest(items.ids, items.matrix, t, leaf_capacity, seed)
 
 
 def _build_tree(matrix, leaf_capacity, rng):
@@ -242,17 +234,13 @@ def default_search_k(n, t):
 def brute_force_knn(items, q, n):
     """Exact top-n by cosine distance with the same kernel and ordering as the forest.
 
-    ``items`` is a forest or an id -> vector dict; ``q`` is one query.
+    ``items`` are keyed vectors (``KeyedVectors.of``); ``q`` is one query.
     """
     if n <= 0:
         return []
-    if isinstance(items, RpForest):
-        ids, matrix, norms = items.ids, items.matrix, items.norms
-    else:
-        ids, matrix = keyed_matrix(items)
-        norms = np.linalg.norm(matrix, axis=1)
+    items = KeyedVectors.of(items)
     q = np.asarray(q, dtype=np.float64)
-    return _top_n(ids, cosine_distances(matrix, norms, q[None]), n)[0]
+    return _top_n(items.ids, cosine_distances(items.matrix, items.norms, q[None]), n)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,7 @@ class CategoryArtifacts:
     def vectorizer(self) -> vectorize.VectorizerModel:
         return self._get(self.path("vectorizer", "json"), "fit", vectorize.VectorizerModel.load)
 
-    def raw_vectors(self, side):
+    def raw_vectors(self, side) -> vectorize.KeyedVectors:
         """Vectors of one side ("tuples" or "mentions") before the networks, built once."""
         if ("raw", side) not in self._memo:
             corpus, model = self.ws.corpus(), self.vectorizer()
@@ -160,7 +160,7 @@ class CategoryArtifacts:
             else:
                 vectors = {m.id: vectorize.vectorize_mention(model.encoder, m)
                            for m in corpus.mentions_of_category(self.category)}
-            self._memo["raw", side] = vectors
+            self._memo["raw", side] = vectorize.KeyedVectors.of(vectors)
         return self._memo["raw", side]
 
     def pair(self) -> neural.EmbedderPair:
@@ -176,7 +176,7 @@ class CategoryArtifacts:
             )
         return pair
 
-    def vectors(self, side):
+    def vectors(self, side) -> vectorize.KeyedVectors:
         """Joint-space vectors of one side ("tuples" or "mentions")."""
         return self._get(self.path(side, "vec"), f"embed-{side}", vectorize.read_vector_file)
 
@@ -284,8 +284,8 @@ def stage_train(art: CategoryArtifacts, config, args):
 def _stage_embed(art: CategoryArtifacts, side):
     pair = art.pair()
     embed = pair.embed_tuples if side == "tuples" else pair.embed_mentions
-    keys, raw = vectorize.keyed_matrix(art.raw_vectors(side))
-    vectors = dict(zip(keys, embed(raw)))
+    raw = art.raw_vectors(side)
+    vectors = vectorize.KeyedVectors(raw.ids, embed(raw.matrix))
     path = art.put(side, "vec", vectors)
     vectorize.write_vector_file(path, vectors)
     print(f"embedded {len(vectors)} {side} for {art.category} -> {path.name}")

@@ -5,6 +5,7 @@ pins the published hyper-parameters (margin 0.001, keep probability 0.75,
 learning rate 1e-5 with 0.9 decay every 1000 batches, 200 trees, top-10).
 """
 
+import dataclasses
 import json
 import types
 import typing
@@ -121,33 +122,26 @@ class ProjectConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = {
-            "paths": PathsConfig,
-            "encoder": EncoderConfig,
-            "network": NetworkConfig,
-            "training": TrainingConfig,
-            "index": IndexConfig,
-            "split": SplitConfig,
-        }
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
         fields = cls.__dataclass_fields__
         kwargs = {}
         for key, value in d.items():
-            if key in known:
-                if not isinstance(value, dict):
-                    raise ConfigError(f"config section {key!r} must be an object")
-                valid = known[key].__dataclass_fields__
-                unknown = set(value) - set(valid)
-                if unknown:
-                    raise ConfigError(f"unknown {key} config keys: {sorted(unknown)}")
-                kwargs[key] = known[key](**{
-                    name: _typed(v, valid[name].type, f"{key}.{name}") for name, v in value.items()
-                })
-            elif key in fields:
-                kwargs[key] = _typed(value, fields[key].type, key)
-            else:
+            if key not in fields:
                 raise ConfigError(f"unknown config key {key!r}")
+            kind = fields[key].type
+            if not dataclasses.is_dataclass(kind):
+                kwargs[key] = _typed(value, kind, key)
+                continue
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {key!r} must be an object")
+            valid = kind.__dataclass_fields__
+            unknown = set(value) - set(valid)
+            if unknown:
+                raise ConfigError(f"unknown {key} config keys: {sorted(unknown)}")
+            kwargs[key] = kind(**{
+                name: _typed(v, valid[name].type, f"{key}.{name}") for name, v in value.items()
+            })
         return cls(**kwargs)
 
 

@@ -218,17 +218,10 @@ class Corpus:
         self.entity_category = {}
         for rec in self.tuples.values():
             self.entity_category.setdefault(rec.entity, rec.relation)
-        # mentions reachable from an entity via gold links
-        self.mentions_by_entity = {}
-        for link in self.links:
-            entity = self.tuples[link.tuple_key].entity
-            self.mentions_by_entity.setdefault(entity, [])
-            if link.mention_id not in self.mentions_by_entity[entity]:
-                self.mentions_by_entity[entity].append(link.mention_id)
 
     def linked_entities(self):
         """Entities that participate in at least one gold link, sorted."""
-        return sorted(self.mentions_by_entity)
+        return sorted({self.tuples[link.tuple_key].entity for link in self.links})
 
     def categories(self):
         return sorted(self.schemas)
@@ -367,11 +360,7 @@ def parse_webnlg_entry(xml_text, entry_id=None):
     """
     if isinstance(xml_text, bytes):
         xml_text = xml_text.decode("utf-8")
-    try:
-        elem = ET.fromstring(xml_text)
-    except ET.ParseError as exc:
-        offset = _byte_offset(xml_text, exc.position)
-        raise CorpusError(f"malformed XML at byte offset {offset}: {exc}") from exc
+    elem = _parse_xml(xml_text)
     if elem.tag != "entry":
         found = elem.find(".//entry")
         if found is None:
@@ -380,13 +369,16 @@ def parse_webnlg_entry(xml_text, entry_id=None):
     return _parse_entry_element(elem, entry_id=entry_id)
 
 
-def _byte_offset(text, position):
-    line, column = position
-    lines = text.splitlines(keepends=True)
-    if line > len(lines):
-        return len(text.encode("utf-8"))
-    prefix = "".join(lines[: line - 1]) + lines[line - 1][:column]
-    return len(prefix.encode("utf-8"))
+def _parse_xml(text):
+    """The root element of the XML string ``text``; malformed XML raises at its byte offset."""
+    try:
+        return ET.fromstring(text)
+    except ET.ParseError as exc:
+        line, column = exc.position
+        lines = text.splitlines(keepends=True)
+        prefix = "".join(lines[: line - 1]) + "".join(lines[line - 1 : line])[:column]
+        offset = len(prefix.encode("utf-8"))
+        raise CorpusError(f"malformed XML at byte offset {offset}: {exc}") from exc
 
 
 def _parse_entry_element(elem, entry_id=None):
@@ -582,11 +574,7 @@ def load_corpus_xml(source):
     if "\n" not in str(source) and not str(source).lstrip().startswith("<"):
         with open(source, encoding="utf-8") as f:
             text = f.read()
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        offset = _byte_offset(text, exc.position)
-        raise CorpusError(f"malformed XML at byte offset {offset}: {exc}") from exc
+    root = _parse_xml(text)
     entries = [root] if root.tag == "entry" else root.findall(".//entry")
     if not entries:
         raise CorpusError("no <entry> elements found")

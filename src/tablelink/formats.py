@@ -92,8 +92,8 @@ def write_keyed_matrix(f, keys, matrix):
 def read_keyed_matrix(data, pos, dim, count):
     """(keys, matrix) of a body that ends ``data``, in the ``*.vec`` header's argument order.
 
-    A short id table, a key that is not UTF-8, a short matrix or trailing
-    bytes raise ``ValueError``.
+    A short id table, a key that is not UTF-8 or not greater than the key
+    before it, a short matrix or trailing bytes raise ``ValueError``.
     """
     keys = []
     for _ in range(count):
@@ -102,9 +102,12 @@ def read_keyed_matrix(data, pos, dim, count):
         if len(data) < pos:
             raise ValueError("truncated id table")
         try:
-            keys.append(data[pos - klen : pos].decode("utf-8"))
+            key = data[pos - klen : pos].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ValueError(f"id table key is not UTF-8: {exc}") from None
+        if keys and key <= keys[-1]:
+            raise ValueError(f"id table is not strictly ascending: {key!r} after {keys[-1]!r}")
+        keys.append(key)
     return keys, read_f64(data, pos, count * dim).reshape(count, dim)
 
 

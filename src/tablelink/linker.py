@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from . import annindex, formats, neural
 from .corpus import Corpus
-from .vectorize import keyed_matrix
+from .vectorize import KeyedVectors
 
 logger = logging.getLogger(__name__)
 
@@ -145,16 +145,16 @@ def rank_candidates(candidates, direction=TUPLE_TO_MENTIONS):
 def semantic_link(forest: annindex.RpForest, anchors, n, search_k=None):
     """Retrieve each anchor's counterparts by its joint-space embedding, dense-ranked.
 
-    ``anchors`` maps anchor id to joint-space vector; all of them go to the
-    forest in one query block. Returns anchor id -> LinkResult.
+    ``anchors`` are keyed joint-space vectors (``KeyedVectors.of``); all of
+    them go to the forest in one query block. Returns anchor id -> LinkResult.
     """
     if not anchors:
         return {}
-    keys, block = keyed_matrix(anchors)
-    hits = forest.query(block, n, search_k=search_k)
+    anchors = KeyedVectors.of(anchors)
+    hits = forest.query(anchors.matrix, n, search_k=search_k)
     return {
         key: LinkResult(dense_rank(ranked))
-        for key, ranked in zip(keys, hits)
+        for key, ranked in zip(anchors.ids, hits)
     }
 
 
@@ -279,7 +279,7 @@ def category_matches(corpus: Corpus, category, name_attributes=None):
 
 def train_category(corpus: Corpus, category, config, splits, tuple_vecs, mention_vecs,
                    cat_index=0, progress=None):
-    """Obtain one category's matches and train its embedder pair on its raw vectors.
+    """Obtain one category's matches and train its embedder pair on its raw ``KeyedVectors``.
 
     Only matches of train-split entities reach the sampler, so test- and
     unseen-split entities never appear in a batch. Returns the pair, its
@@ -303,11 +303,9 @@ def train_category(corpus: Corpus, category, config, splits, tuple_vecs, mention
     if not train_links:
         raise LinkerError(f"category {category!r}: no matches among train-split entities")
 
-    d_r = next(iter(tuple_vecs.values())).shape[0]
-    d_t = next(iter(mention_vecs.values())).shape[0]
     pair = neural.EmbedderPair.build(
-        input_dim_r=d_r,
-        input_dim_t=d_t,
+        input_dim_r=tuple_vecs.dim,
+        input_dim_t=mention_vecs.dim,
         hidden_r=tuple(config.network.hidden_r),
         hidden_t=tuple(config.network.hidden_t),
         joint_dim=config.network.joint_dim,
@@ -338,7 +336,7 @@ def evaluate_category(report, corpus: Corpus, category, splits,
                       n, search_k=None):
     """Add both link directions of one category to the report, per split.
 
-    ``tuple_vecs`` and ``mention_vecs`` are the joint-space embeddings.
+    ``tuple_vecs`` and ``mention_vecs`` are the joint-space ``KeyedVectors``.
     """
     entity_of_tuple = {rec.key: rec.entity for rec in corpus.tuples_of_category(category)}
     entity_of_mention = {}

@@ -7,9 +7,11 @@ presence bits, concatenated in schema order. Mentions concatenate
 the encodings of the mention surface form and of its covering sentence.
 """
 
+import functools
 import hashlib
 import re
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,39 +295,70 @@ def vectorize_mention(encoder: HashingEncoder, mention) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Keyed vector files: a keyed vector set is (ascending keys, f64 matrix) in
-# memory and a keyed-matrix body (``formats``) on disk, in ``*.vec`` and
-# ``*.idx`` alike
+# Keyed vector sets: ascending keys over one f64 matrix in memory, and a
+# keyed-matrix body (``formats``) on disk, in ``*.vec`` and ``*.idx`` alike
 # ---------------------------------------------------------------------------
+
+class KeyedVectors(Mapping):
+    """A read-only key -> vector mapping: row i of the f64 ``matrix`` belongs to ``ids[i]``.
+
+    ``ids`` ascend; ``KeyedVectors.of`` sorts them, and the file readers
+    reject an id table that does not ascend.
+    """
+
+    def __init__(self, ids, matrix):
+        self.ids = list(ids)
+        self.matrix = np.asarray(matrix, dtype=np.float64)
+
+    @classmethod
+    def of(cls, items):
+        """``items`` itself if it is keyed vectors, else its ascending keys over its stacked rows."""
+        if isinstance(items, KeyedVectors):
+            return items
+        keys = sorted(items)
+        rows = [np.asarray(items[k], dtype=np.float64) for k in keys]
+        shapes = {row.shape for row in rows}
+        if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+            raise VectorizeError(f"keyed vectors must be 1-D of one dimension, not {sorted(shapes)}")
+        return cls(keys, np.stack(rows) if rows else np.empty((0, 0)))
+
+    @property
+    def dim(self):
+        return self.matrix.shape[1]
+
+    @functools.cached_property
+    def norms(self):
+        return np.linalg.norm(self.matrix, axis=1)
+
+    @functools.cached_property
+    def _row(self):
+        return {key: i for i, key in enumerate(self.ids)}
+
+    def __getitem__(self, key):
+        return self.matrix[self._row[key]]
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self):
+        return len(self.ids)
+
 
 VEC_MAGIC = b"TLVC"
 VEC_VERSION = 2
 VEC_HEADER = "<IIQ"  # version, dim, count
 
 
-def keyed_matrix(items):
-    """(ascending keys, f64 matrix of their rows) of a key -> vector dict."""
-    keys = sorted(items)
-    rows = [np.asarray(items[k], dtype=np.float64) for k in keys]
-    shapes = {row.shape for row in rows}
-    if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
-        raise VectorizeError(
-            f"keyed vectors must be 1-D of one dimension; got shapes {sorted(shapes)}"
-        )
-    return keys, np.stack(rows) if rows else np.empty((0, 0))
-
-
 def write_vector_file(path, items):
     """Write keyed vectors: header (magic, version, dim, count), then the keyed-matrix body."""
-    keys, matrix = keyed_matrix(items)
-    with formats.write_binary(path, VEC_MAGIC, VEC_HEADER, VEC_VERSION, matrix.shape[1], len(keys)) as f:
-        formats.write_keyed_matrix(f, keys, matrix)
+    items = KeyedVectors.of(items)
+    with formats.write_binary(path, VEC_MAGIC, VEC_HEADER, VEC_VERSION, items.dim, len(items)) as f:
+        formats.write_keyed_matrix(f, items.ids, items.matrix)
 
 
-def read_vector_file(path):
-    """Read a keyed vector file back into a key -> vector dict (rows of one matrix)."""
-    keys, matrix = formats.read_binary(
+def read_vector_file(path) -> KeyedVectors:
+    """Read a keyed vector file back into the ``KeyedVectors`` it holds."""
+    return KeyedVectors(*formats.read_binary(
         path, VEC_MAGIC, VEC_HEADER, VEC_VERSION, VectorizeError,
         "`tablelink embed-tuples` / `embed-mentions`", formats.read_keyed_matrix,
-    )
-    return dict(zip(keys, matrix))
+    ))

@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -15,6 +16,16 @@ from tablelink.synthetic import synthetic_corpus_xml, write_synthetic_corpus
 from tablelink.vectorize import read_vector_file
 
 INDEX_CHAIN = ("ingest", "fit", "train", "embed-tuples", "embed-mentions", "build-index")
+
+
+def ids_reversed(blob):
+    """A ``*.vec`` file whose id table lists the same ids, descending."""
+    keys, pos = [], 20
+    for _ in range(struct.unpack_from("<Q", blob, 12)[0]):  # the header's record count
+        klen = struct.unpack_from("<I", blob, pos)[0]
+        keys.append(blob[pos : pos + 4 + klen])
+        pos += 4 + klen
+    return blob[:20] + b"".join(reversed(keys)) + blob[pos:]
 
 
 def first_attribute_of_one(blob, *schema_path):
@@ -246,9 +257,11 @@ class TestErrors:
 
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"paths": {"corpus": "x", "typo_key": "y"}}))
-        with pytest.raises(ConfigError, match="typo_key"):
-            load_config(path)
+        for doc, message in (({"paths": {"corpus": "x", "typo_key": "y"}}, "unknown paths config keys"),
+                             ({"typo_section": {}}, "unknown config key 'typo_section'")):
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ConfigError, match=message):
+                load_config(path)
 
     def test_lock_blocks_concurrent_commands(self, project, capsys):
         config_path, workdir = project
@@ -315,9 +328,10 @@ class TestErrors:
         ("corpus.json", lambda b: first_attribute_of_one(b, "schemas", "Landmark"), "fit"),
         ("tuples_Landmark.vec", lambda b: b[:10], "build-index"),
         ("mentions_Landmark.idx", lambda b: b[:10], "link"),
+        ("tuples_Landmark.vec", ids_reversed, "build-index"),
     ], ids=["vectorizer-cut", "vectorizer-no-encoder", "ckpt-cut-6", "ckpt-header-not-utf8",
             "ckpt-no-joint-dim", "ckpt-joint-dim-disagrees", "vectorizer-attribute-of-one",
-            "corpus-attribute-of-one", "vec-cut-10", "idx-cut-10"])
+            "corpus-attribute-of-one", "vec-cut-10", "idx-cut-10", "vec-ids-descending"])
     def test_corrupt_artifact_exits_two_naming_it(self, project, capsys, artifact, corrupt, command):
         config_path, workdir = project
         for step in INDEX_CHAIN:

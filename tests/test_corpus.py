@@ -89,6 +89,10 @@ class TestParseEntry:
 
 
 class TestLoadCorpusXml:
+    def test_malformed_xml_reports_byte_offset(self):
+        with pytest.raises(CorpusError, match="byte offset 30: mismatched tag: line 2, column 18"):
+            load_corpus_xml("<benchmark>\n<entries><entry></entries>\n</benchmark>")
+
     def test_two_entries(self, building_entries_xml):
         corpus = load_corpus_xml(building_entries_xml)
         assert set(corpus.schemas) == {"Building"}

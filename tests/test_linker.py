@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from tablelink import annindex, vectorize
 from tablelink.annindex import build_forest
 from tablelink.cli import PIPELINE_STAGES, Workdir, run_stages
 from tablelink.corpus import RelationSchema, TextMention, load_corpus_xml, make_stratified_splits
@@ -22,7 +23,13 @@ from tablelink.linker import (
 from tablelink.config import ProjectConfig
 from tablelink.neural import save_checkpoint
 from tablelink.synthetic import synthetic_corpus_xml
-from tablelink.vectorize import HashingEncoder, fit_vectorizer, vectorize_mention, vectorize_tuple
+from tablelink.vectorize import (
+    HashingEncoder,
+    KeyedVectors,
+    fit_vectorizer,
+    vectorize_mention,
+    vectorize_tuple,
+)
 
 from conftest import make_record
 
@@ -264,6 +271,26 @@ class TestRetrainCycle:
         assert (tmp_path / "model_Landmark.ckpt").exists()
         assert set(timings) == set(PIPELINE_STAGES)
 
+    def test_forests_share_the_embedded_matrices(self, tiny_synthetic_corpus, tmp_path,
+                                                 monkeypatch):
+        embedded, indexed = {}, {}
+        write_vector_file, save_forest = vectorize.write_vector_file, annindex.save_forest
+
+        def write(path, items):
+            embedded[path.stem] = items
+            write_vector_file(path, items)
+
+        def save(forest, path):
+            indexed[path.stem] = forest
+            save_forest(forest, path)
+
+        monkeypatch.setattr(vectorize, "write_vector_file", write)
+        monkeypatch.setattr(annindex, "save_forest", save)
+        run_cycle(tmp_path, tiny_synthetic_corpus, tiny_config())
+        assert sorted(indexed) == sorted(embedded) == ["mentions_Landmark", "tuples_Landmark"]
+        for stem, forest in indexed.items():
+            assert np.shares_memory(forest.matrix, embedded[stem].matrix), stem
+
     def test_rerun_is_identical(self, tiny_synthetic_corpus, tmp_path):
         ws1, _ = run_cycle(tmp_path / "a", tiny_synthetic_corpus, tiny_config())
         ws2, _ = run_cycle(tmp_path / "b", tiny_synthetic_corpus, tiny_config())
@@ -276,9 +303,10 @@ class TestRetrainCycle:
         encoder = HashingEncoder(dim=config.encoder.dim, seed=config.encoder.seed)
         tuples = corpus.tuples_of_category("Landmark")
         model = fit_vectorizer(tuples, corpus.schemas["Landmark"], encoder)
-        tuple_vecs = {rec.key: vectorize_tuple(model, rec, corpus.tuples) for rec in tuples}
-        mention_vecs = {m.id: vectorize_mention(encoder, m)
-                        for m in corpus.mentions_of_category("Landmark")}
+        tuple_vecs = KeyedVectors.of({rec.key: vectorize_tuple(model, rec, corpus.tuples)
+                                      for rec in tuples})
+        mention_vecs = KeyedVectors.of({m.id: vectorize_mention(encoder, m)
+                                        for m in corpus.mentions_of_category("Landmark")})
         blobs = []
         for name in ("a.ckpt", "b.ckpt"):
             pair, adam, _ = train_category(corpus, "Landmark", config, splits,

@@ -13,11 +13,11 @@ from tablelink.annindex import AnnIndexError, build_forest, load_forest, save_fo
 from tablelink.corpus import RelationSchema, TupleRecord
 from tablelink.vectorize import (
     HashingEncoder,
+    KeyedVectors,
     VectorizeError,
     VectorizerModel,
     embed_foreign_key,
     fit_vectorizer,
-    keyed_matrix,
     read_vector_file,
     vectorize_attribute,
     vectorize_mention,
@@ -411,6 +411,8 @@ class TestVectorFiles:
     @pytest.mark.parametrize("suffix", ["vec", "idx"])
     @pytest.mark.parametrize("change, message", [
         ("cut", "truncated"), ("extra", "1 trailing bytes"), ("bad-key", "not UTF-8"),
+        ("duplicate-key", "not strictly ascending: 'a' after 'a'"),
+        ("keys-descending", "not strictly ascending: 'a' after 'b'"),
     ])
     def test_corrupt_keyed_matrix_body_raises(self, tmp_path, suffix, change, message):
         items = {"a": np.ones(4), "b": np.zeros(4)}
@@ -426,20 +428,36 @@ class TestVectorFiles:
             del data[-1]
         elif change == "extra":
             data.append(0)
-        else:
+        elif change == "bad-key":
             data[header + 4] = 0xFF  # first byte of the first key
+        elif change == "duplicate-key":
+            data[header + 9] = ord("a")  # the keys "a", "b" become "a", "a"
+        else:
+            data[header + 4], data[header + 9] = ord("b"), ord("a")  # ... or "b", "a"
         path.write_bytes(bytes(data))
         with pytest.raises(error, match=message):
             read(path)
 
 
-class TestKeyedMatrix:
+class TestKeyedVectors:
     def test_sorted_keys_and_stacked_rows(self):
-        keys, matrix = keyed_matrix({"b": [1, 2], "a": np.array([3.0, 4.0])})
-        assert keys == ["a", "b"]
-        assert matrix.dtype == np.float64
-        np.testing.assert_array_equal(matrix, [[3.0, 4.0], [1.0, 2.0]])
+        vectors = KeyedVectors.of({"b": [1, 2], "a": np.array([3.0, 4.0])})
+        assert vectors.ids == ["a", "b"] and list(vectors) == ["a", "b"] and len(vectors) == 2
+        assert vectors.matrix.dtype == np.float64 and vectors.dim == 2
+        np.testing.assert_array_equal(vectors.matrix, [[3.0, 4.0], [1.0, 2.0]])
+        np.testing.assert_array_equal(vectors["b"], [1.0, 2.0])
+        np.testing.assert_array_equal(vectors.norms, [5.0, math.sqrt(5.0)])
+        assert "a" in vectors and "c" not in vectors
+        assert KeyedVectors.of(vectors) is vectors
 
     def test_not_1d_rejected(self):
         with pytest.raises(VectorizeError, match="1-D of one dimension"):
-            keyed_matrix({"a": np.ones((2, 2))})
+            KeyedVectors.of({"a": np.ones((2, 2))})
+
+    def test_forest_shares_the_matrix_read(self, tmp_path):
+        rng = np.random.default_rng(4)
+        write_vector_file(tmp_path / "x.vec", {f"k{i}": rng.normal(size=5) for i in range(9)})
+        vectors = read_vector_file(tmp_path / "x.vec")
+        forest = build_forest(vectors, t=2, leaf_capacity=4, seed=0)
+        assert isinstance(vectors, KeyedVectors) and forest.ids == vectors.ids
+        assert np.shares_memory(forest.matrix, vectors.matrix)
