@@ -131,13 +131,13 @@ def parse_json(blob, path, from_dict, error):
     """``from_dict`` of the UTF-8 JSON bytes ``blob`` read from ``path``.
 
     Bytes that are not UTF-8 or JSON and a document ``from_dict`` cannot read
-    (a missing key, a wrong type, a value of the wrong shape) raise ``error``;
-    an ``error`` that ``from_dict`` raises itself, such as an unsupported
-    version, passes through.
+    (a missing key, a wrong type, a value of the wrong shape) raise ``error``,
+    and so does an ``error`` that ``from_dict`` raises itself, such as an
+    unsupported version; every message names ``path``.
     """
     try:
         return from_dict(json.loads(blob.decode("utf-8")))
-    except error:
-        raise
+    except error as exc:
+        raise error(f"{path}: {exc}") from None
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise error(f"{path}: malformed artifact ({type(exc).__name__}: {exc})") from None

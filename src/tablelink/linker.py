@@ -350,12 +350,17 @@ def evaluate_category(report, corpus: Corpus, category, splits,
     for split in SPLIT_NAMES:
         members = getattr(splits, split)
         for direction, entity_of, vecs, forest, links_by_anchor in directions:
-            anchors = {
-                anchor: vecs[anchor] for anchor, entity in entity_of.items()
-                if entity in members and anchor in links_by_anchor
-            }
+            wanted = {anchor for anchor, entity in entity_of.items()
+                      if entity in members and anchor in links_by_anchor}
+            rows = [i for i, anchor in enumerate(vecs.ids) if anchor in wanted]
+            if len(rows) < len(wanted):
+                raise LinkerError(
+                    f"{category}: {len(wanted) - len(rows)} {direction} anchors have no stored "
+                    "vector; rerun `tablelink embed-tuples` and `embed-mentions`"
+                )
+            anchors = KeyedVectors([vecs.ids[i] for i in rows], vecs.matrix[rows])
             results = semantic_link(forest, anchors, n, search_k=search_k)
-            gold = {anchor: set(links_by_anchor[anchor]) for anchor in anchors}
+            gold = {anchor: set(links_by_anchor[anchor]) for anchor in anchors.ids}
             evaluate_precision(results, gold, ks=report.ks, split=split, category=category,
                                direction=direction, report=report)
     return report

@@ -26,6 +26,10 @@ class VectorizeError(ValueError):
 
 _WORD = re.compile(r"\w+")
 
+# Most (slot, sign) entries one encoder remembers; past it, new features are
+# hashed on every use. A full memo of short features holds about 50 MB.
+MEMO_LIMIT = 2**18
+
 
 class HashingEncoder:
     """Signed feature hashing over character 3-grams and word unigrams.
@@ -33,6 +37,13 @@ class HashingEncoder:
     Deterministic across processes: features are hashed with keyed BLAKE2b
     (the interpreter's built-in ``hash`` is salted per process). The output
     is L2-normalized when any feature was extracted, otherwise all-zero.
+
+    Each instance remembers the (slot, sign) of up to ``MEMO_LIMIT`` distinct
+    features, so a feature seen again costs a dict lookup, not a BLAKE2b. A
+    remembered pair is the one the hash gives, and each slot sums ±1 terms,
+    which f64 holds exactly, so the output bits do not depend on what the
+    memo holds. The memo lives and dies with the instance: a command that
+    loads a vectorizer starts with an empty one.
     """
 
     def __init__(self, dim=256, seed=0):
@@ -41,12 +52,23 @@ class HashingEncoder:
         self.dim = int(dim)
         self.seed = int(seed)
         self._key = struct.pack("<q", self.seed)
+        self._memo = {}  # (namespace, feature) -> (slot, sign)
 
     def _hash(self, namespace: bytes, feature: str) -> int:
         digest = hashlib.blake2b(
             namespace + b"\x1f" + feature.encode("utf-8"), digest_size=8, key=self._key
         ).digest()
         return int.from_bytes(digest, "little")
+
+    def _slot(self, feature):
+        """(slot, sign) of one (namespace, feature) pair, remembered while the memo has room."""
+        hit = self._memo.get(feature)
+        if hit is None:
+            h = self._hash(*feature)
+            hit = ((h >> 1) % self.dim, 1.0 if h & 1 == 0 else -1.0)
+            if len(self._memo) < MEMO_LIMIT:
+                self._memo[feature] = hit
+        return hit
 
     def features(self, text: str):
         """All (namespace, feature) pairs of a text, with repetition."""
@@ -59,10 +81,9 @@ class HashingEncoder:
 
     def encode(self, text: str) -> np.ndarray:
         out = np.zeros(self.dim, dtype=np.float64)
-        for namespace, feature in self.features(text):
-            h = self._hash(namespace, feature)
-            sign = 1.0 if h & 1 == 0 else -1.0
-            out[(h >> 1) % self.dim] += sign
+        for feature in self.features(text):
+            slot, sign = self._slot(feature)
+            out[slot] += sign
         norm = float(np.linalg.norm(out))
         if norm > 0.0:
             out /= norm

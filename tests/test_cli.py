@@ -13,7 +13,7 @@ from tablelink.cli import emit_report, run_command
 from tablelink.config import PROFILES, ConfigError, ProjectConfig, apply_profile, load_config
 from tablelink.linker import TUPLE_TO_MENTIONS, EvalReport
 from tablelink.synthetic import synthetic_corpus_xml, write_synthetic_corpus
-from tablelink.vectorize import read_vector_file
+from tablelink.vectorize import read_vector_file, write_vector_file
 
 INDEX_CHAIN = ("ingest", "fit", "train", "embed-tuples", "embed-mentions", "build-index")
 
@@ -35,6 +35,16 @@ def first_attribute_of_one(blob, *schema_path):
     for key in schema_path:
         schema = schema[key]
     schema["attributes"][0] = schema["attributes"][0][:1]
+    return json.dumps(doc).encode("utf-8")
+
+
+def json_set(blob, *path, value):
+    """A JSON artifact with the value at the key ``path`` replaced."""
+    doc = json.loads(blob)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
     return json.dumps(doc).encode("utf-8")
 
 
@@ -329,9 +339,13 @@ class TestErrors:
         ("tuples_Landmark.vec", lambda b: b[:10], "build-index"),
         ("mentions_Landmark.idx", lambda b: b[:10], "link"),
         ("tuples_Landmark.vec", ids_reversed, "build-index"),
+        ("corpus.json", lambda b: json_set(b, "format_version", value=9), "fit"),
+        ("vectorizer_Landmark.json", lambda b: json_set(b, "format_version", value=9), "train"),
+        ("vectorizer_Landmark.json", lambda b: json_set(b, "encoder", "dim", value=0), "train"),
     ], ids=["vectorizer-cut", "vectorizer-no-encoder", "ckpt-cut-6", "ckpt-header-not-utf8",
             "ckpt-no-joint-dim", "ckpt-joint-dim-disagrees", "vectorizer-attribute-of-one",
-            "corpus-attribute-of-one", "vec-cut-10", "idx-cut-10", "vec-ids-descending"])
+            "corpus-attribute-of-one", "vec-cut-10", "idx-cut-10", "vec-ids-descending",
+            "corpus-version", "vectorizer-version", "vectorizer-encoder-dim-0"])
     def test_corrupt_artifact_exits_two_naming_it(self, project, capsys, artifact, corrupt, command):
         config_path, workdir = project
         for step in INDEX_CHAIN:
@@ -342,6 +356,18 @@ class TestErrors:
         assert run_command([command, "--config", str(config_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and artifact in err
+
+    def test_eval_on_vectors_missing_an_anchor_exits_two(self, project, capsys):
+        config_path, workdir = project
+        for step in INDEX_CHAIN:
+            assert run_command([step, "--config", str(config_path)]) == 0, step
+        path = workdir / "tuples_Landmark.vec"
+        vecs = read_vector_file(path)
+        write_vector_file(path, {key: vecs[key] for key in vecs.ids[1:]})
+        capsys.readouterr()
+        assert run_command(["eval", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "embed-tuples" in err
 
     def test_override_of_wrong_type_exits_one(self, project, capsys):
         config_path, _ = project

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from tablelink import vectorize
 from tablelink.annindex import AnnIndexError, build_forest, load_forest, save_forest
 from tablelink.corpus import RelationSchema, TupleRecord
 from tablelink.vectorize import (
@@ -46,6 +47,10 @@ def hashing_oracle(text, dim, seed):
     return [a / norm for a in acc] if norm else acc
 
 
+# Texts whose 3-grams and words repeat, within a text and across texts.
+REPEATING_TEXTS = ("aaaa aaaa", "the cat saw the other cat", "Big Blue Big Blue", "Big Blue")
+
+
 class TestHashingEncoder:
     def test_unit_norm_for_nondegenerate_text(self):
         enc = HashingEncoder(dim=64, seed=1)
@@ -67,8 +72,32 @@ class TestHashingEncoder:
 
     def test_oracle_agreement_on_longer_texts(self):
         enc = HashingEncoder(dim=32, seed=7)
-        for text in ("200 Public Square", "HP Inc. reported", "Big Blue"):
+        for text in ("200 Public Square", "HP Inc. reported", *REPEATING_TEXTS):
             np.testing.assert_allclose(enc.encode(text), hashing_oracle(text, 32, 7), atol=1e-15)
+
+    def test_warm_encoder_matches_fresh_one(self):
+        warm = HashingEncoder(dim=32, seed=7)
+        for text in REPEATING_TEXTS:
+            warm.encode(text)
+        for text in (*REPEATING_TEXTS, "a cat in Cleveland"):
+            np.testing.assert_array_equal(warm.encode(text), HashingEncoder(dim=32, seed=7).encode(text))
+
+    def test_instances_do_not_share_memo_entries(self):
+        first = HashingEncoder(dim=32, seed=7)
+        for text in REPEATING_TEXTS:
+            first.encode(text)
+        for dim, seed in ((32, 8), (16, 7)):
+            other = HashingEncoder(dim=dim, seed=seed)
+            for text in REPEATING_TEXTS:
+                np.testing.assert_allclose(other.encode(text), hashing_oracle(text, dim, seed),
+                                           atol=1e-15)
+
+    def test_memo_bound_changes_no_output(self, monkeypatch):
+        monkeypatch.setattr(vectorize, "MEMO_LIMIT", 3)
+        enc = HashingEncoder(dim=32, seed=7)
+        for text in (*REPEATING_TEXTS, *REPEATING_TEXTS):
+            np.testing.assert_allclose(enc.encode(text), hashing_oracle(text, 32, 7), atol=1e-15)
+            assert len(enc._memo) <= 3
 
     def test_deterministic_across_processes(self):
         enc = HashingEncoder(dim=32, seed=5)
