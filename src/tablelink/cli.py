@@ -118,12 +118,24 @@ class Workdir:
         return self._splits
 
 
+# Each artifact -> the artifacts built from it, which a new one leaves stale.
+# ("raw", side) names the vectors of a side before the networks, kept only in memory.
+DERIVED = {
+    ("vectorizer", "json"): (("raw", "tuples"), ("raw", "mentions"), ("model", "ckpt")),
+    ("model", "ckpt"): (("tuples", "vec"), ("mentions", "vec")),
+    ("tuples", "vec"): (("tuples", "idx"),),
+    ("mentions", "vec"): (("mentions", "idx"),),
+}
+
+
 class CategoryArtifacts:
     """One category's artifacts, kept in memory once written or loaded.
 
     A stage ``put``s what it writes, so a later stage in the same process
     takes it from memory; a lone command loads it from the workdir, and a
-    missing file names the command that produces it.
+    missing file names the command that produces it. A new artifact deletes
+    every artifact derived from the one it replaces, from memory and disk,
+    so no later command reads vectors of an older model.
     """
 
     def __init__(self, ws: Workdir, category, cat_index):
@@ -138,17 +150,24 @@ class CategoryArtifacts:
 
     def put(self, stem, suffix, value) -> Path:
         """Keep ``value`` in memory; returns the path to write it to."""
-        path = self.path(stem, suffix)
-        self._memo[path] = value
-        return path
+        self._drop_derived((stem, suffix))
+        self._memo[stem, suffix] = value
+        return self.path(stem, suffix)
 
-    def _get(self, path, producer, load):
-        if path not in self._memo:
-            self._memo[path] = load(_require(path, producer))
-        return self._memo[path]
+    def _drop_derived(self, name):
+        for derived in DERIVED.get(name, ()):
+            self._memo.pop(derived, None)
+            if derived[0] != "raw":
+                self.path(*derived).unlink(missing_ok=True)
+            self._drop_derived(derived)
+
+    def _get(self, stem, suffix, producer, load):
+        if (stem, suffix) not in self._memo:
+            self._memo[stem, suffix] = load(_require(self.path(stem, suffix), producer))
+        return self._memo[stem, suffix]
 
     def vectorizer(self) -> vectorize.VectorizerModel:
-        return self._get(self.path("vectorizer", "json"), "fit", vectorize.VectorizerModel.load)
+        return self._get("vectorizer", "json", "fit", vectorize.VectorizerModel.load)
 
     def raw_vectors(self, side) -> vectorize.KeyedVectors:
         """Vectors of one side ("tuples" or "mentions") before the networks, built once."""
@@ -164,7 +183,7 @@ class CategoryArtifacts:
         return self._memo["raw", side]
 
     def pair(self) -> neural.EmbedderPair:
-        return self._get(self.path("model", "ckpt"), "train", self._load_pair)
+        return self._get("model", "ckpt", "train", self._load_pair)
 
     def _load_pair(self, path):
         pair, _ = neural.load_checkpoint(path)
@@ -178,10 +197,10 @@ class CategoryArtifacts:
 
     def vectors(self, side) -> vectorize.KeyedVectors:
         """Joint-space vectors of one side ("tuples" or "mentions")."""
-        return self._get(self.path(side, "vec"), f"embed-{side}", vectorize.read_vector_file)
+        return self._get(side, "vec", f"embed-{side}", vectorize.read_vector_file)
 
     def forest(self, side) -> annindex.RpForest:
-        return self._get(self.path(side, "idx"), "build-index", annindex.load_forest)
+        return self._get(side, "idx", "build-index", annindex.load_forest)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +246,12 @@ def cmd_ingest(config, args):
     if not source.exists():
         raise ConfigError(f"paths.corpus does not exist: {source}")
     corpus = load_corpus_xml(source)
+    stems = {}
+    for category in corpus.categories():
+        other = stems.setdefault(_slug(category), category)
+        if other != category:
+            raise CorpusError(f"categories {other!r} and {category!r} would share the "
+                              f"artifact names *_{_slug(category)}.*")
     ws = Workdir(config.paths.workdir)
     ws.ingest(corpus, make_stratified_splits(corpus, config.split_spec()))
     splits = ws.splits()

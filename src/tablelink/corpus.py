@@ -9,7 +9,7 @@ two sides and drive both training and evaluation.
 import logging
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -61,6 +61,21 @@ class RelationSchema:
     def text_attributes(self):
         return [a for a, kind in self.attributes if kind == "text"]
 
+    def to_dict(self):
+        """The JSON form that ``corpus.json`` and every vectorizer file hold."""
+        return {
+            "attributes": [list(a) for a in self.attributes],
+            "foreign_keys": [list(f) for f in self.foreign_keys],
+        }
+
+    @classmethod
+    def from_dict(cls, name, d):
+        return cls(
+            name=name,
+            attributes=tuple((a, k) for a, k in d["attributes"]),
+            foreign_keys=tuple((f, t) for f, t in d["foreign_keys"]),
+        )
+
 
 @dataclass(frozen=True)
 class TupleRecord:
@@ -93,10 +108,29 @@ class TextMention:
 
     def __post_init__(self):
         start, end = self.span
+        object.__setattr__(self, "span", (start, end))  # corpus.json holds a list
         if not (0 <= start < end):
             raise CorpusError(f"mention {self.id!r}: invalid span {self.span}")
         if not self.mention_text:
             raise CorpusError(f"mention {self.id!r}: empty mention text")
+
+
+_FIELDS = {cls: frozenset(f.name for f in fields(cls)) for cls in (TupleRecord, TextMention)}
+
+
+def _records_of(cls, entries, key):
+    """``cls`` records of ``corpus.json`` entries, keyed by field ``key``.
+
+    Each entry holds exactly the fields of ``cls``: ``cls`` rejects an
+    unknown field, and a missing one is rejected here.
+    """
+    names = _FIELDS[cls]
+    for entry in entries:
+        if len(entry) != len(names):
+            raise CorpusError(
+                f"{cls.__name__} entry has fields {sorted(entry)}; expected {sorted(names)}"
+            )
+    return {entry[key]: cls(**entry) for entry in entries}
 
 
 @dataclass(frozen=True)
@@ -212,9 +246,6 @@ class Corpus:
         for link in self.links:
             self.links_by_tuple.setdefault(link.tuple_key, []).append(link.mention_id)
             self.links_by_mention.setdefault(link.mention_id, []).append(link.tuple_key)
-        self.tuples_by_entity = {}
-        for rec in self.tuples.values():
-            self.tuples_by_entity.setdefault(rec.entity, []).append(rec.key)
         self.entity_category = {}
         for rec in self.tuples.values():
             self.entity_category.setdefault(rec.entity, rec.relation)
@@ -241,33 +272,10 @@ class Corpus:
     def to_dict(self):
         return {
             "format_version": 1,
-            "schemas": {
-                name: {
-                    "attributes": [list(a) for a in s.attributes],
-                    "foreign_keys": [list(f) for f in s.foreign_keys],
-                }
-                for name, s in sorted(self.schemas.items())
-            },
-            "tuples": [
-                {
-                    "relation": r.relation,
-                    "key": r.key,
-                    "entity": r.entity,
-                    "values": r.values,
-                    "fk_values": r.fk_values,
-                }
-                for r in self.tuples.values()
-            ],
-            "mentions": [
-                {
-                    "id": m.id,
-                    "span": list(m.span),
-                    "mention_text": m.mention_text,
-                    "sentence_text": m.sentence_text,
-                    "entity_category": m.entity_category,
-                }
-                for m in self.mentions.values()
-            ],
+            "schemas": {name: s.to_dict() for name, s in sorted(self.schemas.items())},
+            # a record's __dict__ holds its dataclass fields and nothing else
+            "tuples": [r.__dict__.copy() for r in self.tuples.values()],
+            "mentions": [m.__dict__.copy() for m in self.mentions.values()],
             "links": [[l.tuple_key, l.mention_id] for l in self.links],
         }
 
@@ -277,34 +285,9 @@ class Corpus:
             raise CorpusError(
                 f"unsupported corpus format version {d.get('format_version')!r}; expected 1"
             )
-        schemas = {
-            name: RelationSchema(
-                name=name,
-                attributes=tuple((a, k) for a, k in s["attributes"]),
-                foreign_keys=tuple((f, t) for f, t in s["foreign_keys"]),
-            )
-            for name, s in d["schemas"].items()
-        }
-        tuples = {
-            t["key"]: TupleRecord(
-                relation=t["relation"],
-                key=t["key"],
-                entity=t["entity"],
-                values=t["values"],
-                fk_values=t["fk_values"],
-            )
-            for t in d["tuples"]
-        }
-        mentions = {
-            m["id"]: TextMention(
-                id=m["id"],
-                span=tuple(m["span"]),
-                mention_text=m["mention_text"],
-                sentence_text=m["sentence_text"],
-                entity_category=m["entity_category"],
-            )
-            for m in d["mentions"]
-        }
+        schemas = {name: RelationSchema.from_dict(name, s) for name, s in d["schemas"].items()}
+        tuples = _records_of(TupleRecord, d["tuples"], "key")
+        mentions = _records_of(TextMention, d["mentions"], "id")
         links = [GoldLink(t, m) for t, m in d["links"]]
         return cls(schemas, tuples, mentions, links)
 
@@ -461,7 +444,9 @@ class CorpusBuilder:
 
     Records of one relation with the same entity and identical content are
     merged; the same entity with other content, or in another relation, gets
-    a fresh ``entity#n`` key.
+    a fresh ``entity#n`` key. Each record is built once, when its content is
+    first seen, with its foreign keys naming the record keys of its own
+    entry's subjects; a later entry never rewrites it.
     """
 
     def __init__(self):
@@ -475,7 +460,7 @@ class CorpusBuilder:
         self._fk_order = {}  # category -> list of (fk name, target category)
 
     def add_entry(self, entry: ParsedEntry):
-        key_of_subject = {}
+        key_of_subject, new = {}, []
         for rec in entry.records:
             sig = (
                 rec.relation,
@@ -483,21 +468,19 @@ class CorpusBuilder:
                 tuple(sorted(rec.values.items())),
                 tuple(sorted((k, tuple(v)) for k, v in rec.fk_values.items())),
             )
-            if sig in self._content:
-                key_of_subject[rec.entity] = self._content[sig]
-                continue
-            n = self._entity_counts.get(rec.entity, 0) + 1
-            self._entity_counts[rec.entity] = n
-            key = rec.entity if n == 1 else f"{rec.entity}#{n}"
-            self._content[sig] = key
-            key_of_subject[rec.entity] = key
-            self._records[key] = TupleRecord(
-                relation=rec.relation,
-                key=key,
-                entity=rec.entity,
-                values=rec.values,
-                fk_values=rec.fk_values,
-            )
+            if sig not in self._content:
+                n = self._entity_counts.get(rec.entity, 0) + 1
+                self._entity_counts[rec.entity] = n
+                self._content[sig] = rec.entity if n == 1 else f"{rec.entity}#{n}"
+                new.append(rec)
+            key_of_subject[rec.entity] = self._content[sig]
+
+        for rec in new:
+            key = key_of_subject[rec.entity]
+            self._records[key] = replace(rec, key=key, fk_values={
+                fk: [key_of_subject.get(t, t) for t in targets]
+                for fk, targets in rec.fk_values.items()
+            })
             order = self._attr_order.setdefault(rec.relation, [])
             for attr, value in rec.values.items():
                 if attr not in order:
@@ -507,23 +490,6 @@ class CorpusBuilder:
             for fk_name in rec.fk_values:
                 if all(existing != fk_name for existing, _ in fks):
                     fks.append((fk_name, rec.relation))
-
-        # rewrite fk target subjects to the deduplicated record keys
-        for rec in entry.records:
-            key = key_of_subject[rec.entity]
-            stored = self._records[key]
-            if stored.fk_values:
-                rewritten = {
-                    fk: [key_of_subject.get(t, t) for t in targets]
-                    for fk, targets in stored.fk_values.items()
-                }
-                self._records[key] = TupleRecord(
-                    relation=stored.relation,
-                    key=stored.key,
-                    entity=stored.entity,
-                    values=stored.values,
-                    fk_values=rewritten,
-                )
 
         for mention in entry.mentions:
             if mention.id in self._mentions:
@@ -653,11 +619,7 @@ def corpus_stats(corpus: Corpus):
         schema = corpus.schemas[category]
         records = corpus.tuples_of_category(category)
         mentions = corpus.mentions_of_category(category)
-        linked = {
-            corpus.tuples[l.tuple_key].entity
-            for l in corpus.links
-            if corpus.tuples[l.tuple_key].relation == category
-        }
+        linked = {corpus.tuples[l.tuple_key].entity for l in corpus.links_of_category(category)}
         instances = len(linked) if linked else len({r.entity for r in records})
         n_attrs = len(schema.attributes)
         if n_attrs and records:

@@ -154,11 +154,7 @@ class VectorizerModel:
     def to_dict(self):
         return {
             "format_version": 1,
-            "schema": {
-                "name": self.schema.name,
-                "attributes": [list(a) for a in self.schema.attributes],
-                "foreign_keys": [list(f) for f in self.schema.foreign_keys],
-            },
+            "schema": {"name": self.schema.name, **self.schema.to_dict()},
             "encoder": self.encoder.config(),
             "numeric_stats": {a: list(s) for a, s in sorted(self.numeric_stats.items())},
             "vocabularies": {
@@ -175,13 +171,8 @@ class VectorizerModel:
             raise VectorizeError(
                 f"unsupported vectorizer format version {d.get('format_version')!r}; expected 1"
             )
-        schema = RelationSchema(
-            name=d["schema"]["name"],
-            attributes=tuple((a, k) for a, k in d["schema"]["attributes"]),
-            foreign_keys=tuple((f, t) for f, t in d["schema"]["foreign_keys"]),
-        )
         return cls(
-            schema=schema,
+            schema=RelationSchema.from_dict(d["schema"]["name"], d["schema"]),
             encoder=encoder_from_config(d["encoder"]),
             numeric_stats={a: (s[0], s[1]) for a, s in d["numeric_stats"].items()},
             vocabularies={a: {v: i for i, v in enumerate(vals)} for a, vals in d["vocabularies"].items()},

@@ -38,6 +38,16 @@ def first_attribute_of_one(blob, *schema_path):
     return json.dumps(doc).encode("utf-8")
 
 
+def json_drop(blob, *path):
+    """A JSON artifact with the key at the end of ``path`` removed."""
+    doc = json.loads(blob)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    return json.dumps(doc).encode("utf-8")
+
+
 def json_set(blob, *path, value):
     """A JSON artifact with the value at the key ``path`` replaced."""
     doc = json.loads(blob)
@@ -214,6 +224,34 @@ class TestCommands:
         del piped["timings.json"]
         assert piped == chain
 
+    def test_new_artifact_deletes_those_derived_from_the_old(self, project, capsys):
+        config_path, workdir = project
+        for step in INDEX_CHAIN:
+            assert run_command([step, "--config", str(config_path)]) == 0, step
+        derived = {"model_Landmark.ckpt", "tuples_Landmark.vec", "mentions_Landmark.vec",
+                   "tuples_Landmark.idx", "mentions_Landmark.idx"}
+
+        def present():
+            return {p.name for p in workdir.iterdir()} & derived
+
+        assert present() == derived
+        assert run_command(["embed-tuples", "--config", str(config_path)]) == 0
+        assert present() == derived - {"tuples_Landmark.idx"}
+        assert run_command(["train", "--config", str(config_path),
+                            "--set", "training.seed=9"]) == 0
+        assert present() == {"model_Landmark.ckpt"}
+        capsys.readouterr()
+        assert run_command(["eval", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: missing artifact tuples_Landmark.vec; run `tablelink embed-tuples` first\n"
+        )
+        assert run_command(["link", "--config", str(config_path)]) == 1
+        assert "mentions_Landmark.idx" in capsys.readouterr().err
+        for step in INDEX_CHAIN[3:]:
+            assert run_command([step, "--config", str(config_path)]) == 0, step
+        assert run_command(["fit", "--config", str(config_path)]) == 0
+        assert present() == set()
+
     def test_exact_strategy_link(self, project):
         config_path, workdir = project
         assert run_command(["ingest", "--config", str(config_path)]) == 0
@@ -342,10 +380,13 @@ class TestErrors:
         ("corpus.json", lambda b: json_set(b, "format_version", value=9), "fit"),
         ("vectorizer_Landmark.json", lambda b: json_set(b, "format_version", value=9), "train"),
         ("vectorizer_Landmark.json", lambda b: json_set(b, "encoder", "dim", value=0), "train"),
+        ("corpus.json", lambda b: json_set(b, "tuples", 0, "owner", value="x"), "fit"),
+        ("corpus.json", lambda b: json_drop(b, "mentions", 0, "entity_category"), "fit"),
     ], ids=["vectorizer-cut", "vectorizer-no-encoder", "ckpt-cut-6", "ckpt-header-not-utf8",
             "ckpt-no-joint-dim", "ckpt-joint-dim-disagrees", "vectorizer-attribute-of-one",
             "corpus-attribute-of-one", "vec-cut-10", "idx-cut-10", "vec-ids-descending",
-            "corpus-version", "vectorizer-version", "vectorizer-encoder-dim-0"])
+            "corpus-version", "vectorizer-version", "vectorizer-encoder-dim-0",
+            "corpus-tuple-unknown-field", "corpus-mention-no-category"])
     def test_corrupt_artifact_exits_two_naming_it(self, project, capsys, artifact, corrupt, command):
         config_path, workdir = project
         for step in INDEX_CHAIN:
@@ -356,6 +397,21 @@ class TestErrors:
         assert run_command([command, "--config", str(config_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and artifact in err
+
+    def test_categories_sharing_an_artifact_stem_exit_two(self, project, capsys):
+        config_path, workdir = project
+        towers = synthetic_corpus_xml(entities=12, mentions_per_entity=4, seed=3, category="Sky Tower")
+        other = synthetic_corpus_xml(entities=10, mentions_per_entity=3, seed=4, category="Sky_Tower")
+        entries = other.replace('eid="Id', 'eid="Sk').split(" <entries>\n", 1)[1].split(" </entries>")[0]
+        corpus_path = json.loads(config_path.read_text())["paths"]["corpus"]
+        with open(corpus_path, "w", encoding="utf-8") as f:
+            f.write(towers.replace(" </entries>", entries + " </entries>"))
+        for command in ("ingest", "pipeline"):
+            assert run_command([command, "--config", str(config_path)]) == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "'Sky Tower'" in err and "'Sky_Tower'" in err
+            assert list(workdir.iterdir()) == []
 
     def test_eval_on_vectors_missing_an_anchor_exits_two(self, project, capsys):
         config_path, workdir = project
@@ -402,12 +458,16 @@ class TestErrors:
         assert lr == 1.0 and isinstance(lr, float)
 
     def test_stale_checkpoint_names_train(self, project, capsys):
-        config_path, _ = project
+        config_path, workdir = project
         for command in ("ingest", "fit", "train"):
             assert run_command([command, "--config", str(config_path)]) == 0
+        ckpt = workdir / "model_Landmark.ckpt"
+        old = ckpt.read_bytes()
         assert run_command(
             ["fit", "--config", str(config_path), "--set", "encoder.dim=16"]
         ) == 0
+        assert not ckpt.exists()  # fit deletes it; put the old one back
+        ckpt.write_bytes(old)
         capsys.readouterr()
         assert run_command(["embed-tuples", "--config", str(config_path)]) == 1
         err = capsys.readouterr().err

@@ -5,6 +5,7 @@ import pytest
 
 from tablelink.corpus import (
     Corpus,
+    CorpusBuilder,
     CorpusError,
     GoldLink,
     RelationSchema,
@@ -140,6 +141,30 @@ class TestLoadCorpusXml:
         schema = corpus.schemas["Person"]
         model = fit_vectorizer(corpus.tuples_of_category("Person"), schema, HashingEncoder(dim=8))
         vectorize_tuple(model, corpus.tuples["Alan_Walker"], tuple_lookup=corpus.tuples)
+
+    def test_first_stored_record_wins(self):
+        def entry(eid, color):
+            return f"""
+            <entry eid="{eid}" category="Shop">
+              <modifiedtripleset>
+                <mtriple>R | owner | S</mtriple>
+                <mtriple>S | color | {color}</mtriple>
+              </modifiedtripleset>
+              <lex>R is owned by S.</lex>
+            </entry>
+            """
+
+        builder, stored = CorpusBuilder(), {}
+        for eid, color in (("e1", "red"), ("e2", "blue"), ("e3", "red")):
+            builder.add_entry(parse_webnlg_entry(entry(eid, color)))
+            corpus = builder.finalize()
+            assert all(corpus.tuples[key] is rec for key, rec in stored.items()), eid
+            stored = dict(corpus.tuples)
+        assert sorted(corpus.tuples) == ["R", "S", "S#2"]
+        assert corpus.tuples["R"].fk_values == {"owner": ["S"]}
+        assert corpus.tuples["S"].values == {"color": "red"}
+        assert corpus.tuples["S#2"].values == {"color": "blue"}
+        assert [link.tuple_key for link in corpus.links] == ["R", "R", "R"]
 
     def test_same_subject_new_content_gets_new_record(self):
         second = PUBLIC_SQUARE_ENTRY.replace("Id24", "Id25").replace(

@@ -1,4 +1,4 @@
-"""The demos run end to end. Demo 05 is left out: the pipeline tests cover it."""
+"""The demos run end to end."""
 
 import subprocess
 import sys
@@ -7,15 +7,16 @@ import pytest
 
 from conftest import ROOT, subprocess_env
 
-DEMOS = sorted((ROOT / "demos").glob("0[1-4]_*.py"))
+DEMOS = sorted((ROOT / "demos").glob("0[1-5]_*.py"))
 
 
 def test_demos_are_found():
-    assert len(DEMOS) == 4
+    assert len(DEMOS) == 5
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
-def test_demo_exits_zero(demo):
-    result = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=subprocess_env(),
+def test_demo_exits_zero(demo, tmp_path):
+    env = {**subprocess_env(), "TMPDIR": str(tmp_path)}  # demo 05 keeps its workdir
+    result = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
