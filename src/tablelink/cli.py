@@ -82,96 +82,98 @@ class WorkdirLock:
         return False
 
 
-def _require(path: Path, producer: str):
-    if not path.exists():
-        raise PrerequisiteError(
-            f"missing artifact {path.name}; run `tablelink {producer}` first"
-        )
-    return path
-
-
-class Workdir:
-    """A workdir's corpus and splits, each read from disk at most once.
-
-    ``report`` collects the evaluation cells of one ``run_stages`` call.
-    """
-
-    def __init__(self, root):
-        self.root = Path(root)
-        self._corpus = self._splits = None
-        self.report = None
-
-    def ingest(self, corpus: Corpus, splits: Splits):
-        self.root.mkdir(parents=True, exist_ok=True)
-        corpus.save(self.root / "corpus.json")
-        splits.save(self.root / "splits.json")
-        self._corpus, self._splits = corpus, splits
-
-    def corpus(self) -> Corpus:
-        if self._corpus is None:
-            self._corpus = Corpus.load(_require(self.root / "corpus.json", "ingest"))
-        return self._corpus
-
-    def splits(self) -> Splits:
-        if self._splits is None:
-            self._splits = Splits.load(_require(self.root / "splits.json", "ingest"))
-        return self._splits
-
-
-# Each artifact -> the artifacts built from it, which a new one leaves stale.
-# ("raw", side) names the vectors of a side before the networks, kept only in memory.
+# Each artifact -> the artifacts built from it, which a new one leaves stale. A
+# name is a file name with {} for a category's slug; "raw <side>" names the
+# vectors of a side before the networks, kept only in memory.
 DERIVED = {
-    ("vectorizer", "json"): (("raw", "tuples"), ("raw", "mentions"), ("model", "ckpt")),
-    ("model", "ckpt"): (("tuples", "vec"), ("mentions", "vec")),
-    ("tuples", "vec"): (("tuples", "idx"),),
-    ("mentions", "vec"): (("mentions", "idx"),),
+    "corpus.json": ("vectorizer_{}.json",),
+    "vectorizer_{}.json": ("raw tuples", "raw mentions", "model_{}.ckpt", "train_{}.log"),
+    "model_{}.ckpt": ("tuples_{}.vec", "mentions_{}.vec"),
+    "tuples_{}.vec": ("tuples_{}.idx", "links_{}.tsv", "report.json", "report.txt"),
+    "mentions_{}.vec": ("mentions_{}.idx", "mention_links_{}.tsv", "report.json", "report.txt"),
+    "tuples_{}.idx": ("mention_links_{}.tsv", "report.json", "report.txt"),
+    "mentions_{}.idx": ("links_{}.tsv", "report.json", "report.txt"),
 }
 
 
-class CategoryArtifacts:
-    """One category's artifacts, kept in memory once written or loaded.
+class Artifacts:
+    """Artifacts kept in memory once written or loaded.
 
     A stage ``put``s what it writes, so a later stage in the same process
     takes it from memory; a lone command loads it from the workdir, and a
     missing file names the command that produces it. A new artifact deletes
     every artifact derived from the one it replaces, from memory and disk,
-    so no later command reads vectors of an older model.
+    so no later command reads vectors of an older model. ``slug`` fills the
+    {} of a name: a category's slug, or ``*`` for the whole workdir.
     """
 
-    def __init__(self, ws: Workdir, category, cat_index):
-        self.ws = ws
-        self.category = category
-        self.cat_index = cat_index
-        self.slug = _slug(category)
+    def __init__(self, root, slug):
+        self.root = Path(root)
+        self.slug = slug
         self._memo = {}
 
-    def path(self, stem, suffix) -> Path:
-        return self.ws.root / f"{stem}_{self.slug}.{suffix}"
+    def path(self, name) -> Path:
+        return self.root / name.format(self.slug)
 
-    def put(self, stem, suffix, value) -> Path:
+    def put(self, name, value) -> Path:
         """Keep ``value`` in memory; returns the path to write it to."""
-        self._drop_derived((stem, suffix))
-        self._memo[stem, suffix] = value
-        return self.path(stem, suffix)
+        self._drop_derived(name)
+        self._memo[name] = value
+        return self.path(name)
 
     def _drop_derived(self, name):
         for derived in DERIVED.get(name, ()):
             self._memo.pop(derived, None)
-            if derived[0] != "raw":
-                self.path(*derived).unlink(missing_ok=True)
+            for path in self.root.glob(derived.format(self.slug)):
+                path.unlink()
             self._drop_derived(derived)
 
-    def _get(self, stem, suffix, producer, load):
-        if (stem, suffix) not in self._memo:
-            self._memo[stem, suffix] = load(_require(self.path(stem, suffix), producer))
-        return self._memo[stem, suffix]
+    def _get(self, name, producer, load):
+        if name not in self._memo:
+            path = self.path(name)
+            if not path.exists():
+                raise PrerequisiteError(f"missing artifact {path.name}; run `tablelink {producer}` first")
+            self._memo[name] = load(path)
+        return self._memo[name]
+
+
+class Workdir(Artifacts):
+    """A workdir's corpus and splits, the root of every other artifact.
+
+    ``report`` collects the evaluation cells of one ``run_stages`` call.
+    """
+
+    def __init__(self, root):
+        super().__init__(root, "*")
+        self.report = None
+
+    def ingest(self, corpus: Corpus, splits: Splits):
+        self.root.mkdir(parents=True, exist_ok=True)
+        corpus.save(self.put("corpus.json", corpus))
+        splits.save(self.put("splits.json", splits))
+
+    def corpus(self) -> Corpus:
+        return self._get("corpus.json", "ingest", Corpus.load)
+
+    def splits(self) -> Splits:
+        return self._get("splits.json", "ingest", Splits.load)
+
+
+class CategoryArtifacts(Artifacts):
+    """One category's artifacts, dropped with it before the next category loads."""
+
+    def __init__(self, ws: Workdir, category, cat_index):
+        super().__init__(ws.root, _slug(category))
+        self.ws = ws
+        self.category = category
+        self.cat_index = cat_index
 
     def vectorizer(self) -> vectorize.VectorizerModel:
-        return self._get("vectorizer", "json", "fit", vectorize.VectorizerModel.load)
+        return self._get("vectorizer_{}.json", "fit", vectorize.VectorizerModel.load)
 
     def raw_vectors(self, side) -> vectorize.KeyedVectors:
         """Vectors of one side ("tuples" or "mentions") before the networks, built once."""
-        if ("raw", side) not in self._memo:
+        if f"raw {side}" not in self._memo:
             corpus, model = self.ws.corpus(), self.vectorizer()
             if side == "tuples":
                 vectors = {rec.key: vectorize.vectorize_tuple(model, rec, corpus.tuples)
@@ -179,11 +181,11 @@ class CategoryArtifacts:
             else:
                 vectors = {m.id: vectorize.vectorize_mention(model.encoder, m)
                            for m in corpus.mentions_of_category(self.category)}
-            self._memo["raw", side] = vectorize.KeyedVectors.of(vectors)
-        return self._memo["raw", side]
+            self._memo[f"raw {side}"] = vectorize.KeyedVectors.of(vectors)
+        return self._memo[f"raw {side}"]
 
     def pair(self) -> neural.EmbedderPair:
-        return self._get("model", "ckpt", "train", self._load_pair)
+        return self._get("model_{}.ckpt", "train", self._load_pair)
 
     def _load_pair(self, path):
         pair, _ = neural.load_checkpoint(path)
@@ -197,10 +199,10 @@ class CategoryArtifacts:
 
     def vectors(self, side) -> vectorize.KeyedVectors:
         """Joint-space vectors of one side ("tuples" or "mentions")."""
-        return self._get(side, "vec", f"embed-{side}", vectorize.read_vector_file)
+        return self._get(f"{side}_{{}}.vec", f"embed-{side}", vectorize.read_vector_file)
 
     def forest(self, side) -> annindex.RpForest:
-        return self._get(side, "idx", "build-index", annindex.load_forest)
+        return self._get(f"{side}_{{}}.idx", "build-index", annindex.load_forest)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +217,6 @@ def emit_report(report: linker.EvalReport, format="table") -> bytes:
     """
     if format == "json":
         return (json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n").encode("utf-8")
-    if format != "table":
-        raise ConfigError(f"unknown report format {format!r}")
     splits = ("test", "train", "unseen")
     headers = ["category"] + [f"P@{k}:{s}" for k in report.ks for s in splits]
     rows = []
@@ -253,7 +253,7 @@ def cmd_ingest(config, args):
             raise CorpusError(f"categories {other!r} and {category!r} would share the "
                               f"artifact names *_{_slug(category)}.*")
     ws = Workdir(config.paths.workdir)
-    ws.ingest(corpus, make_stratified_splits(corpus, config.split_spec()))
+    ws.ingest(corpus, make_stratified_splits(corpus, config.split))
     splits = ws.splits()
     print(
         f"ingested {len(corpus.tuples)} tuples, {len(corpus.mentions)} mentions, "
@@ -288,19 +288,19 @@ def stage_fit(art: CategoryArtifacts, config, args):
     model = vectorize.fit_vectorizer(
         corpus.tuples_of_category(art.category), corpus.schemas[art.category], encoder
     )
-    model.save(art.put("vectorizer", "json", model))
+    model.save(art.put("vectorizer_{}.json", model))
     print(f"fitted vectorizer for {art.category}: tuple dim {model.dim()}")
 
 
 def stage_train(art: CategoryArtifacts, config, args):
-    with formats.replacing(art.path("train", "log"), "w", encoding="utf-8") as log:
+    with formats.replacing(art.path("train_{}.log"), "w", encoding="utf-8") as log:
         pair, adam, history = linker.train_category(
             art.ws.corpus(), art.category, config, art.ws.splits(),
             art.raw_vectors("tuples"), art.raw_vectors("mentions"),
             cat_index=art.cat_index,
             progress=lambda step, lr, loss: log.write(f"{step}\t{lr:.6e}\t{loss:.6e}\n"),
         )
-    path = art.put("model", "ckpt", pair)
+    path = art.put("model_{}.ckpt", pair)
     neural.save_checkpoint(path, pair, step=adam.step, extra={"category": art.category})
     final = history[-1][2] if history else float("nan")
     print(f"trained {art.category}: {len(history)} batches, final loss {final:.4f}")
@@ -311,7 +311,7 @@ def _stage_embed(art: CategoryArtifacts, side):
     embed = pair.embed_tuples if side == "tuples" else pair.embed_mentions
     raw = art.raw_vectors(side)
     vectors = vectorize.KeyedVectors(raw.ids, embed(raw.matrix))
-    path = art.put(side, "vec", vectors)
+    path = art.put(f"{side}_{{}}.vec", vectors)
     vectorize.write_vector_file(path, vectors)
     print(f"embedded {len(vectors)} {side} for {art.category} -> {path.name}")
 
@@ -322,7 +322,7 @@ def stage_build_index(art: CategoryArtifacts, config, args):
             art.vectors(side), t=config.index.t,
             leaf_capacity=config.index.leaf_capacity, seed=config.index.seed,
         )
-        annindex.save_forest(forest, art.put(side, "idx", forest))
+        annindex.save_forest(forest, art.put(f"{side}_{{}}.idx", forest))
         print(f"indexed {len(forest)} {side} vectors for {art.category} (t={forest.t})")
 
 
@@ -343,7 +343,7 @@ def stage_link(art: CategoryArtifacts, config, args):
             art.forest(side), art.vectors(anchor_side), config.index.n,
             search_k=config.index.search_k,
         )
-    path = art.path("links" if direction == linker.TUPLE_TO_MENTIONS else "mention_links", "tsv")
+    path = art.path("links_{}.tsv" if direction == linker.TUPLE_TO_MENTIONS else "mention_links_{}.tsv")
     linker.export_links(results, path, strategy=config.strategy)
     print(f"linked {len(results)} anchors for {art.category} -> {path.name}")
 

@@ -11,8 +11,6 @@ import types
 import typing
 from dataclasses import dataclass, field
 
-from .corpus import SplitSpec
-
 
 class ConfigError(ValueError):
     """Raised when a configuration value is missing or out of bounds."""
@@ -80,13 +78,6 @@ class ProjectConfig:
     eval_ks: list[int] = field(default_factory=lambda: [1, 5, 10])
     name_attributes: dict = field(default_factory=dict)
 
-    def split_spec(self):
-        return SplitSpec(
-            seed=self.split.seed,
-            unseen_fraction=self.split.unseen_fraction,
-            test_fraction_of_seen=self.split.test_fraction_of_seen,
-        )
-
     def validate(self):
         if self.encoder.dim < 1:
             raise ConfigError("encoder.dim must be >= 1")
@@ -120,30 +111,6 @@ class ProjectConfig:
             raise ConfigError("eval_ks must be nonempty positive integers")
         return self
 
-    @classmethod
-    def from_dict(cls, d):
-        if not isinstance(d, dict):
-            raise ConfigError("config must be a JSON object")
-        fields = cls.__dataclass_fields__
-        kwargs = {}
-        for key, value in d.items():
-            if key not in fields:
-                raise ConfigError(f"unknown config key {key!r}")
-            kind = fields[key].type
-            if not dataclasses.is_dataclass(kind):
-                kwargs[key] = _typed(value, kind, key)
-                continue
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {key!r} must be an object")
-            valid = kind.__dataclass_fields__
-            unknown = set(value) - set(valid)
-            if unknown:
-                raise ConfigError(f"unknown {key} config keys: {sorted(unknown)}")
-            kwargs[key] = kind(**{
-                name: _typed(v, valid[name].type, f"{key}.{name}") for name, v in value.items()
-            })
-        return cls(**kwargs)
-
 
 PROFILES = {
     "desk": {},
@@ -158,10 +125,32 @@ PROFILES = {
 def apply_profile(config: ProjectConfig, profile: str):
     if profile not in PROFILES:
         raise ConfigError(f"unknown profile {profile!r}; available: {sorted(PROFILES)}")
-    for section, values in PROFILES[profile].items():
-        target = getattr(config, section)
-        for key, value in values.items():
-            setattr(target, key, value)
+    return _assign(config, PROFILES[profile])
+
+
+def _field(config, parts):
+    """(section object, dataclass field) of the config key ``parts``; an unknown key raises."""
+    owner = config
+    for i, part in enumerate(parts):
+        found = getattr(owner, "__dataclass_fields__", {}).get(part)
+        if found is None:
+            raise ConfigError(f"unknown config key {'.'.join(parts[: i + 1])!r}")
+        if i == len(parts) - 1:
+            return owner, found
+        owner = getattr(owner, part)
+
+
+def _assign(config, values, parts=()):
+    """Set every key of the nested dict ``values``, checked against its field's type."""
+    if not isinstance(values, dict):
+        where = f"section {'.'.join(parts)!r}" if parts else "config"
+        raise ConfigError(f"{where} must be a JSON object")
+    for key, value in values.items():
+        owner, found = _field(config, (*parts, key))
+        if dataclasses.is_dataclass(found.type):
+            _assign(config, value, (*parts, key))
+        else:
+            setattr(owner, key, _typed(value, found.type, ".".join((*parts, key))))
     return config
 
 
@@ -178,33 +167,19 @@ def _typed(value, annotation, where):
     raise ConfigError(f"{where}: expected {name}, got {value!r}")
 
 
-def _parse_override(raw, annotation, item):
-    """An override value as its field's declared type; str fields take it verbatim."""
-    if annotation is str:
-        return raw
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    return _typed(value, annotation, f"override {item!r}")
-
-
 def apply_overrides(config: ProjectConfig, overrides):
-    """Apply ``section.key=value`` strings, parsed as JSON and checked against the field's type."""
+    """Apply ``section.key=value`` strings; a value is parsed as JSON unless its field is a str."""
     for item in overrides or ():
-        if "=" not in item:
+        path, is_pair, value = item.partition("=")
+        if not is_pair:
             raise ConfigError(f"override {item!r} is not of the form section.key=value")
-        path, raw = item.split("=", 1)
-        parts = path.split(".")
-        target = config
-        for part in parts[:-1]:
-            if part not in getattr(target, "__dataclass_fields__", {}):
-                raise ConfigError(f"unknown config section {part!r} in override {item!r}")
-            target = getattr(target, part)
-        fields = getattr(target, "__dataclass_fields__", {})
-        if parts[-1] not in fields:
-            raise ConfigError(f"unknown config key {parts[-1]!r} in override {item!r}")
-        setattr(target, parts[-1], _parse_override(raw, fields[parts[-1]].type, item))
+        owner, found = _field(config, path.split("."))
+        if found.type is not str:
+            try:
+                value = json.loads(value)
+            except json.JSONDecodeError:
+                pass
+        setattr(owner, found.name, _typed(value, found.type, f"override {item!r}"))
     return config
 
 
@@ -214,7 +189,7 @@ def load_config(path, profile=None, overrides=None):
             raw = json.load(f)
         except ValueError as exc:  # malformed JSON or not UTF-8
             raise ConfigError(f"{path}: not a valid JSON config ({exc})") from None
-    config = ProjectConfig.from_dict(raw)
+    config = _assign(ProjectConfig(), raw)
     if profile:
         apply_profile(config, profile)
     apply_overrides(config, overrides)

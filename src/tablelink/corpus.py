@@ -455,9 +455,6 @@ class CorpusBuilder:
         self._entity_counts = {}
         self._mentions = {}
         self._links = []
-        self._attr_order = {}  # category -> list of attribute names
-        self._attr_values = {}  # (category, attribute) -> list of values
-        self._fk_order = {}  # category -> list of (fk name, target category)
 
     def add_entry(self, entry: ParsedEntry):
         key_of_subject, new = {}, []
@@ -481,15 +478,6 @@ class CorpusBuilder:
                 fk: [key_of_subject.get(t, t) for t in targets]
                 for fk, targets in rec.fk_values.items()
             })
-            order = self._attr_order.setdefault(rec.relation, [])
-            for attr, value in rec.values.items():
-                if attr not in order:
-                    order.append(attr)
-                self._attr_values.setdefault((rec.relation, attr), []).append(value)
-            fks = self._fk_order.setdefault(rec.relation, [])
-            for fk_name in rec.fk_values:
-                if all(existing != fk_name for existing, _ in fks):
-                    fks.append((fk_name, rec.relation))
 
         for mention in entry.mentions:
             if mention.id in self._mentions:
@@ -501,16 +489,21 @@ class CorpusBuilder:
             )
 
     def finalize(self):
-        schemas = {}
-        for category, order in sorted(self._attr_order.items()):
-            attributes = tuple(
-                (attr, _infer_kind(self._attr_values[(category, attr)])) for attr in order
-            )
-            schemas[category] = RelationSchema(
+        """The corpus, each schema's columns in first-seen order over the stored records."""
+        values, fks = {}, {}  # category -> {attribute: values}, category -> {fk name: None}
+        for rec in self._records.values():
+            by_attribute = values.setdefault(rec.relation, {})
+            for attr, value in rec.values.items():
+                by_attribute.setdefault(attr, []).append(value)
+            fks.setdefault(rec.relation, {}).update(dict.fromkeys(rec.fk_values))
+        schemas = {
+            category: RelationSchema(
                 name=category,
-                attributes=attributes,
-                foreign_keys=tuple(self._fk_order.get(category, [])),
+                attributes=tuple((attr, _infer_kind(v)) for attr, v in by_attribute.items()),
+                foreign_keys=tuple((fk, category) for fk in fks[category]),
             )
+            for category, by_attribute in sorted(values.items())
+        }
         return Corpus(schemas, self._records, self._mentions, self._links)
 
 
@@ -583,9 +576,9 @@ def make_splits(entity_keys, spec: SplitSpec):
     )
 
 
-def make_stratified_splits(corpus: Corpus, spec: SplitSpec):
+def make_stratified_splits(corpus: Corpus, spec):
     """Split gold-linked entities per category so every category appears
-    in all three sets."""
+    in all three sets; ``spec`` is a ``SplitSpec`` or a ``config.split``."""
     by_category = {}
     for entity in corpus.linked_entities():
         by_category.setdefault(corpus.entity_category[entity], []).append(entity)

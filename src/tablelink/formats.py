@@ -67,13 +67,19 @@ def read_binary(path, magic, fmt, version, error, rerun, parse):
 
 
 def read_f64(data, pos, count):
-    """The ``count`` little-endian f64 values that end ``data`` at ``pos``, as a new array."""
+    """The ``count`` little-endian f64 values that end ``data`` at ``pos``, as a new array.
+
+    A short or long body and a NaN or infinite value raise ``ValueError``.
+    """
     end = pos + 8 * count
     if len(data) < end:
         raise ValueError(f"truncated f64 values ({len(data) - pos} of {end - pos} bytes)")
     if len(data) > end:
         raise ValueError(f"{len(data) - end} trailing bytes after the f64 values")
-    return np.frombuffer(data, dtype="<f8", count=count, offset=pos).astype(np.float64)
+    values = np.frombuffer(data, dtype="<f8", count=count, offset=pos).astype(np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite f64 value (NaN or infinity)")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +99,7 @@ def read_keyed_matrix(data, pos, dim, count):
     """(keys, matrix) of a body that ends ``data``, in the ``*.vec`` header's argument order.
 
     A short id table, a key that is not UTF-8 or not greater than the key
-    before it, a short matrix or trailing bytes raise ``ValueError``.
+    before it, a short matrix, a non-finite value or trailing bytes raise ``ValueError``.
     """
     keys = []
     for _ in range(count):

@@ -181,18 +181,12 @@ class EvalReport:
         }
 
     def finalize_overall(self):
-        for by_split in self.cells.values():
-            for by_category in by_split.values():
+        for direction, by_split in self.cells.items():
+            for split, by_category in by_split.items():
                 cats = [c for name, c in by_category.items() if name != "overall"]
-                count = sum(c["count"] for c in cats)
                 hits = {k: sum(c["hits"][k] for c in cats) for k in self.ks}
-                excluded = sum(c["excluded"] for c in cats)
-                by_category["overall"] = {
-                    "count": count,
-                    "excluded": excluded,
-                    "hits": hits,
-                    "precision": {k: (hits[k] / count if count else 0.0) for k in self.ks},
-                }
+                self.add_cell(direction, split, "overall", hits, sum(c["count"] for c in cats),
+                              sum(c["excluded"] for c in cats))
 
     def precision(self, split, category="overall", k=1, direction=None):
         direction = direction or self.primary_direction

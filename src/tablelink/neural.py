@@ -42,7 +42,7 @@ class DenseNet:
     Dropout (inverted, keep probability ``keep_prob``) applies to hidden
     activations only and only when ``training`` is set, so inference is
     deterministic. ``backward`` writes into ``grad_weights`` and
-    ``grad_biases``, which ``EmbedderPair`` points into its gradient buffer.
+    ``grad_biases``, views of its ``EmbedderPair``'s gradient buffer.
     Every array, inputs and activations included, takes the dtype of the
     weights given.
     """
@@ -55,9 +55,6 @@ class DenseNet:
                 raise ValueError("layer dims do not chain")
         self.weights = [np.asarray(w) for w in weights]
         self.biases = [np.asarray(b) for b in biases]
-        # np.zeros, not zeros_like: calloc leaves the pages untouched until written
-        self.grad_weights = [np.zeros(w.shape, dtype=w.dtype) for w in self.weights]
-        self.grad_biases = [np.zeros(b.shape, dtype=b.dtype) for b in self.biases]
         self.keep_prob = float(keep_prob)
 
     @classmethod

@@ -93,12 +93,6 @@ class HashingEncoder:
         return {"type": "hashing", "dim": self.dim, "seed": self.seed}
 
 
-def encoder_from_config(config: dict) -> HashingEncoder:
-    if config.get("type") != "hashing":
-        raise VectorizeError(f"unknown encoder type {config.get('type')!r}")
-    return HashingEncoder(dim=config["dim"], seed=config["seed"])
-
-
 @dataclass
 class VectorizerModel:
     """Fitted per-schema vectorization state.
@@ -171,9 +165,11 @@ class VectorizerModel:
             raise VectorizeError(
                 f"unsupported vectorizer format version {d.get('format_version')!r}; expected 1"
             )
+        if d["encoder"].get("type") != "hashing":
+            raise VectorizeError(f"unknown encoder type {d['encoder'].get('type')!r}")
         return cls(
             schema=RelationSchema.from_dict(d["schema"]["name"], d["schema"]),
-            encoder=encoder_from_config(d["encoder"]),
+            encoder=HashingEncoder(dim=d["encoder"]["dim"], seed=d["encoder"]["seed"]),
             numeric_stats={a: (s[0], s[1]) for a, s in d["numeric_stats"].items()},
             vocabularies={a: {v: i for i, v in enumerate(vals)} for a, vals in d["vocabularies"].items()},
         )
@@ -362,8 +358,13 @@ VEC_HEADER = "<IIQ"  # version, dim, count
 
 
 def write_vector_file(path, items):
-    """Write keyed vectors: header (magic, version, dim, count), then the keyed-matrix body."""
+    """Write keyed vectors: header (magic, version, dim, count), then the keyed-matrix body.
+
+    Vectors with a NaN or infinite component raise ``VectorizeError`` and are not written.
+    """
     items = KeyedVectors.of(items)
+    if not np.isfinite(items.matrix).all():
+        raise VectorizeError(f"{path}: vectors have non-finite components; not written")
     with formats.write_binary(path, VEC_MAGIC, VEC_HEADER, VEC_VERSION, items.dim, len(items)) as f:
         formats.write_keyed_matrix(f, items.ids, items.matrix)
 

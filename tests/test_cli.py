@@ -28,6 +28,11 @@ def ids_reversed(blob):
     return blob[:20] + b"".join(reversed(keys)) + blob[pos:]
 
 
+def last_f64_nan(blob):
+    """A binary artifact whose last f64 value, the end of its body, is NaN."""
+    return blob[:-8] + struct.pack("<d", float("nan"))
+
+
 def first_attribute_of_one(blob, *schema_path):
     """A JSON artifact whose first schema attribute pair is cut to its name."""
     doc = json.loads(blob)
@@ -252,6 +257,49 @@ class TestCommands:
         assert run_command(["fit", "--config", str(config_path)]) == 0
         assert present() == set()
 
+    def test_links_reports_and_train_log_go_with_their_inputs(self, project):
+        config_path, workdir = project
+        for step in (*INDEX_CHAIN, "link", "eval"):
+            assert run_command([step, "--config", str(config_path)]) == 0, step
+        assert run_command(["link", "--config", str(config_path),
+                            "--direction", "mention-to-tuples"]) == 0
+        outputs = {"links_Landmark.tsv", "mention_links_Landmark.tsv", "report.json",
+                   "report.txt", "train_Landmark.log"}
+
+        def present():
+            return {p.name for p in workdir.iterdir()} & outputs
+
+        assert present() == outputs
+        assert run_command(["build-index", "--config", str(config_path)]) == 0
+        assert present() == {"train_Landmark.log"}
+        for step in ("link", "eval"):
+            assert run_command([step, "--config", str(config_path)]) == 0, step
+        assert run_command(["embed-mentions", "--config", str(config_path)]) == 0
+        assert present() == {"train_Landmark.log"}
+        for step in ("build-index", "link", "eval"):
+            assert run_command([step, "--config", str(config_path)]) == 0, step
+        assert run_command(["train", "--config", str(config_path),
+                            "--set", "training.seed=9"]) == 0
+        assert present() == {"train_Landmark.log"}
+        assert run_command(["fit", "--config", str(config_path)]) == 0
+        assert present() == set()
+
+    def test_ingest_deletes_the_artifacts_of_the_corpus_it_replaces(self, project, tmp_path,
+                                                                    capsys):
+        config_path, workdir = project
+        write_two_category_corpus(tmp_path / "corpus.xml")
+        for step in (*INDEX_CHAIN, "link", "eval"):
+            assert run_command([step, "--config", str(config_path)]) == 0, step
+        assert "model_Peak.ckpt" in {p.name for p in workdir.iterdir()}
+        write_synthetic_corpus(tmp_path / "corpus.xml", entities=12, mentions_per_entity=4, seed=5)
+        assert run_command(["ingest", "--config", str(config_path)]) == 0
+        assert sorted(p.name for p in workdir.iterdir()) == ["corpus.json", "splits.json"]
+        capsys.readouterr()
+        assert run_command(["eval", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: missing artifact tuples_Landmark.vec; run `tablelink embed-tuples` first\n"
+        )
+
     def test_exact_strategy_link(self, project):
         config_path, workdir = project
         assert run_command(["ingest", "--config", str(config_path)]) == 0
@@ -305,7 +353,7 @@ class TestErrors:
 
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "c.json"
-        for doc, message in (({"paths": {"corpus": "x", "typo_key": "y"}}, "unknown paths config keys"),
+        for doc, message in (({"paths": {"corpus": "x", "typo_key": "y"}}, "unknown config key 'paths.typo_key'"),
                              ({"typo_section": {}}, "unknown config key 'typo_section'")):
             path.write_text(json.dumps(doc))
             with pytest.raises(ConfigError, match=message):
@@ -355,7 +403,7 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "splits.json" in err
 
-        for command in ("ingest", "train", "embed-tuples"):
+        for command in ("ingest", "fit", "train", "embed-tuples"):
             assert run_command([command, "--config", str(config_path)]) == 0, command
         vec = workdir / "tuples_Landmark.vec"
         vec.write_bytes(vec.read_bytes()[:-8])
@@ -382,11 +430,15 @@ class TestErrors:
         ("vectorizer_Landmark.json", lambda b: json_set(b, "encoder", "dim", value=0), "train"),
         ("corpus.json", lambda b: json_set(b, "tuples", 0, "owner", value="x"), "fit"),
         ("corpus.json", lambda b: json_drop(b, "mentions", 0, "entity_category"), "fit"),
+        ("tuples_Landmark.vec", last_f64_nan, "eval"),
+        ("mentions_Landmark.idx", last_f64_nan, "link"),
+        ("model_Landmark.ckpt", last_f64_nan, "embed-mentions"),
     ], ids=["vectorizer-cut", "vectorizer-no-encoder", "ckpt-cut-6", "ckpt-header-not-utf8",
             "ckpt-no-joint-dim", "ckpt-joint-dim-disagrees", "vectorizer-attribute-of-one",
             "corpus-attribute-of-one", "vec-cut-10", "idx-cut-10", "vec-ids-descending",
             "corpus-version", "vectorizer-version", "vectorizer-encoder-dim-0",
-            "corpus-tuple-unknown-field", "corpus-mention-no-category"])
+            "corpus-tuple-unknown-field", "corpus-mention-no-category", "vec-nan", "idx-nan",
+            "ckpt-nan"])
     def test_corrupt_artifact_exits_two_naming_it(self, project, capsys, artifact, corrupt, command):
         config_path, workdir = project
         for step in INDEX_CHAIN:

@@ -252,7 +252,7 @@ def tiny_config(budget=60):
 def run_cycle(root, corpus, config):
     """Ingest an in-memory corpus into ``root`` and run every pipeline stage on it."""
     ws = Workdir(root)
-    ws.ingest(corpus, make_stratified_splits(corpus, config.split_spec()))
+    ws.ingest(corpus, make_stratified_splits(corpus, config.split))
     return ws, run_stages(ws, config, None, PIPELINE_STAGES)
 
 
@@ -299,7 +299,7 @@ class TestRetrainCycle:
     def test_train_category_twice_gives_identical_checkpoints(self, tiny_synthetic_corpus,
                                                               tmp_path):
         corpus, config = tiny_synthetic_corpus, tiny_config(budget=30)
-        splits = make_stratified_splits(corpus, config.split_spec())
+        splits = make_stratified_splits(corpus, config.split)
         encoder = HashingEncoder(dim=config.encoder.dim, seed=config.encoder.seed)
         tuples = corpus.tuples_of_category("Landmark")
         model = fit_vectorizer(tuples, corpus.schemas["Landmark"], encoder)

@@ -414,6 +414,17 @@ class TestVectorFiles:
         with pytest.raises(VectorizeError, match="truncated|corrupt"):
             read_vector_file(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vectors_are_not_written_or_read(self, tmp_path, bad):
+        path = tmp_path / "x.vec"
+        with pytest.raises(VectorizeError, match="non-finite"):
+            write_vector_file(path, {"a": np.ones(4), "b": np.array([0.0, 1.0, bad, 2.0])})
+        assert not path.exists()
+        write_vector_file(path, {"a": np.ones(4)})
+        path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", bad))
+        with pytest.raises(VectorizeError, match="x.vec: non-finite"):
+            read_vector_file(path)
+
     def test_bad_magic_raises(self, tmp_path):
         path = tmp_path / "x.vec"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
