@@ -3,7 +3,8 @@
 Run from the repository root:  python demos/01_corpus_and_splits.py
 """
 
-from tablelink.corpus import SplitSpec, load_corpus_xml, make_stratified_splits
+from tablelink.config import SplitConfig
+from tablelink.corpus import load_corpus_xml, make_stratified_splits
 from tablelink.synthetic import synthetic_corpus_xml
 
 # A corpus file holds entries: each one a small set of subject|predicate|object
@@ -27,6 +28,6 @@ print(f"instances={stats.instances} tuples={stats.tuples} sentences={stats.sente
 
 # Splits are by entity, never by link: a fifth of the entities is held out
 # entirely (the cold-start set), the rest divides 80/20 into train and test.
-splits = make_stratified_splits(corpus, SplitSpec(seed=0))
+splits = make_stratified_splits(corpus, SplitConfig(seed=0))
 print(f"train={len(splits.train)} test={len(splits.test)} unseen={len(splits.unseen)}")
 print("unseen entities:", sorted(splits.unseen))

@@ -109,8 +109,8 @@ def build_forest(items, t=16, leaf_capacity=16, seed=0):
     items = KeyedVectors.of(items)
     if not items:
         raise AnnIndexError("cannot build a forest over zero items")
-    if not np.all(np.isfinite(items.matrix)):
-        raise AnnIndexError("item vectors contain non-finite components")
+    if not np.isfinite(items.norms).all():
+        raise AnnIndexError("item vectors contain non-finite components or norms")
     return RpForest(items.ids, items.matrix, t, leaf_capacity, seed)
 
 

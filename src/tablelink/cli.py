@@ -15,6 +15,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import annindex, formats, linker, neural, vectorize
 from .config import ConfigError, load_config
 from .corpus import Corpus, CorpusError, Splits, corpus_stats, load_corpus_xml, make_stratified_splits
@@ -217,13 +219,12 @@ def emit_report(report: linker.EvalReport, format="table") -> bytes:
     """
     if format == "json":
         return (json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n").encode("utf-8")
-    splits = ("test", "train", "unseen")
-    headers = ["category"] + [f"P@{k}:{s}" for k in report.ks for s in splits]
+    headers = ["category"] + [f"P@{k}:{s}" for k in report.ks for s in linker.SPLIT_NAMES]
     rows = []
     for category in report.categories():
         row = [category]
         for k in report.ks:
-            for split in splits:
+            for split in linker.SPLIT_NAMES:
                 cell = report.cells.get(report.primary_direction, {}).get(split, {}).get(category)
                 row.append(f"{cell['precision'][k]:.2f}" if cell else "-")
         rows.append(row)
@@ -253,8 +254,8 @@ def cmd_ingest(config, args):
             raise CorpusError(f"categories {other!r} and {category!r} would share the "
                               f"artifact names *_{_slug(category)}.*")
     ws = Workdir(config.paths.workdir)
-    ws.ingest(corpus, make_stratified_splits(corpus, config.split))
-    splits = ws.splits()
+    splits = make_stratified_splits(corpus, config.split)
+    ws.ingest(corpus, splits)
     print(
         f"ingested {len(corpus.tuples)} tuples, {len(corpus.mentions)} mentions, "
         f"{len(corpus.links)} links across {len(corpus.schemas)} categories"
@@ -311,6 +312,9 @@ def _stage_embed(art: CategoryArtifacts, side):
     embed = pair.embed_tuples if side == "tuples" else pair.embed_mentions
     raw = art.raw_vectors(side)
     vectors = vectorize.KeyedVectors(raw.ids, embed(raw.matrix))
+    if not np.isfinite(vectors.norms).all():
+        raise neural.TrainingError(f"{art.path('model_{}.ckpt')}: embeds {side} to vectors with "
+                                   "non-finite components or norms; rerun `tablelink train`")
     path = art.put(f"{side}_{{}}.vec", vectors)
     vectorize.write_vector_file(path, vectors)
     print(f"embedded {len(vectors)} {side} for {art.category} -> {path.name}")
@@ -326,24 +330,24 @@ def stage_build_index(art: CategoryArtifacts, config, args):
         print(f"indexed {len(forest)} {side} vectors for {art.category} (t={forest.t})")
 
 
+# --direction -> (report direction, anchor side, counterpart side, links file)
+LINK_DIRECTIONS = {
+    "tuple-to-mentions": (linker.TUPLE_TO_MENTIONS, "tuples", "mentions", "links_{}.tsv"),
+    "mention-to-tuples": (linker.MENTION_TO_TUPLES, "mentions", "tuples", "mention_links_{}.tsv"),
+}
+
+
 def stage_link(art: CategoryArtifacts, config, args):
-    direction = (
-        linker.TUPLE_TO_MENTIONS if args.direction == "tuple-to-mentions"
-        else linker.MENTION_TO_TUPLES
-    )
+    direction, anchor_side, side, links_file = LINK_DIRECTIONS[args.direction]
     if config.strategy == "exact":
         candidates = linker.bootstrap_category(art.ws.corpus(), art.category, config.name_attributes)
         results = linker.rank_candidates(candidates, direction=direction)
     else:
-        anchor_side, side = (
-            ("tuples", "mentions") if direction == linker.TUPLE_TO_MENTIONS
-            else ("mentions", "tuples")
-        )
         results = linker.semantic_link(
             art.forest(side), art.vectors(anchor_side), config.index.n,
             search_k=config.index.search_k,
         )
-    path = art.path("links_{}.tsv" if direction == linker.TUPLE_TO_MENTIONS else "mention_links_{}.tsv")
+    path = art.path(links_file)
     linker.export_links(results, path, strategy=config.strategy)
     print(f"linked {len(results)} anchors for {art.category} -> {path.name}")
 
@@ -436,10 +440,7 @@ def build_parser():
             metavar="KEY=VALUE", help="override a config value, e.g. training.lr=1e-4",
         )
         if name == "link":
-            p.add_argument(
-                "--direction", choices=["tuple-to-mentions", "mention-to-tuples"],
-                default="tuple-to-mentions",
-            )
+            p.add_argument("--direction", choices=list(LINK_DIRECTIONS), default="tuple-to-mentions")
     return parser
 
 

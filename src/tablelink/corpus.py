@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import formats
+from .config import SplitConfig
 
 logger = logging.getLogger(__name__)
 
@@ -25,7 +26,7 @@ CATEGORICAL_MAX_LEN = 24
 
 
 class CorpusError(ValueError):
-    """Raised for malformed corpus inputs (XML, artifacts, split specs)."""
+    """Raised for malformed corpus inputs (XML, artifacts, split fractions)."""
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,9 @@ class TextMention:
         object.__setattr__(self, "span", (start, end))  # corpus.json holds a list
         if not (0 <= start < end):
             raise CorpusError(f"mention {self.id!r}: invalid span {self.span}")
+        for name in ("mention_text", "sentence_text"):
+            if not isinstance(getattr(self, name), str):
+                raise CorpusError(f"mention {self.id!r}: {name} must be a string")
         if not self.mention_text:
             raise CorpusError(f"mention {self.id!r}: empty mention text")
 
@@ -139,21 +143,6 @@ class GoldLink:
 
     tuple_key: str
     mention_id: str
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Deterministic entity-level split parameters."""
-
-    seed: int = 0
-    unseen_fraction: float = 0.20
-    test_fraction_of_seen: float = 0.20
-
-    def __post_init__(self):
-        for name in ("unseen_fraction", "test_fraction_of_seen"):
-            f = getattr(self, name)
-            if not (0.0 < f < 1.0):
-                raise CorpusError(f"{name} must lie in (0, 1), got {f}")
 
 
 @dataclass(frozen=True)
@@ -531,8 +520,11 @@ def load_corpus_xml(source):
     """Load a corpus from WebNLG-like XML (a path or an XML string)."""
     text = source
     if "\n" not in str(source) and not str(source).lstrip().startswith("<"):
-        with open(source, encoding="utf-8") as f:
-            text = f.read()
+        try:
+            with open(source, encoding="utf-8") as f:
+                text = f.read()
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{source}: not UTF-8 ({exc})") from None
     root = _parse_xml(text)
     entries = [root] if root.tag == "entry" else root.findall(".//entry")
     if not entries:
@@ -548,12 +540,15 @@ def load_corpus_xml(source):
 # Entity splits
 # ---------------------------------------------------------------------------
 
-def make_splits(entity_keys, spec: SplitSpec):
+def make_splits(entity_keys, spec: SplitConfig):
     """Partition entities into train/test/unseen, deterministically per seed.
 
     ``unseen_fraction`` of the entities is held out entirely; the remainder
     is split into train and test by ``test_fraction_of_seen``.
     """
+    for name in ("unseen_fraction", "test_fraction_of_seen"):
+        if not (0.0 < getattr(spec, name) < 1.0):
+            raise CorpusError(f"{name} must lie in (0, 1), got {getattr(spec, name)}")
     keys = sorted(entity_keys)
     n = len(keys)
     if n < 5:
@@ -576,19 +571,15 @@ def make_splits(entity_keys, spec: SplitSpec):
     )
 
 
-def make_stratified_splits(corpus: Corpus, spec):
+def make_stratified_splits(corpus: Corpus, spec: SplitConfig):
     """Split gold-linked entities per category so every category appears
-    in all three sets; ``spec`` is a ``SplitSpec`` or a ``config.split``."""
+    in all three sets; category i splits with seed ``spec.seed + i``."""
     by_category = {}
     for entity in corpus.linked_entities():
         by_category.setdefault(corpus.entity_category[entity], []).append(entity)
     train, test, unseen = set(), set(), set()
     for i, category in enumerate(sorted(by_category)):
-        sub = make_splits(by_category[category], SplitSpec(
-            seed=spec.seed + i,
-            unseen_fraction=spec.unseen_fraction,
-            test_fraction_of_seen=spec.test_fraction_of_seen,
-        ))
+        sub = make_splits(by_category[category], replace(spec, seed=spec.seed + i))
         train |= sub.train
         test |= sub.test
         unseen |= sub.unseen

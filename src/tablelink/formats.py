@@ -95,11 +95,18 @@ def write_keyed_matrix(f, keys, matrix):
     f.write(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
 
 
+def row_norms(matrix):
+    """The L2 norm of each row of ``matrix``; a norm that overflows is inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(matrix, axis=1)
+
+
 def read_keyed_matrix(data, pos, dim, count):
     """(keys, matrix) of a body that ends ``data``, in the ``*.vec`` header's argument order.
 
     A short id table, a key that is not UTF-8 or not greater than the key
-    before it, a short matrix, a non-finite value or trailing bytes raise ``ValueError``.
+    before it, a short matrix, a non-finite value, a row whose norm overflows
+    or trailing bytes raise ``ValueError``.
     """
     keys = []
     for _ in range(count):
@@ -114,7 +121,12 @@ def read_keyed_matrix(data, pos, dim, count):
         if keys and key <= keys[-1]:
             raise ValueError(f"id table is not strictly ascending: {key!r} after {keys[-1]!r}")
         keys.append(key)
-    return keys, read_f64(data, pos, count * dim).reshape(count, dim)
+    matrix = read_f64(data, pos, count * dim).reshape(count, dim)
+    overflows = np.flatnonzero(~np.isfinite(row_norms(matrix)))
+    if len(overflows):
+        raise ValueError(f"non-finite norm of row {keys[overflows[0]]!r}: a component's square "
+                         "overflows f64")
+    return keys, matrix
 
 
 # ---------------------------------------------------------------------------

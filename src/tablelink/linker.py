@@ -331,6 +331,8 @@ def evaluate_category(report, corpus: Corpus, category, splits,
     """Add both link directions of one category to the report, per split.
 
     ``tuple_vecs`` and ``mention_vecs`` are the joint-space ``KeyedVectors``.
+    Each direction ranks the anchors of all splits in one block and then
+    splits the results: a row's distances do not depend on its block.
     """
     entity_of_tuple = {rec.key: rec.entity for rec in corpus.tuples_of_category(category)}
     entity_of_mention = {}
@@ -341,20 +343,22 @@ def evaluate_category(report, corpus: Corpus, category, splits,
         (MENTION_TO_TUPLES, entity_of_mention, mention_vecs, tuple_forest, corpus.links_by_mention),
     )
 
-    for split in SPLIT_NAMES:
-        members = getattr(splits, split)
-        for direction, entity_of, vecs, forest, links_by_anchor in directions:
-            wanted = {anchor for anchor, entity in entity_of.items()
-                      if entity in members and anchor in links_by_anchor}
-            rows = [i for i, anchor in enumerate(vecs.ids) if anchor in wanted]
-            if len(rows) < len(wanted):
-                raise LinkerError(
-                    f"{category}: {len(wanted) - len(rows)} {direction} anchors have no stored "
-                    "vector; rerun `tablelink embed-tuples` and `embed-mentions`"
-                )
-            anchors = KeyedVectors([vecs.ids[i] for i in rows], vecs.matrix[rows])
-            results = semantic_link(forest, anchors, n, search_k=search_k)
-            gold = {anchor: set(links_by_anchor[anchor]) for anchor in anchors.ids}
+    in_splits = splits.train | splits.test | splits.unseen
+    for direction, entity_of, vecs, forest, links_by_anchor in directions:
+        wanted = {anchor for anchor, entity in entity_of.items()
+                  if entity in in_splits and anchor in links_by_anchor}
+        rows = [i for i, anchor in enumerate(vecs.ids) if anchor in wanted]
+        if len(rows) < len(wanted):
+            raise LinkerError(
+                f"{category}: {len(wanted) - len(rows)} {direction} anchors have no stored "
+                "vector; rerun `tablelink embed-tuples` and `embed-mentions`"
+            )
+        ranked = semantic_link(forest, KeyedVectors([vecs.ids[i] for i in rows], vecs.matrix[rows]),
+                               n, search_k=search_k)
+        for split in SPLIT_NAMES:
+            members = getattr(splits, split)
+            results = {anchor: r for anchor, r in ranked.items() if entity_of[anchor] in members}
+            gold = {anchor: set(links_by_anchor[anchor]) for anchor in results}
             evaluate_precision(results, gold, ks=report.ks, split=split, category=category,
                                direction=direction, report=report)
     return report

@@ -11,6 +11,7 @@ import functools
 import hashlib
 import re
 import struct
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -167,10 +168,27 @@ class VectorizerModel:
             )
         if d["encoder"].get("type") != "hashing":
             raise VectorizeError(f"unknown encoder type {d['encoder'].get('type')!r}")
+        schema = RelationSchema.from_dict(d["schema"]["name"], d["schema"])
+        for key, kind in (("numeric_stats", "numeric"), ("vocabularies", "categorical")):
+            wanted = sorted(a for a, k in schema.attributes if k == kind)
+            if sorted(d[key]) != wanted:
+                raise VectorizeError(f"{key} names {sorted(d[key])}, not the {kind} attributes {wanted}")
+        for attr, pair in d["numeric_stats"].items():
+            # abs(v) <= max compares an int exactly, so NaN, infinities and huge ints fail
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in pair)
+                    and pair[1] > 0):
+                raise VectorizeError(f"numeric_stats[{attr!r}] is {pair!r}, not a finite "
+                                     "[mean, std] with std > 0")
+        for attr, values in d["vocabularies"].items():
+            if not (isinstance(values, list) and all(isinstance(v, str) for v in values)
+                    and len(set(values)) == len(values) and values[-1:] == [cls.UNK]):
+                raise VectorizeError(f"vocabularies[{attr!r}] is not a list of distinct "
+                                     "strings ending with the UNK slot")
         return cls(
-            schema=RelationSchema.from_dict(d["schema"]["name"], d["schema"]),
+            schema=schema,
             encoder=HashingEncoder(dim=d["encoder"]["dim"], seed=d["encoder"]["seed"]),
-            numeric_stats={a: (s[0], s[1]) for a, s in d["numeric_stats"].items()},
+            numeric_stats={a: tuple(pair) for a, pair in d["numeric_stats"].items()},
             vocabularies={a: {v: i for i, v in enumerate(vals)} for a, vals in d["vocabularies"].items()},
         )
 
@@ -336,7 +354,7 @@ class KeyedVectors(Mapping):
 
     @functools.cached_property
     def norms(self):
-        return np.linalg.norm(self.matrix, axis=1)
+        return formats.row_norms(self.matrix)
 
     @functools.cached_property
     def _row(self):
@@ -360,11 +378,12 @@ VEC_HEADER = "<IIQ"  # version, dim, count
 def write_vector_file(path, items):
     """Write keyed vectors: header (magic, version, dim, count), then the keyed-matrix body.
 
-    Vectors with a NaN or infinite component raise ``VectorizeError`` and are not written.
+    Vectors with a NaN or infinite component, or a norm that overflows, raise
+    ``VectorizeError`` and are not written.
     """
     items = KeyedVectors.of(items)
-    if not np.isfinite(items.matrix).all():
-        raise VectorizeError(f"{path}: vectors have non-finite components; not written")
+    if not np.isfinite(items.norms).all():
+        raise VectorizeError(f"{path}: vectors have non-finite components or norms; not written")
     with formats.write_binary(path, VEC_MAGIC, VEC_HEADER, VEC_VERSION, items.dim, len(items)) as f:
         formats.write_keyed_matrix(f, items.ids, items.matrix)
 

@@ -71,6 +71,11 @@ class TestBuild:
         with pytest.raises(VectorizeError, match="one dimension"):
             build_forest({"a": np.ones(3), "b": np.ones(4)})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_vectors_with_non_finite_components_or_norms_rejected(self, bad):
+        with pytest.raises(AnnIndexError, match="non-finite components or norms"):
+            build_forest({"a": np.ones(3), "b": np.array([1.0, bad, 0.0])})
+
 
 class TestQuery:
     def test_indexed_vector_found_at_rank_one(self, small_items):

@@ -28,9 +28,9 @@ def ids_reversed(blob):
     return blob[:20] + b"".join(reversed(keys)) + blob[pos:]
 
 
-def last_f64_nan(blob):
-    """A binary artifact whose last f64 value, the end of its body, is NaN."""
-    return blob[:-8] + struct.pack("<d", float("nan"))
+def last_f64(value):
+    """A corruption that sets the last f64 value of a binary artifact, the end of its body."""
+    return lambda blob: blob[:-8] + struct.pack("<d", value)
 
 
 def first_attribute_of_one(blob, *schema_path):
@@ -430,15 +430,29 @@ class TestErrors:
         ("vectorizer_Landmark.json", lambda b: json_set(b, "encoder", "dim", value=0), "train"),
         ("corpus.json", lambda b: json_set(b, "tuples", 0, "owner", value="x"), "fit"),
         ("corpus.json", lambda b: json_drop(b, "mentions", 0, "entity_category"), "fit"),
-        ("tuples_Landmark.vec", last_f64_nan, "eval"),
-        ("mentions_Landmark.idx", last_f64_nan, "link"),
-        ("model_Landmark.ckpt", last_f64_nan, "embed-mentions"),
+        ("tuples_Landmark.vec", last_f64(float("nan")), "eval"),
+        ("mentions_Landmark.idx", last_f64(float("nan")), "link"),
+        ("model_Landmark.ckpt", last_f64(float("nan")), "embed-mentions"),
+        ("tuples_Landmark.vec", last_f64(1e200), "eval"),
+        ("mentions_Landmark.idx", last_f64(1e200), "link"),
+        ("model_Landmark.ckpt", last_f64(1e200), "embed-mentions"),
+        ("corpus.json", lambda b: json_set(b, "mentions", 0, "mention_text", value=5), "train"),
+        ("corpus.json", lambda b: json_set(b, "mentions", 0, "sentence_text", value=5), "train"),
+        ("vectorizer_Landmark.json",
+         lambda b: json_set(b, "numeric_stats", "height", value=["a", "b"]), "train"),
+        ("vectorizer_Landmark.json",
+         lambda b: json_set(b, "numeric_stats", "height", value=[430.5, 0]), "train"),
+        ("vectorizer_Landmark.json", lambda b: json_drop(b, "numeric_stats", "height"), "train"),
+        ("vectorizer_Landmark.json",
+         lambda b: json_set(b, "vocabularies", "region", value={"Eastvale": 0}), "train"),
     ], ids=["vectorizer-cut", "vectorizer-no-encoder", "ckpt-cut-6", "ckpt-header-not-utf8",
             "ckpt-no-joint-dim", "ckpt-joint-dim-disagrees", "vectorizer-attribute-of-one",
             "corpus-attribute-of-one", "vec-cut-10", "idx-cut-10", "vec-ids-descending",
             "corpus-version", "vectorizer-version", "vectorizer-encoder-dim-0",
             "corpus-tuple-unknown-field", "corpus-mention-no-category", "vec-nan", "idx-nan",
-            "ckpt-nan"])
+            "ckpt-nan", "vec-huge", "idx-huge", "ckpt-huge", "corpus-mention-text-number",
+            "corpus-sentence-text-number", "vectorizer-stats-not-numbers",
+            "vectorizer-stats-std-0", "vectorizer-stats-missing", "vectorizer-vocabulary-object"])
     def test_corrupt_artifact_exits_two_naming_it(self, project, capsys, artifact, corrupt, command):
         config_path, workdir = project
         for step in INDEX_CHAIN:
@@ -449,6 +463,15 @@ class TestErrors:
         assert run_command([command, "--config", str(config_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and artifact in err
+
+    def test_corpus_xml_not_utf8_exits_two_naming_it(self, project, capsys):
+        config_path, _ = project
+        corpus_path = json.loads(config_path.read_text())["paths"]["corpus"]
+        with open(corpus_path, "ab") as f:
+            f.write(b"<!-- \xff -->\n")
+        assert run_command(["ingest", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and corpus_path in err
 
     def test_categories_sharing_an_artifact_stem_exit_two(self, project, capsys):
         config_path, workdir = project

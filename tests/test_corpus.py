@@ -3,13 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from tablelink.config import SplitConfig
 from tablelink.corpus import (
     Corpus,
     CorpusBuilder,
     CorpusError,
     GoldLink,
     RelationSchema,
-    SplitSpec,
     TextMention,
     TupleRecord,
     corpus_stats,
@@ -196,27 +196,27 @@ class TestLoadCorpusXml:
 class TestSplits:
     def test_hundred_entities(self):
         keys = [f"e{i}" for i in range(100)]
-        splits = make_splits(keys, SplitSpec(seed=3))
+        splits = make_splits(keys, SplitConfig(seed=3))
         assert len(splits.unseen) == 20
         assert len(splits.test) == 16
         assert len(splits.train) == 64
 
     def test_deterministic(self):
         keys = [f"e{i}" for i in range(37)]
-        a = make_splits(keys, SplitSpec(seed=11))
-        b = make_splits(list(reversed(keys)), SplitSpec(seed=11))
+        a = make_splits(keys, SplitConfig(seed=11))
+        b = make_splits(list(reversed(keys)), SplitConfig(seed=11))
         assert (a.train, a.test, a.unseen) == (b.train, b.test, b.unseen)
 
     def test_too_few_entities(self):
         with pytest.raises(CorpusError, match="at least 5"):
-            make_splits(["a", "b", "c", "d"], SplitSpec(seed=0))
+            make_splits(["a", "b", "c", "d"], SplitConfig(seed=0))
 
     def test_partition_property(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
             n = int(rng.integers(5, 200))
             keys = {f"e{i}" for i in range(n)}
-            splits = make_splits(keys, SplitSpec(seed=int(rng.integers(1000))))
+            splits = make_splits(keys, SplitConfig(seed=int(rng.integers(1000))))
             assert splits.train | splits.test | splits.unseen == keys
             assert not splits.train & splits.test
             assert not splits.train & splits.unseen
@@ -224,7 +224,7 @@ class TestSplits:
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(CorpusError, match="unseen_fraction"):
-            SplitSpec(seed=0, unseen_fraction=1.5)
+            make_splits([f"e{i}" for i in range(10)], SplitConfig(seed=0, unseen_fraction=1.5))
 
     def test_stratified_covers_every_category(self, building_entries_xml):
         xml_parts = []
@@ -240,13 +240,13 @@ class TestSplits:
                 .replace('category="Building"', 'category="Bridge"')
             )
         corpus = load_corpus_xml(f"<benchmark><entries>{''.join(xml_parts)}</entries></benchmark>")
-        splits = make_stratified_splits(corpus, SplitSpec(seed=1))
+        splits = make_stratified_splits(corpus, SplitConfig(seed=1))
         for part in (splits.train, splits.test, splits.unseen):
             categories = {corpus.entity_category[e] for e in part}
             assert categories == {"Building", "Bridge"}
 
     def test_manifest_roundtrip(self):
-        splits = make_splits([f"e{i}" for i in range(10)], SplitSpec(seed=2))
+        splits = make_splits([f"e{i}" for i in range(10)], SplitConfig(seed=2))
         from tablelink.corpus import Splits
 
         again = Splits.from_dict(json.loads(json.dumps(splits.to_dict())))

@@ -414,7 +414,7 @@ class TestVectorFiles:
         with pytest.raises(VectorizeError, match="truncated|corrupt"):
             read_vector_file(path)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])  # 1e200: its square overflows
     def test_non_finite_vectors_are_not_written_or_read(self, tmp_path, bad):
         path = tmp_path / "x.vec"
         with pytest.raises(VectorizeError, match="non-finite"):
