@@ -192,7 +192,7 @@ class CategoryArtifacts(Artifacts):
     def _load_pair(self, path):
         pair, _ = neural.load_checkpoint(path)
         vmodel = self.vectorizer()
-        if (pair.net_r.input_dim, pair.net_t.input_dim) != (vmodel.dim(), 2 * vmodel.encoder.dim):
+        if (pair.input_dim_r, pair.input_dim_t) != (vmodel.dim(), 2 * vmodel.encoder.dim):
             raise PrerequisiteError(
                 f"{path.name} was trained on other input dims than vectorizer_{self.slug}.json "
                 "gives; rerun `tablelink train`"

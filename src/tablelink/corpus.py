@@ -7,6 +7,7 @@ two sides and drive both training and evaluation.
 """
 
 import logging
+import math
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, fields, replace
@@ -92,6 +93,16 @@ class TupleRecord:
     entity: str
     values: dict  # attribute name -> scalar (absent = NULL)
     fk_values: dict = field(default_factory=dict)  # fk name -> list of target keys
+
+    def __post_init__(self):
+        if not isinstance(self.values, dict):
+            raise CorpusError(f"tuple {self.key!r}: values must be a dict of attribute values")
+        if not isinstance(self.fk_values, dict) or not all(
+            isinstance(targets, list) and all(isinstance(t, str) for t in targets)
+            for targets in self.fk_values.values()
+        ):
+            raise CorpusError(
+                f"tuple {self.key!r}: fk_values must map foreign keys to lists of keys")
 
     def fk_targets(self, fk_name: str):
         return self.fk_values.get(fk_name, [])
@@ -219,6 +230,23 @@ class Corpus:
         for rec in self.tuples.values():
             if rec.relation not in self.schemas:
                 raise CorpusError(f"tuple {rec.key!r} references unknown relation {rec.relation!r}")
+            kinds = dict(self.schemas[rec.relation].attributes)
+            for attr, value in rec.values.items():
+                if kinds.get(attr) == "numeric" and value not in (None, ""):
+                    try:
+                        numeric_value(value)
+                    except ValueError as exc:
+                        raise CorpusError(
+                            f"tuple {rec.key!r}, numeric attribute {attr!r}: {exc}") from None
+        for mention in self.mentions.values():
+            if mention.entity_category not in self.schemas:
+                raise CorpusError(f"mention {mention.id!r} names unknown category "
+                                  f"{mention.entity_category!r}")
+        for link in self.links:
+            relation = self.tuples[link.tuple_key].relation
+            if self.mentions[link.mention_id].entity_category != relation:
+                raise CorpusError(f"gold link joins tuple {link.tuple_key!r} of {relation!r} to "
+                                  f"mention {link.mention_id!r} of another category")
         self.dangling_fks = [
             (rec.key, fk, target)
             for rec in self.tuples.values()
@@ -319,26 +347,6 @@ class ParsedEntry:
     records: list  # of TupleRecord, root first
     mentions: list  # of TextMention
     links: list  # of GoldLink
-
-
-def parse_webnlg_entry(xml_text, entry_id=None):
-    """Parse a single entry element into tuple records, mentions and links.
-
-    Each triple subject becomes one record whose attributes are predicate
-    names. A triple whose object is itself a subject of the same entry
-    additionally yields a foreign key to that subject's record. Each
-    lexicalization yields one mention of the entry's root subject (the
-    subject never used as an object) plus a gold link to the root record.
-    """
-    if isinstance(xml_text, bytes):
-        xml_text = xml_text.decode("utf-8")
-    elem = _parse_xml(xml_text)
-    if elem.tag != "entry":
-        found = elem.find(".//entry")
-        if found is None:
-            raise CorpusError("no <entry> element found")
-        elem = found
-    return _parse_entry_element(elem, entry_id=entry_id)
 
 
 def _parse_xml(text):
@@ -508,9 +516,20 @@ def _infer_kind(values):
     return "text"
 
 
+def numeric_value(value):
+    """The finite float a numeric attribute value stands for, commas between thousands dropped.
+
+    A value that does not parse, or parses to NaN or an infinity, raises ``ValueError``.
+    """
+    number = float(str(value).replace(",", ""))
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
+
+
 def _parses_numeric(v):
     try:
-        float(str(v).replace(",", ""))
+        numeric_value(v)
         return True
     except ValueError:
         return False

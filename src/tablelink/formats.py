@@ -71,14 +71,24 @@ def read_f64(data, pos, count):
 
     A short or long body and a NaN or infinite value raise ``ValueError``.
     """
-    end = pos + 8 * count
+    return _read_floats(data, pos, count, "f64", np.float64)
+
+
+def read_f32(data, pos, count):
+    """As ``read_f64``, for ``count`` little-endian f32 values."""
+    return _read_floats(data, pos, count, "f32", np.float32)
+
+
+def _read_floats(data, pos, count, name, dtype):
+    wire = np.dtype(dtype).newbyteorder("<")
+    end = pos + wire.itemsize * count
     if len(data) < end:
-        raise ValueError(f"truncated f64 values ({len(data) - pos} of {end - pos} bytes)")
+        raise ValueError(f"truncated {name} values ({len(data) - pos} of {end - pos} bytes)")
     if len(data) > end:
-        raise ValueError(f"{len(data) - end} trailing bytes after the f64 values")
-    values = np.frombuffer(data, dtype="<f8", count=count, offset=pos).astype(np.float64)
+        raise ValueError(f"{len(data) - end} trailing bytes after the {name} values")
+    values = np.frombuffer(data, dtype=wire, count=count, offset=pos).astype(dtype)
     if not np.isfinite(values).all():
-        raise ValueError("non-finite f64 value (NaN or infinity)")
+        raise ValueError(f"non-finite {name} value (NaN or infinity)")
     return values
 
 

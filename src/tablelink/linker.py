@@ -276,8 +276,9 @@ def train_category(corpus: Corpus, category, config, splits, tuple_vecs, mention
     """Obtain one category's matches and train its embedder pair on its raw ``KeyedVectors``.
 
     Only matches of train-split entities reach the sampler, so test- and
-    unseen-split entities never appear in a batch. Returns the pair, its
-    optimizer state and the loss history.
+    unseen-split entities never appear in a batch. The pair's first layers
+    read only the columns that some drawable row sets (``neural.train_pair``).
+    Returns the pair, its optimizer state and the loss history.
     """
     if not mention_vecs:
         raise LinkerError(f"category {category!r} has no mentions to train on")
@@ -297,6 +298,7 @@ def train_category(corpus: Corpus, category, config, splits, tuple_vecs, mention
     if not train_links:
         raise LinkerError(f"category {category!r}: no matches among train-split entities")
 
+    drawable = [link for links in train_links.values() for link in links]
     pair = neural.EmbedderPair.build(
         input_dim_r=tuple_vecs.dim,
         input_dim_t=mention_vecs.dim,
@@ -306,6 +308,8 @@ def train_category(corpus: Corpus, category, config, splits, tuple_vecs, mention
         margin=config.training.margin,
         keep_prob=config.training.keep_prob,
         seed=config.training.seed + cat_index,
+        live_r=neural.live_columns(tuple_vecs, {tk for tk, _ in drawable}, tuple_vecs.dim),
+        live_t=neural.live_columns(mention_vecs, {mid for _, mid in drawable}, mention_vecs.dim),
     )
     adam = neural.AdamState(
         lr=config.training.lr,

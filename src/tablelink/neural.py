@@ -11,7 +11,8 @@ against finite differences.
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,6 +37,11 @@ def elu_grad(z):
     return np.where(z > 0, 1.0, np.exp(np.minimum(z, 0.0)))
 
 
+# Rows of a layer drawn at once by ``DenseNet.init``: 64 rows of a
+# 2,000-column layer are 1 MiB of f64.
+INIT_BLOCK_ROWS = 64
+
+
 class DenseNet:
     """Affine layers with elu on hidden layers and an identity output.
 
@@ -58,14 +64,31 @@ class DenseNet:
         self.keep_prob = float(keep_prob)
 
     @classmethod
-    def init(cls, dims, rng, keep_prob=0.75):
-        """Glorot-initialized net for layer sizes ``dims = [in, ..., out]``."""
+    def init(cls, dims, rng, keep_prob=0.75, live=None):
+        """Glorot-initialized float32 net for layer sizes ``dims = [in, ..., out]``.
+
+        Each value is the float32 rounding of an f64 normal draw. With
+        ``live``, the first layer keeps only those input columns, each with
+        the value a full draw gives it. Each layer is drawn in blocks of
+        ``INIT_BLOCK_ROWS`` rows, which give the values of one draw, so no f64
+        matrix of a full layer is ever held.
+        """
         weights, biases = [], []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
             scale = np.sqrt(2.0 / (fan_in + fan_out))
-            weights.append(rng.normal(0.0, scale, size=(fan_out, fan_in)))
-            biases.append(np.zeros(fan_out))
+            cols = np.arange(fan_in) if i or live is None else live
+            w = np.empty((fan_out, len(cols)), dtype=np.float32)
+            for start in range(0, fan_out, INIT_BLOCK_ROWS):
+                rows = min(INIT_BLOCK_ROWS, fan_out - start)
+                w[start : start + rows] = rng.normal(0.0, scale, size=(rows, fan_in))[:, cols]
+            weights.append(w)
+            biases.append(np.zeros(fan_out, dtype=np.float32))
         return cls(weights, biases, keep_prob=keep_prob)
+
+    def widened(self):
+        """An f64 copy of the net."""
+        return DenseNet([w.astype(np.float64) for w in self.weights],
+                        [b.astype(np.float64) for b in self.biases], keep_prob=self.keep_prob)
 
     @property
     def input_dim(self):
@@ -139,6 +162,13 @@ def _layer_views(buffer, offset, shapes):
 class EmbedderPair:
     """The two networks of the joint space plus the training margin.
 
+    The first layer of ``net_r`` reads only the raw tuple columns ``live_r``
+    (ascending indices below ``input_dim_r``), and that of ``net_t`` only
+    the raw mention columns ``live_t``; None means every column of a raw
+    vector as wide as the net's input. ``linker.train_category`` builds each
+    pair on the columns its training rows set, so a column no training row
+    sets has no weights at all.
+
     Every parameter is a view into one contiguous buffer ``flat`` and every
     gradient a view into ``grad``, both in ``parameters()`` order and of the
     nets' dtype. A ``flat`` passed in supplies the parameter values in that
@@ -150,6 +180,10 @@ class EmbedderPair:
     joint_dim: int
     margin: float = 0.001
     seed: int = 0
+    input_dim_r: int = None
+    input_dim_t: int = None
+    live_r: np.ndarray = field(default=None, repr=False)
+    live_t: np.ndarray = field(default=None, repr=False)
     train_rng: np.random.Generator = None
     flat: np.ndarray = field(default=None, repr=False, compare=False)
     grad: np.ndarray = field(default=None, init=False, repr=False, compare=False)
@@ -159,6 +193,10 @@ class EmbedderPair:
             raise ValueError("both networks must output joint_dim")
         if self.margin < 0:
             raise ValueError("margin must be nonnegative")
+        self.live_r, self.input_dim_r = _live_table(self.live_r, self.input_dim_r, self.net_r,
+                                                    "live_r")
+        self.live_t, self.input_dim_t = _live_table(self.live_t, self.input_dim_t, self.net_t,
+                                                    "live_t")
         if self.train_rng is None:
             self.train_rng = np.random.default_rng(self.seed)
         params = self.parameters()
@@ -175,11 +213,17 @@ class EmbedderPair:
 
     @classmethod
     def build(cls, input_dim_r, input_dim_t, hidden_r=(512,), hidden_t=(),
-              joint_dim=256, margin=0.001, keep_prob=0.75, seed=0):
+              joint_dim=256, margin=0.001, keep_prob=0.75, seed=0, live_r=None, live_t=None):
+        """A Glorot-initialized float32 pair whose first layers read ``live_r`` and ``live_t``.
+
+        The draws are those of the full nets (``DenseNet.init``), so a live
+        column gets the value it has in a pair built on every column.
+        """
         rng = np.random.default_rng(seed)
-        net_r = DenseNet.init([input_dim_r, *hidden_r, joint_dim], rng, keep_prob=keep_prob)
-        net_t = DenseNet.init([input_dim_t, *hidden_t, joint_dim], rng, keep_prob=keep_prob)
-        return cls(net_r=net_r, net_t=net_t, joint_dim=joint_dim, margin=margin, seed=seed)
+        net_r = DenseNet.init([input_dim_r, *hidden_r, joint_dim], rng, keep_prob, live_r)
+        net_t = DenseNet.init([input_dim_t, *hidden_t, joint_dim], rng, keep_prob, live_t)
+        return cls(net_r=net_r, net_t=net_t, joint_dim=joint_dim, margin=margin, seed=seed,
+                   input_dim_r=input_dim_r, input_dim_t=input_dim_t, live_r=live_r, live_t=live_t)
 
     def parameters(self):
         """All parameter arrays in declaration order (net_r, then net_t)."""
@@ -197,11 +241,51 @@ class EmbedderPair:
                 out.extend((w, b))
         return out
 
-    def embed_tuples(self, x):
-        return self.net_r.forward(x)[0]
+    def embed_tuples(self, raw):
+        """Joint-space f64 vectors of raw tuple vectors (rows of ``input_dim_r`` columns)."""
+        return _embed(self.net_r, self.live_r, self.input_dim_r, raw)
 
-    def embed_mentions(self, x):
-        return self.net_t.forward(x)[0]
+    def embed_mentions(self, raw):
+        """Joint-space f64 vectors of raw mention vectors (rows of ``input_dim_t`` columns)."""
+        return _embed(self.net_t, self.live_t, self.input_dim_t, raw)
+
+
+def _embed(net, live, input_dim, raw):
+    """``net`` widened to f64, run on the ``live`` columns of the raw rows."""
+    raw = np.atleast_2d(np.asarray(raw))
+    if raw.shape[1] != input_dim:
+        raise ValueError(f"input dim {raw.shape[1]} != pair input dim {input_dim}")
+    return net.widened().forward(raw[:, live])[0]
+
+
+def _live_table(live, input_dim, net, name):
+    """(``live`` checked, as int64, and ``input_dim``) for the first layer of ``net``.
+
+    A live table lists one strictly ascending column below ``input_dim`` per
+    input of ``net``; None means every column of ``net``'s input width. Any
+    other table raises ``ValueError``.
+    """
+    input_dim = net.input_dim if input_dim is None else input_dim
+    live = np.arange(input_dim) if live is None else np.asarray(live)
+    if live.size == 0:
+        live = live.astype(np.int64)  # an empty JSON list reads as float
+    if live.dtype.kind not in "iu":
+        raise ValueError(f"{name} holds {live.dtype} values, not column indices")
+    if live.shape != (net.input_dim,):
+        raise ValueError(f"{name} lists {live.size} columns; the first layer reads {net.input_dim}")
+    if np.any(live[1:] <= live[:-1]):
+        raise ValueError(f"{name} does not strictly ascend")
+    if live.size and (live[0] < 0 or live[-1] >= input_dim):
+        raise ValueError(f"{name} leaves the input range [0, {input_dim})")
+    return live.astype(np.int64), input_dim
+
+
+def live_columns(vectors, keys, dim):
+    """Ascending indices of the columns that are nonzero in at least one of the rows ``keys``."""
+    live = np.zeros(dim, dtype=bool)
+    for key in keys:
+        live |= vectors[key] != 0
+    return np.flatnonzero(live)
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +493,11 @@ def gradient_check(pair: EmbedderPair, batch: TrainingBatch, epsilon=1e-5, margi
     within ~10*epsilon of its boundary the margin is nudged and the check
     retried, since the subgradient is not comparable to finite differences
     there. The relative error uses an absolute floor of 1e-6 so that pairs
-    of essentially-zero gradients compare by absolute difference.
+    of essentially-zero gradients compare by absolute difference. The check
+    runs on an f64 copy of ``pair``, since differences of a float32 loss at
+    ``epsilon`` would be rounding noise.
     """
+    pair = replace(pair, net_r=pair.net_r.widened(), net_t=pair.net_t.widened(), flat=None)
     margin = pair.margin if margin is None else margin
     for attempt in range(8):
         _, _, stats = pairwise_contrastive_loss(pair, batch, margin=margin, training=False)
@@ -512,57 +599,28 @@ def train_pair(pair: EmbedderPair, adam: AdamState, sampler: SamplerState,
                gold_pairs, vectors_r, vectors_t, batches, log_fn=None):
     """Run a fixed budget of sampled batches; returns the loss history.
 
-    A first-layer column that is zero in every row the sampler can draw has
-    a zero gradient at every step, and Adam from zero moments never moves
-    it. So a compact pair that holds only the live columns is trained, on
-    the live slice of each drawable row, and its values are written back;
-    the dead columns keep their initial values. The compact pair, its rows
-    and ``adam``'s moments are float32, so a step moves half the bytes of
-    f64; write-back widens the trained values exactly into the f64 pair.
-    ``adam`` holds the moments of the live parameters only. The compact
-    pair shares ``pair.train_rng``, so the dropout draws are those of
-    training the full pair.
+    Each row the sampler can draw is cut once to the pair's live columns, in
+    the pair's dtype, and the steps run on those. A first-layer column that
+    is zero in every drawable row has a zero gradient at every step, and
+    Adam from zero moments never moves it, so a pair built on the columns
+    those rows set (``live_columns``) trains each of its values exactly as a
+    pair on every column would. A built pair is float32, so a step moves
+    half the bytes of f64. ``adam`` holds the moments of the pair's
+    parameters.
     """
     drawable = [link for links in sampler.links_by_entity.values() for link in links]
-    keys_r = {tk for tk, _ in drawable}
-    keys_t = {mid for _, mid in drawable}
-    live_r = _live_columns(vectors_r, keys_r, pair.net_r.input_dim)
-    live_t = _live_columns(vectors_t, keys_t, pair.net_t.input_dim)
-    compact = EmbedderPair(
-        net_r=_first_layer_columns(pair.net_r, live_r),
-        net_t=_first_layer_columns(pair.net_t, live_t),
-        joint_dim=pair.joint_dim, margin=pair.margin, seed=pair.seed, train_rng=pair.train_rng,
-    )
-    rows_r = {k: vectors_r[k][live_r].astype(np.float32) for k in keys_r}
-    rows_t = {k: vectors_t[k][live_t].astype(np.float32) for k in keys_t}
+    dtype = pair.flat.dtype
+    rows_r = {tk: vectors_r[tk][pair.live_r].astype(dtype) for tk, _ in drawable}
+    rows_t = {mid: vectors_t[mid][pair.live_t].astype(dtype) for _, mid in drawable}
     history = []
     for _ in range(batches):
         batch = sample_batch(sampler, gold_pairs, rows_r, rows_t)
         lr = adam.effective_lr()
-        loss, _ = gradient_step(compact, adam, batch)
+        loss, _ = gradient_step(pair, adam, batch)
         history.append((adam.step - 1, lr, loss))
         if log_fn is not None:
             log_fn(adam.step - 1, lr, loss)
-    for net, trained, live in ((pair.net_r, compact.net_r, live_r), (pair.net_t, compact.net_t, live_t)):
-        net.weights[0][:, live] = trained.weights[0]
-        for p, value in zip(net.weights[1:] + net.biases, trained.weights[1:] + trained.biases):
-            p[...] = value
     return history
-
-
-def _live_columns(vectors, keys, dim):
-    """Indices of the columns that are nonzero in at least one of the rows ``keys``."""
-    live = np.zeros(dim, dtype=bool)
-    for key in keys:
-        live |= vectors[key] != 0
-    return np.flatnonzero(live)
-
-
-def _first_layer_columns(net, live):
-    """A float32 copy of ``net`` whose first layer reads only the input columns ``live``."""
-    weights = [net.weights[0][:, live], *net.weights[1:]]
-    return DenseNet([w.astype(np.float32) for w in weights],
-                    [b.astype(np.float32) for b in net.biases], keep_prob=net.keep_prob)
 
 
 # ---------------------------------------------------------------------------
@@ -570,18 +628,28 @@ def _first_layer_columns(net, live):
 # ---------------------------------------------------------------------------
 
 CKPT_MAGIC = b"TLCK"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 CKPT_HEADER = "<II"  # version, JSON header length
 
 
 def save_checkpoint(path, pair: EmbedderPair, step=0, extra=None):
-    """JSON header (shapes, hyper-parameters, seed, step) + ``pair.flat`` as f64 LE."""
+    """JSON header (shapes, input dims, live tables, hyper-parameters, step), then ``pair.flat``.
+
+    The parameters are written as f32 LE. Only a float32 pair is saved, so
+    the file holds its values exactly.
+    """
+    if pair.flat.dtype != np.float32:
+        raise ValueError(f"a checkpoint holds float32 parameters, not {pair.flat.dtype}")
     header = {
         "format_version": CKPT_VERSION,
         "shapes_r": [list(w.shape) for w in pair.net_r.weights],
         "shapes_t": [list(w.shape) for w in pair.net_t.weights],
         "keep_prob_r": pair.net_r.keep_prob,
         "keep_prob_t": pair.net_t.keep_prob,
+        "input_dim_r": pair.input_dim_r,
+        "input_dim_t": pair.input_dim_t,
+        "live_r": pair.live_r.tolist(),
+        "live_t": pair.live_t.tolist(),
         "joint_dim": pair.joint_dim,
         "margin": pair.margin,
         "seed": pair.seed,
@@ -592,17 +660,17 @@ def save_checkpoint(path, pair: EmbedderPair, step=0, extra=None):
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with formats.write_binary(path, CKPT_MAGIC, CKPT_HEADER, CKPT_VERSION, len(blob)) as f:
         f.write(blob)
-        f.write(np.ascontiguousarray(pair.flat, dtype="<f8"))
+        f.write(np.ascontiguousarray(pair.flat, dtype="<f4"))
 
 
 def load_checkpoint(path):
-    """Rebuild an EmbedderPair from a checkpoint; returns (pair, header)."""
+    """Rebuild the float32 EmbedderPair of a checkpoint; returns (pair, header)."""
 
     def parse(data, offset, hlen):
         header, nets, count, hyper = formats.parse_json(
             data[offset : offset + hlen], path, _read_header, TrainingError
         )
-        flat = formats.read_f64(data, offset + hlen, count)
+        flat = formats.read_f32(data, offset + hlen, count)
         start, built = 0, []
         for shapes, keep_prob in nets:
             weights, biases, start = _layer_views(flat, start, shapes)
@@ -617,5 +685,8 @@ def _read_header(header):
     """(header, (layer shapes, keep probability) of each net, parameter count, pair kwargs)."""
     nets = [(header["shapes_r"], header["keep_prob_r"]), (header["shapes_t"], header["keep_prob_t"])]
     count = sum(out_dim * (in_dim + 1) for shapes, _ in nets for out_dim, in_dim in shapes)
-    hyper = {key: header[key] for key in ("joint_dim", "margin", "seed")}
+    hyper = {key: header[key] for key in ("joint_dim", "live_r", "live_t")}
+    hyper["margin"] = float(header["margin"])
+    for key in ("input_dim_r", "input_dim_t", "seed"):
+        hyper[key] = operator.index(header[key])
     return header, nets, count, hyper

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import formats
-from .corpus import RelationSchema
+from .corpus import RelationSchema, numeric_value
 
 
 class VectorizeError(ValueError):
@@ -226,7 +226,8 @@ def fit_vectorizer(tuples, schema: RelationSchema, encoder: HashingEncoder):
     numeric_stats, vocabularies = {}, {}
     for attr, kind in schema.attributes:
         if kind == "numeric":
-            vals = [float(rec.values[attr]) for rec in records if rec.values.get(attr) not in (None, "")]
+            vals = [numeric_value(rec.values[attr]) for rec in records
+                    if rec.values.get(attr) not in (None, "")]
             if vals:
                 arr = np.asarray(vals, dtype=np.float64)
                 mean = float(arr.mean())
@@ -259,7 +260,7 @@ def vectorize_attribute(model: VectorizerModel, attribute: str, value) -> np.nda
         if value in (None, ""):
             return np.zeros(1, dtype=np.float64)
         mean, std = model.numeric_stats[attribute]
-        return np.array([(float(value) - mean) / std], dtype=np.float64)
+        return np.array([(numeric_value(value) - mean) / std], dtype=np.float64)
     vocab = model.vocabularies[attribute]
     out = np.zeros(len(vocab), dtype=np.float64)
     if value not in (None, ""):

@@ -17,7 +17,7 @@ import pytest
 
 from tablelink.annindex import brute_force_knn, build_forest, load_forest, query_forest, save_forest
 from tablelink.cli import run_command
-from tablelink.corpus import RelationSchema, load_corpus_xml, parse_webnlg_entry
+from tablelink.corpus import RelationSchema, load_corpus_xml
 from tablelink.linker import MatchCandidate, rank_candidates
 from tablelink.neural import (
     EmbedderPair,
@@ -259,23 +259,23 @@ def test_criterion_7_end_to_end_synthetic_gate(tmp_path):
 
 def test_criterion_8_corpus_fidelity():
     with criterion(8, "corpus fidelity on the two sample entries"):
-        entry = parse_webnlg_entry(PUBLIC_SQUARE_ENTRY)
-        assert len(entry.records) == 1
-        assert entry.records[0].values == {
+        corpus = load_corpus_xml(PUBLIC_SQUARE_ENTRY)
+        assert len(corpus.tuples) == 1
+        assert list(corpus.tuples.values())[0].values == {
             "floorCount": "45",
             "location": "Cleveland, Ohio 44114",
             "completionDate": "1985",
         }
-        assert entry.category == "Building"
-        assert len(entry.mentions) == 1 and len(entry.links) == 1
+        assert corpus.categories() == ["Building"]
+        assert len(corpus.mentions) == 1 and len(corpus.links) == 1
 
-        entry = parse_webnlg_entry(COLMORE_ROW_ENTRY)
-        assert len(entry.records) == 2
-        root, madin = entry.records
+        corpus = load_corpus_xml(COLMORE_ROW_ENTRY)
+        assert len(corpus.tuples) == 2
+        root, madin = corpus.tuples.values()
         assert len(root.values) == 4
         assert root.fk_values == {"architect": ["John_Madin"]}
         assert madin.values == {"birthPlace": "Birmingham"}
-        assert len(entry.mentions) == 1 and len(entry.links) == 1
+        assert len(corpus.mentions) == 1 and len(corpus.links) == 1
 
 
 WEBNLG_XML = os.environ.get("WEBNLG_XML", "")

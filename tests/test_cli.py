@@ -5,13 +5,15 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from tablelink import annindex
+from tablelink import annindex, cli
 from tablelink.annindex import brute_force_knn
 from tablelink.cli import emit_report, run_command
 from tablelink.config import PROFILES, ConfigError, ProjectConfig, apply_profile, load_config
 from tablelink.linker import TUPLE_TO_MENTIONS, EvalReport
+from tablelink.neural import DenseNet, EmbedderPair, TrainingError
 from tablelink.synthetic import synthetic_corpus_xml, write_synthetic_corpus
 from tablelink.vectorize import read_vector_file, write_vector_file
 
@@ -31,6 +33,29 @@ def ids_reversed(blob):
 def last_f64(value):
     """A corruption that sets the last f64 value of a binary artifact, the end of its body."""
     return lambda blob: blob[:-8] + struct.pack("<d", value)
+
+
+def last_f32(value):
+    """A corruption that sets the last f32 value of a checkpoint, the end of its body."""
+    return lambda blob: blob[:-4] + struct.pack("<f", value)
+
+
+def ckpt_header(edit):
+    """A corruption that applies ``edit`` to a checkpoint's JSON header, in place."""
+    def corrupt(blob):
+        hlen = struct.unpack_from("<I", blob, 8)[0]
+        header = json.loads(blob[12 : 12 + hlen])
+        edit(header)
+        text = json.dumps(header, sort_keys=True).encode("utf-8")
+        return blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + hlen :]
+    return corrupt
+
+
+def ckpt_live(side, edit):
+    """A corruption that rewrites the live table ``live_<side>`` in a checkpoint's JSON header."""
+    def rewrite(header):
+        header[f"live_{side}"] = edit(header[f"live_{side}"], header[f"input_dim_{side}"])
+    return ckpt_header(rewrite)
 
 
 def first_attribute_of_one(blob, *schema_path):
@@ -432,10 +457,10 @@ class TestErrors:
         ("corpus.json", lambda b: json_drop(b, "mentions", 0, "entity_category"), "fit"),
         ("tuples_Landmark.vec", last_f64(float("nan")), "eval"),
         ("mentions_Landmark.idx", last_f64(float("nan")), "link"),
-        ("model_Landmark.ckpt", last_f64(float("nan")), "embed-mentions"),
+        ("model_Landmark.ckpt", last_f32(float("nan")), "embed-mentions"),
         ("tuples_Landmark.vec", last_f64(1e200), "eval"),
         ("mentions_Landmark.idx", last_f64(1e200), "link"),
-        ("model_Landmark.ckpt", last_f64(1e200), "embed-mentions"),
+        ("model_Landmark.ckpt", last_f32(float("inf")), "embed-mentions"),
         ("corpus.json", lambda b: json_set(b, "mentions", 0, "mention_text", value=5), "train"),
         ("corpus.json", lambda b: json_set(b, "mentions", 0, "sentence_text", value=5), "train"),
         ("vectorizer_Landmark.json",
@@ -445,6 +470,17 @@ class TestErrors:
         ("vectorizer_Landmark.json", lambda b: json_drop(b, "numeric_stats", "height"), "train"),
         ("vectorizer_Landmark.json",
          lambda b: json_set(b, "vocabularies", "region", value={"Eastvale": 0}), "train"),
+        ("model_Landmark.ckpt", ckpt_live("r", lambda live, dim: live[1::-1] + live[2:]),
+         "embed-tuples"),
+        ("model_Landmark.ckpt", ckpt_live("t", lambda live, dim: live[:-1] + [dim]), "embed-mentions"),
+        ("model_Landmark.ckpt", ckpt_header(lambda h: h.update(margin="x")), "embed-tuples"),
+        ("model_Landmark.ckpt", ckpt_header(lambda h: h.update(seed="x")), "embed-tuples"),
+        ("corpus.json", lambda b: json_set(b, "tuples", 0, "values", value=["x"]), "fit"),
+        ("corpus.json", lambda b: json_set(b, "tuples", 0, "fk_values", value=["x"]), "fit"),
+        ("corpus.json", lambda b: json_set(b, "tuples", 0, "fk_values", value={"x": [1]}), "fit"),
+        ("corpus.json", lambda b: json_set(b, "tuples", 0, "values", "height", value="tall"), "fit"),
+        ("corpus.json", lambda b: json_set(b, "mentions", 0, "entity_category", value="Nowhere"),
+         "train"),
     ], ids=["vectorizer-cut", "vectorizer-no-encoder", "ckpt-cut-6", "ckpt-header-not-utf8",
             "ckpt-no-joint-dim", "ckpt-joint-dim-disagrees", "vectorizer-attribute-of-one",
             "corpus-attribute-of-one", "vec-cut-10", "idx-cut-10", "vec-ids-descending",
@@ -452,7 +488,11 @@ class TestErrors:
             "corpus-tuple-unknown-field", "corpus-mention-no-category", "vec-nan", "idx-nan",
             "ckpt-nan", "vec-huge", "idx-huge", "ckpt-huge", "corpus-mention-text-number",
             "corpus-sentence-text-number", "vectorizer-stats-not-numbers",
-            "vectorizer-stats-std-0", "vectorizer-stats-missing", "vectorizer-vocabulary-object"])
+            "vectorizer-stats-std-0", "vectorizer-stats-missing", "vectorizer-vocabulary-object",
+            "ckpt-live-descending", "ckpt-live-out-of-range", "ckpt-margin-string",
+            "ckpt-seed-string", "corpus-tuple-values-list",
+            "corpus-tuple-fk-values-list", "corpus-tuple-fk-targets-not-strings",
+            "corpus-numeric-not-a-number", "corpus-mention-category-unknown"])
     def test_corrupt_artifact_exits_two_naming_it(self, project, capsys, artifact, corrupt, command):
         config_path, workdir = project
         for step in INDEX_CHAIN:
@@ -548,6 +588,33 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "model_Landmark.ckpt" in err and "rerun `tablelink train`" in err
+
+    def test_version_1_checkpoint_exits_two_naming_train(self, project, capsys):
+        config_path, workdir = project
+        for command in ("ingest", "fit", "train"):
+            assert run_command([command, "--config", str(config_path)]) == 0
+        ckpt = workdir / "model_Landmark.ckpt"
+        blob = ckpt.read_bytes()
+        ckpt.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+        capsys.readouterr()
+        assert run_command(["embed-tuples", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "model_Landmark.ckpt" in err and "rerun `tablelink train`" in err
+
+    def test_embed_refuses_vectors_whose_norm_overflows(self, project):
+        config_path, workdir = project
+        for command in ("ingest", "fit", "train"):
+            assert run_command([command, "--config", str(config_path)]) == 0
+        art = cli.CategoryArtifacts(cli.Workdir(workdir), "Landmark", 0)
+        # one f64 layer per side of finite weights whose outputs square past the f64 range
+        nets = [DenseNet([np.full((4, art.raw_vectors(side).dim), 1e200)], [np.zeros(4)])
+                for side in ("tuples", "mentions")]
+        art.put("model_{}.ckpt", EmbedderPair(*nets, joint_dim=4))
+        with pytest.raises(TrainingError, match="model_Landmark.ckpt: embeds tuples to vectors "
+                                                "with non-finite components or norms"):
+            cli._stage_embed(art, "tuples")
+        assert not (workdir / "tuples_Landmark.vec").exists()
 
 
 class TestProfiles:

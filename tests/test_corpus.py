@@ -6,7 +6,6 @@ import pytest
 from tablelink.config import SplitConfig
 from tablelink.corpus import (
     Corpus,
-    CorpusBuilder,
     CorpusError,
     GoldLink,
     RelationSchema,
@@ -16,35 +15,40 @@ from tablelink.corpus import (
     load_corpus_xml,
     make_splits,
     make_stratified_splits,
-    parse_webnlg_entry,
 )
 from tablelink.vectorize import HashingEncoder, fit_vectorizer, vectorize_tuple
 
 from conftest import COLMORE_ROW_ENTRY, PUBLIC_SQUARE_ENTRY
 
 
+def records(corpus):
+    """The corpus's tuple records in the order they were stored, an entry's root first."""
+    return list(corpus.tuples.values())
+
+
 class TestParseEntry:
     def test_public_square_entry(self):
-        entry = parse_webnlg_entry(PUBLIC_SQUARE_ENTRY)
-        assert entry.category == "Building"
-        assert len(entry.records) == 1
-        rec = entry.records[0]
+        corpus = load_corpus_xml(PUBLIC_SQUARE_ENTRY)
+        assert corpus.categories() == ["Building"]
+        assert len(corpus.tuples) == 1
+        rec = records(corpus)[0]
         assert rec.values == {
             "floorCount": "45",
             "location": "Cleveland, Ohio 44114",
             "completionDate": "1985",
         }
         assert rec.fk_values == {}
-        assert len(entry.mentions) == 1
-        assert entry.mentions[0].mention_text == "200 Public Square"
-        assert entry.mentions[0].entity_category == "Building"
-        assert len(entry.links) == 1
-        assert entry.links[0].tuple_key == "200_Public_Square"
+        mentions = list(corpus.mentions.values())
+        assert len(mentions) == 1
+        assert mentions[0].mention_text == "200 Public Square"
+        assert mentions[0].entity_category == "Building"
+        assert len(corpus.links) == 1
+        assert corpus.links[0].tuple_key == "200_Public_Square"
 
     def test_colmore_row_entry(self):
-        entry = parse_webnlg_entry(COLMORE_ROW_ENTRY)
-        assert len(entry.records) == 2
-        root, madin = entry.records
+        corpus = load_corpus_xml(COLMORE_ROW_ENTRY)
+        assert len(corpus.tuples) == 2
+        root, madin = records(corpus)
         assert root.key == "103_Colmore_Row"
         # four attributes; the architect one doubles as a foreign key
         assert len(root.values) == 4
@@ -52,20 +56,19 @@ class TestParseEntry:
         assert root.fk_values == {"architect": ["John_Madin"]}
         assert madin.key == "John_Madin"
         assert madin.values == {"birthPlace": "Birmingham"}
-        assert len(entry.mentions) == 1
-        assert len(entry.links) == 1
-        assert entry.links[0].tuple_key == "103_Colmore_Row"
+        assert len(corpus.mentions) == 1
+        assert len(corpus.links) == 1
+        assert corpus.links[0].tuple_key == "103_Colmore_Row"
 
     def test_mention_span_covers_surface_form(self):
-        entry = parse_webnlg_entry(PUBLIC_SQUARE_ENTRY)
-        m = entry.mentions[0]
+        m = list(load_corpus_xml(PUBLIC_SQUARE_ENTRY).mentions.values())[0]
         start, end = m.span
         assert m.sentence_text[start:end] == m.mention_text
 
     def test_empty_tripleset_rejected(self):
         xml = "<entry eid='Id9' category='X'><modifiedtripleset/><lex>Some text.</lex></entry>"
         with pytest.raises(CorpusError, match="empty triple set"):
-            parse_webnlg_entry(xml)
+            load_corpus_xml(xml)
 
     def test_no_lexicalization_rejected(self):
         xml = (
@@ -73,11 +76,11 @@ class TestParseEntry:
             "<mtriple>A | b | c</mtriple></modifiedtripleset></entry>"
         )
         with pytest.raises(CorpusError, match="no lexicalization"):
-            parse_webnlg_entry(xml)
+            load_corpus_xml(xml)
 
     def test_malformed_xml_reports_byte_offset(self):
         with pytest.raises(CorpusError, match="byte offset"):
-            parse_webnlg_entry("<entry><modifiedtripleset></entry>")
+            load_corpus_xml("<entry><modifiedtripleset></entry>")
 
     def test_malformed_triple_rejected(self):
         xml = (
@@ -86,7 +89,7 @@ class TestParseEntry:
             "<lex>Text.</lex></entry>"
         )
         with pytest.raises(CorpusError, match="malformed triple"):
-            parse_webnlg_entry(xml)
+            load_corpus_xml(xml)
 
 
 class TestLoadCorpusXml:
@@ -114,6 +117,17 @@ class TestLoadCorpusXml:
         assert kinds["location"] == "text"
         # single short token values stay categorical
         assert kinds["birthPlace"] == "categorical"
+
+    def test_numeric_values_with_thousands_commas_vectorize(self):
+        second = PUBLIC_SQUARE_ENTRY.replace("Id24", "Id25").replace("200_Public", "300_Public")
+        second = second.replace("| 45", "| 1,045")
+        xml = f"<benchmark><entries>{PUBLIC_SQUARE_ENTRY}{second}</entries></benchmark>"
+        corpus = load_corpus_xml(xml)
+        assert dict(corpus.schemas["Building"].attributes)["floorCount"] == "numeric"
+        model = fit_vectorizer(corpus.tuples_of_category("Building"), corpus.schemas["Building"],
+                               HashingEncoder(dim=8))
+        assert model.numeric_stats["floorCount"] == (545.0, 500.0)
+        vectorize_tuple(model, corpus.tuples["300_Public_Square"], tuple_lookup=corpus.tuples)
 
     def test_same_subject_same_content_merges(self):
         entry = PUBLIC_SQUARE_ENTRY
@@ -154,11 +168,11 @@ class TestLoadCorpusXml:
             </entry>
             """
 
-        builder, stored = CorpusBuilder(), {}
+        entries, stored = "", {}
         for eid, color in (("e1", "red"), ("e2", "blue"), ("e3", "red")):
-            builder.add_entry(parse_webnlg_entry(entry(eid, color)))
-            corpus = builder.finalize()
-            assert all(corpus.tuples[key] is rec for key, rec in stored.items()), eid
+            entries += entry(eid, color)
+            corpus = load_corpus_xml(f"<benchmark><entries>{entries}</entries></benchmark>")
+            assert all(corpus.tuples[key] == rec for key, rec in stored.items()), eid
             stored = dict(corpus.tuples)
         assert sorted(corpus.tuples) == ["R", "S", "S#2"]
         assert corpus.tuples["R"].fk_values == {"owner": ["S"]}
@@ -183,6 +197,16 @@ class TestLoadCorpusXml:
         mention = TextMention(id="m", span=(0, 1), mention_text="v", sentence_text="v here")
         with pytest.raises(CorpusError, match="unknown mention"):
             Corpus({"R": schema}, {"k": rec}, {"m": mention}, [GoldLink("k", "nope")])
+
+    def test_mention_category_validated(self):
+        schemas = {name: RelationSchema(name=name, attributes=(("a", "text"),)) for name in "RS"}
+        rec = TupleRecord(relation="R", key="k", entity="k", values={"a": "v"})
+        for category, match in (("Q", "names unknown category 'Q'"),
+                                ("S", "joins tuple 'k' of 'R' to mention 'm' of another category")):
+            mention = TextMention(id="m", span=(0, 1), mention_text="v", sentence_text="v here",
+                                  entity_category=category)
+            with pytest.raises(CorpusError, match=match):
+                Corpus(schemas, {"k": rec}, {"m": mention}, [GoldLink("k", "m")])
 
     def test_dangling_fk_targets_listed(self, caplog):
         schema = RelationSchema(name="R", attributes=(("a", "text"),), foreign_keys=(("ref", "R"),))

@@ -311,7 +311,7 @@ class TestRetrainCycle:
         for name in ("a.ckpt", "b.ckpt"):
             pair, adam, _ = train_category(corpus, "Landmark", config, splits,
                                            tuple_vecs, mention_vecs)
-            assert pair.flat.dtype == np.float64
+            assert pair.flat.dtype == np.float32
             save_checkpoint(tmp_path / name, pair, step=adam.step)
             blobs.append((tmp_path / name).read_bytes())
         assert blobs[0] == blobs[1]

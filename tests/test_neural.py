@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from tablelink.annindex import cosine_distances
 from tablelink.neural import (
     ADAM_BLOCK,
+    INIT_BLOCK_ROWS,
     AdamState,
     DenseNet,
     EmbedderPair,
@@ -15,29 +17,40 @@ from tablelink.neural import (
     elu,
     gradient_check,
     gradient_step,
+    live_columns,
+    load_checkpoint,
     loss_from_embeddings,
     pairwise_contrastive_loss,
     sample_batch,
+    save_checkpoint,
     score_matrix,
     train_pair,
 )
 
 
-def tiny_pair(seed=0, in_r=8, in_t=10, hidden_r=(6,), joint=4, margin=0.2, keep=1.0):
+def tiny_pair(seed=0, in_r=8, in_t=10, hidden_r=(6,), joint=4, margin=0.2, keep=1.0, **compact):
+    """A small built float32 pair; ``compact`` passes ``live_r`` and ``live_t`` on to ``build``."""
     return EmbedderPair.build(
         input_dim_r=in_r, input_dim_t=in_t, hidden_r=hidden_r, hidden_t=(),
-        joint_dim=joint, margin=margin, keep_prob=keep, seed=seed,
+        joint_dim=joint, margin=margin, keep_prob=keep, seed=seed, **compact,
     )
 
 
-def float32_copy(pair):
-    """``pair`` with every parameter rounded to float32, on a fresh dropout rng of its seed."""
-    nets = [
-        DenseNet([w.astype(np.float32) for w in net.weights],
-                 [b.astype(np.float32) for b in net.biases], keep_prob=net.keep_prob)
-        for net in (pair.net_r, pair.net_t)
-    ]
-    return EmbedderPair(*nets, joint_dim=pair.joint_dim, margin=pair.margin, seed=pair.seed)
+def float64_copy(pair):
+    """``pair`` with every parameter widened to float64, on a fresh dropout rng of its seed."""
+    return replace(pair, net_r=pair.net_r.widened(), net_t=pair.net_t.widened(), flat=None,
+                   train_rng=None)
+
+
+def glorot_f64(seed, *dims):
+    """The f64 nets ``EmbedderPair.build`` drew before checkpoint v2: one normal draw per layer."""
+    rng = np.random.default_rng(seed)
+    nets = []
+    for layers in dims:
+        weights = [rng.normal(0.0, np.sqrt(2.0 / (i + o)), size=(o, i))
+                   for i, o in zip(layers[:-1], layers[1:])]
+        nets.append(DenseNet(weights, [np.zeros(o) for o in layers[1:]], keep_prob=0.75))
+    return nets
 
 
 def random_batch(rng, in_r=8, in_t=10, n_r=3, n_t=4):
@@ -339,7 +352,7 @@ class TestOptimizer:
 
     def test_blocked_update_matches_textbook_adam(self):
         # the first Adam block ends inside net_r's first weight matrix
-        pair = tiny_pair(seed=4, in_r=300, in_t=50, hidden_r=(120,), joint=16, keep=0.75)
+        pair = float64_copy(tiny_pair(seed=4, in_r=300, in_t=50, hidden_r=(120,), joint=16, keep=0.75))
         assert ADAM_BLOCK < pair.net_r.weights[0].size < pair.flat.size
         # eps is near the gradient scale, so folding it wrongly moves the result
         lr, decay, every, b1, b2, eps = 1e-3, 0.9, 10, 0.9, 0.999, 1e-2
@@ -425,13 +438,16 @@ class TestSampler:
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
-        from tablelink.neural import load_checkpoint, save_checkpoint
-
-        pair = tiny_pair(seed=11, keep=0.75)
+        pair = tiny_pair(seed=11, keep=0.75, live_r=[0, 3, 4, 7], live_t=[1, 2, 9])
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, pair, step=42)
         again, header = load_checkpoint(path)
-        assert header["step"] == 42
+        assert header["step"] == 42 and header["format_version"] == 2
+        assert header["live_r"] == [0, 3, 4, 7] and header["live_t"] == [1, 2, 9]
+        assert (again.input_dim_r, again.input_dim_t) == (8, 10)
+        np.testing.assert_array_equal(again.live_r, pair.live_r)
+        np.testing.assert_array_equal(again.live_t, pair.live_t)
+        assert again.flat.dtype == np.float32
         for a, b in zip(pair.parameters(), again.parameters()):
             np.testing.assert_array_equal(a, b)
         x = np.random.default_rng(0).normal(size=(3, 8))
@@ -440,9 +456,17 @@ class TestCheckpoint:
         save_checkpoint(resaved, again, step=42)
         assert resaved.read_bytes() == path.read_bytes()
 
-    def test_truncated_checkpoint_rejected(self, tmp_path):
-        from tablelink.neural import load_checkpoint, save_checkpoint
+    def test_body_is_the_live_parameters_in_float32(self, tmp_path):
+        pair = tiny_pair(seed=11, live_r=[1, 5], live_t=[0, 4, 8])
+        assert pair.flat.size == 6 * (2 + 1) + 4 * (6 + 1) + 4 * (3 + 1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, pair)
+        blob = path.read_bytes()
+        assert blob[-4 * pair.flat.size :] == pair.flat.astype("<f4").tobytes()
+        with pytest.raises(ValueError, match="float32"):
+            save_checkpoint(path, float64_copy(pair))
 
+    def test_truncated_checkpoint_rejected(self, tmp_path):
         pair = tiny_pair(seed=12)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, pair)
@@ -453,16 +477,58 @@ class TestCheckpoint:
     def test_version_mismatch_rejected(self, tmp_path):
         import struct as _struct
 
-        from tablelink.neural import load_checkpoint, save_checkpoint
-
         pair = tiny_pair(seed=13)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, pair)
         data = bytearray(path.read_bytes())
-        data[4:8] = _struct.pack("<I", 99)
-        path.write_bytes(bytes(data))
-        with pytest.raises(TrainingError, match="version"):
-            load_checkpoint(path)
+        for version in (1, 99):
+            data[4:8] = _struct.pack("<I", version)
+            path.write_bytes(bytes(data))
+            with pytest.raises(TrainingError, match="version .*rerun `tablelink train`"):
+                load_checkpoint(path)
+
+
+class TestCompactPair:
+    def test_live_columns_keep_the_values_of_the_full_draw(self):
+        live_r, live_t = np.array([0, 2, 150, 299]), np.array([3, 9])
+        compact = tiny_pair(seed=6, in_r=300, in_t=10, hidden_r=(70,), joint=4,
+                            live_r=live_r, live_t=live_t)
+        assert 70 > INIT_BLOCK_ROWS  # the first layer is drawn in two blocks
+        full = glorot_f64(6, [300, 70, 4], [10, 4])
+        expected = [full[0].weights[0][:, live_r], full[0].biases[0], full[0].weights[1],
+                    full[0].biases[1], full[1].weights[0][:, live_t], full[1].biases[0]]
+        assert compact.flat.dtype == np.float32
+        for actual, drawn in zip(compact.parameters(), expected, strict=True):
+            np.testing.assert_array_equal(actual, drawn.astype(np.float32))
+
+    def test_embedding_reads_only_the_live_columns_in_f64(self):
+        live_r = np.array([1, 4, 6])
+        pair = tiny_pair(seed=7, live_r=live_r)
+        dense = float64_copy(tiny_pair(seed=7))
+        w = np.zeros_like(dense.net_r.weights[0])
+        w[:, live_r] = pair.net_r.weights[0]
+        dense.net_r.weights[0][...] = w
+        for p, q in zip(dense.parameters()[1:], pair.parameters()[1:]):
+            p[...] = q
+        x = np.random.default_rng(1).normal(size=(5, 8))
+        out = pair.embed_tuples(x)
+        assert out.dtype == np.float64
+        np.testing.assert_allclose(out, dense.embed_tuples(x), rtol=1e-12, atol=1e-15)
+        with pytest.raises(ValueError, match="input dim 7"):
+            pair.embed_tuples(x[:, :7])
+
+    @pytest.mark.parametrize("live, match", [
+        ([0, 5, 3], "does not strictly ascend"),
+        ([0, 3, 3], "does not strictly ascend"),
+        ([0, 3, 8], "leaves the input range"),
+        ([-1, 3, 5], "leaves the input range"),
+        ([0, 3], "lists 2 columns; the first layer reads 3"),
+        ([0.0, 3.0, 5.0], "not column indices"),
+    ])
+    def test_bad_live_table_rejected(self, live, match):
+        pair = tiny_pair(seed=8, live_r=[0, 3, 5])
+        with pytest.raises(ValueError, match=match):
+            EmbedderPair(pair.net_r, pair.net_t, joint_dim=4, input_dim_r=8, live_r=live)
 
 
 class TestTrainLoop:
@@ -502,17 +568,28 @@ class TestTrainLoop:
         gold = {pair for pairs in links.values() for pair in pairs} | {("X", "mX")}
         return links, gold, vectors_r, vectors_t, [0, 1, 11], [0, 9]
 
-    def test_only_reachable_columns_train_and_the_rest_match_dense_training(self):
+    def compact_pair(self, vectors_r, vectors_t, links):
+        """The float32 pair ``train_category`` builds: first layers on the columns drawable rows set."""
+        drawable = [link for pairs in links.values() for link in pairs]
+        return tiny_pair(seed=5, in_r=12, in_t=10, hidden_r=(6,), joint=4, keep=0.75,
+                         live_r=live_columns(vectors_r, {tk for tk, _ in drawable}, 12),
+                         live_t=live_columns(vectors_t, {mid for _, mid in drawable}, 10))
+
+    def test_only_reachable_columns_train_and_match_dense_training(self):
         links, gold, vectors_r, vectors_t, dead_r, dead_t = self.sparse_fixture()
         batches, hidden = 40, 6
-        pair = tiny_pair(seed=5, in_r=12, in_t=10, hidden_r=(hidden,), joint=4, keep=0.75)
+        pair = self.compact_pair(vectors_r, vectors_t, links)
+        live_r = np.setdiff1d(np.arange(12), dead_r)
+        live_t = np.setdiff1d(np.arange(10), dead_t)
+        np.testing.assert_array_equal(pair.live_r, live_r)
+        np.testing.assert_array_equal(pair.live_t, live_t)
         init_r, init_t = pair.net_r.weights[0].copy(), pair.net_t.weights[0].copy()
         adam = AdamState(lr=1e-2)
         history = train_pair(pair, adam, SamplerState(links, batch_size=2, seed=3),
                              gold, vectors_r, vectors_t, batches=batches)
 
-        # train_pair steps in float32, so the dense reference does too
-        ref = float32_copy(tiny_pair(seed=5, in_r=12, in_t=10, hidden_r=(hidden,), joint=4, keep=0.75))
+        # the dense reference trains every column, in float32 too
+        ref = tiny_pair(seed=5, in_r=12, in_t=10, hidden_r=(hidden,), joint=4, keep=0.75)
         ref_adam = AdamState(lr=1e-2)
         ref_sampler = SamplerState(links, batch_size=2, seed=3)
         ref_losses = []
@@ -520,49 +597,65 @@ class TestTrainLoop:
             batch = sample_batch(ref_sampler, gold, vectors_r, vectors_t)
             ref_losses.append(gradient_step(ref, ref_adam, batch)[0])
 
+        # the dead columns have no weights; every live value is the dense one, bit for bit
         w_r, w_t = pair.net_r.weights[0], pair.net_t.weights[0]
-        np.testing.assert_array_equal(w_r[:, dead_r], init_r[:, dead_r])
-        np.testing.assert_array_equal(w_t[:, dead_t], init_t[:, dead_t])
+        assert w_r.shape == (hidden, len(live_r)) and w_t.shape == (4, len(live_t))
         assert not np.array_equal(w_r, init_r) and not np.array_equal(w_t, init_t)
-        live_r = np.setdiff1d(np.arange(12), dead_r)
-        live_t = np.setdiff1d(np.arange(10), dead_t)
-        np.testing.assert_allclose(w_r[:, live_r], ref.net_r.weights[0][:, live_r], rtol=1e-9, atol=0)
-        np.testing.assert_allclose(w_t[:, live_t], ref.net_t.weights[0][:, live_t], rtol=1e-9, atol=0)
+        np.testing.assert_array_equal(w_r, ref.net_r.weights[0][:, live_r])
+        np.testing.assert_array_equal(w_t, ref.net_t.weights[0][:, live_t])
         for actual, expected in zip(pair.parameters(), ref.parameters()):
             if actual is not w_r and actual is not w_t:
-                np.testing.assert_allclose(actual, expected, rtol=1e-9, atol=0)
-        np.testing.assert_allclose([h[2] for h in history], ref_losses, rtol=1e-9, atol=0)
+                np.testing.assert_array_equal(actual, expected)
+        np.testing.assert_array_equal([h[2] for h in history], ref_losses)
         assert adam.step == ref_adam.step == batches
-        assert adam.m.size == pair.flat.size - hidden * len(dead_r) - 4 * len(dead_t)
+        assert adam.m.size == pair.flat.size == ref.flat.size - hidden * len(dead_r) - 4 * len(dead_t)
 
-    def test_write_back_widens_float32_values_into_the_f64_pair(self):
+    def test_checkpoint_holds_the_values_of_dense_then_write_back_training(self, tmp_path):
         links, gold, vectors_r, vectors_t, dead_r, dead_t = self.sparse_fixture()
-        pair = tiny_pair(seed=5, in_r=12, in_t=10, hidden_r=(6,), joint=4, keep=0.75)
+        pair = self.compact_pair(vectors_r, vectors_t, links)
         init = pair.flat.copy()
-        adam = AdamState(lr=1e-2)
-        train_pair(pair, adam, SamplerState(links, batch_size=2, seed=3),
+        train_pair(pair, AdamState(lr=1e-2), SamplerState(links, batch_size=2, seed=3),
                    gold, vectors_r, vectors_t, batches=20)
-        assert pair.flat.dtype == np.float64 and adam.m.dtype == np.float32
-        after = pair.flat.copy()
-        for w, cols in ((pair.net_r.weights[0], dead_r), (pair.net_t.weights[0], dead_t)):
-            w[:, cols] = np.nan  # marks the dead entries of flat through the views
-        dead = np.isnan(pair.flat)
-        # the dead columns keep their f64 initial bits, which float32 cannot hold
-        np.testing.assert_array_equal(after[dead], init[dead])
-        assert np.any(init[dead] != init[dead].astype(np.float32))
-        trained = after[~dead]
-        np.testing.assert_array_equal(trained, trained.astype(np.float32))
-        assert not np.array_equal(trained, init[~dead])
+        assert not np.array_equal(pair.flat, init)
+        save_checkpoint(tmp_path / "model.ckpt", pair, step=20)
+        stored, header = load_checkpoint(tmp_path / "model.ckpt")
+
+        # the former trainer: a full f64 pair, its live columns trained in float32
+        # on a compact copy and written back, its dead columns left at their init
+        full = EmbedderPair(*glorot_f64(5, [12, 6, 4], [10, 4]), joint_dim=4, margin=0.2, seed=5)
+        lives = (pair.live_r, pair.live_t)
+        compact = EmbedderPair(
+            *[DenseNet([w.astype(np.float32) for w in (net.weights[0][:, live], *net.weights[1:])],
+                       [b.astype(np.float32) for b in net.biases], keep_prob=net.keep_prob)
+              for net, live in zip((full.net_r, full.net_t), lives)],
+            joint_dim=4, margin=full.margin, seed=full.seed, input_dim_r=12, input_dim_t=10,
+            live_r=pair.live_r, live_t=pair.live_t, train_rng=full.train_rng)
+        train_pair(compact, AdamState(lr=1e-2), SamplerState(links, batch_size=2, seed=3),
+                   gold, vectors_r, vectors_t, batches=20)
+        for net, trained, live in zip((full.net_r, full.net_t), (compact.net_r, compact.net_t), lives):
+            net.weights[0][:, live] = trained.weights[0]
+            for p, value in zip(net.weights[1:] + net.biases, trained.weights[1:] + trained.biases):
+                p[...] = value
+
+        # every stored value widens to the former f64 value; the dead columns are not stored
+        assert header["live_r"] == [c for c in range(12) if c not in dead_r]
+        assert header["live_t"] == [c for c in range(10) if c not in dead_t]
+        assert stored.flat.dtype == np.float32
+        assert stored.flat.size == full.flat.size - 6 * len(dead_r) - 4 * len(dead_t)
+        for net, former, live in zip((stored.net_r, stored.net_t), (full.net_r, full.net_t), lives):
+            np.testing.assert_array_equal(net.weights[0].astype(np.float64), former.weights[0][:, live])
+            for p, q in zip(net.weights[1:] + net.biases, former.weights[1:] + former.biases):
+                np.testing.assert_array_equal(p.astype(np.float64), q)
 
 
 class TestDtypeFollowsArrays:
     def test_float32_pair_steps_in_float32(self):
-        pair = float32_copy(tiny_pair(seed=2, keep=0.75))
+        pair = tiny_pair(seed=2, keep=0.75)
         batch = random_batch(np.random.default_rng(3))
         out, cache = pair.net_r.forward(batch.x_tuples, training=True, rng=pair.train_rng)
         assert out.dtype == np.float32
         assert all(arr.dtype == np.float32 for layer in cache for arr in layer if arr is not None)
-        loss, d_er, d_et, _ = loss_from_embeddings(out, pair.embed_mentions(batch.x_mentions),
+        loss, d_er, d_et, _ = loss_from_embeddings(out, pair.net_t.forward(batch.x_mentions)[0],
                                                    batch.pos_pairs, 1.0)
         assert loss > 0 and d_er.dtype == d_et.dtype == np.float32
         adam = AdamState(lr=1e-3)
@@ -574,6 +667,6 @@ class TestDtypeFollowsArrays:
     def test_moments_of_another_dtype_rejected(self):
         batch = random_batch(np.random.default_rng(3))
         adam = AdamState()
-        gradient_step(tiny_pair(seed=2), adam, batch)
+        gradient_step(float64_copy(tiny_pair(seed=2)), adam, batch)
         with pytest.raises(ValueError, match="float64 parameters, the pair .* float32"):
-            gradient_step(float32_copy(tiny_pair(seed=2)), adam, batch)
+            gradient_step(tiny_pair(seed=2), adam, batch)
