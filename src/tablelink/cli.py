@@ -19,7 +19,7 @@ import numpy as np
 
 from . import annindex, formats, linker, neural, vectorize
 from .config import ConfigError, load_config
-from .corpus import Corpus, CorpusError, Splits, corpus_stats, load_corpus_xml, make_stratified_splits
+from .corpus import Corpus, CorpusError, Splits, load_corpus_xml, make_stratified_splits
 
 
 class UsageError(Exception):
@@ -208,35 +208,6 @@ class CategoryArtifacts(Artifacts):
 
 
 # ---------------------------------------------------------------------------
-# Report rendering
-# ---------------------------------------------------------------------------
-
-def emit_report(report: linker.EvalReport, format="table") -> bytes:
-    """Deterministic report serialization as JSON or an aligned table.
-
-    The table has one row per category and, for each k, precision columns
-    for the test, train, and unseen splits.
-    """
-    if format == "json":
-        return (json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n").encode("utf-8")
-    headers = ["category"] + [f"P@{k}:{s}" for k in report.ks for s in linker.SPLIT_NAMES]
-    rows = []
-    for category in report.categories():
-        row = [category]
-        for k in report.ks:
-            for split in linker.SPLIT_NAMES:
-                cell = report.cells.get(report.primary_direction, {}).get(split, {}).get(category)
-                row.append(f"{cell['precision'][k]:.2f}" if cell else "-")
-        rows.append(row)
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-              for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-# ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
@@ -265,7 +236,7 @@ def cmd_ingest(config, args):
 
 
 def cmd_stats(config, args):
-    stats = corpus_stats(Workdir(config.paths.workdir).corpus())
+    stats = Workdir(config.paths.workdir).corpus().stats()
     header = (
         f"{'category':<20}{'instances':>10}{'tuples':>8}{'sentences':>11}"
         f"{'sent/inst':>11}{'columns':>9}{'density':>9}"
@@ -394,11 +365,11 @@ def run_stages(ws: Workdir, config, args, names):
                 timings[name] += time.perf_counter() - started
     if "eval" in names:
         ws.report.finalize_overall()
-        table = emit_report(ws.report, "table")
-        for name, blob in (("report.json", emit_report(ws.report, "json")), ("report.txt", table)):
-            with formats.replacing(ws.root / name, "wb") as f:
-                f.write(blob)
-        sys.stdout.write(table.decode("utf-8"))
+        formats.save_json(ws.root / "report.json", ws.report.to_dict())
+        table = ws.report.table()
+        with formats.replacing(ws.root / "report.txt", "w", encoding="utf-8") as f:
+            f.write(table)
+        sys.stdout.write(table)
     return timings
 
 

@@ -284,7 +284,38 @@ class Corpus:
         return [l for l in self.links if self.tuples[l.tuple_key].relation == category]
 
     def stats(self):
-        return corpus_stats(self)
+        """Per-category statistics: instances, tuples, sentences, density.
+
+        Density is the fraction of non-NULL attribute cells per tuple,
+        averaged over the category's tuples (foreign keys excluded).
+        """
+        out = {}
+        for category in self.categories():
+            schema = self.schemas[category]
+            records = self.tuples_of_category(category)
+            mentions = self.mentions_of_category(category)
+            linked = {self.tuples[l.tuple_key].entity for l in self.links_of_category(category)}
+            instances = len(linked) if linked else len({r.entity for r in records})
+            n_attrs = len(schema.attributes)
+            if n_attrs and records:
+                density = float(
+                    np.mean([
+                        sum(1 for a in schema.attribute_names if r.values.get(a) not in (None, ""))
+                        / n_attrs
+                        for r in records
+                    ])
+                )
+            else:
+                density = 0.0
+            out[category] = CategoryStats(
+                instances=instances,
+                tuples=len(records),
+                sentences=len(mentions),
+                sentences_per_instance=(len(mentions) / instances) if instances else 0.0,
+                columns=n_attrs + len(schema.foreign_keys),
+                avg_tuple_density=density,
+            )
+        return out
 
     def to_dict(self):
         return {
@@ -339,16 +370,6 @@ def _clean_value(obj):
     return obj.replace("_", " ")
 
 
-@dataclass
-class ParsedEntry:
-    """One parsed entry: records keyed by subject, mentions, gold links."""
-
-    category: str
-    records: list  # of TupleRecord, root first
-    mentions: list  # of TextMention
-    links: list  # of GoldLink
-
-
 def _parse_xml(text):
     """The root element of the XML string ``text``; malformed XML raises at its byte offset."""
     try:
@@ -362,6 +383,7 @@ def _parse_xml(text):
 
 
 def _parse_entry_element(elem, entry_id=None):
+    """(tuple records, one per subject with the root first; mentions; gold links) of one entry."""
     eid = entry_id or elem.get("eid") or "entry"
     category = elem.get("category") or "Uncategorized"
 
@@ -433,7 +455,7 @@ def _parse_entry_element(elem, entry_id=None):
         )
         links.append(GoldLink(tuple_key=root, mention_id=mid))
 
-    return ParsedEntry(category=category, records=records, mentions=mentions, links=links)
+    return records, mentions, links
 
 
 class CorpusBuilder:
@@ -453,9 +475,9 @@ class CorpusBuilder:
         self._mentions = {}
         self._links = []
 
-    def add_entry(self, entry: ParsedEntry):
+    def add_entry(self, records, mentions, links):
         key_of_subject, new = {}, []
-        for rec in entry.records:
+        for rec in records:
             sig = (
                 rec.relation,
                 rec.entity,
@@ -476,11 +498,11 @@ class CorpusBuilder:
                 for fk, targets in rec.fk_values.items()
             })
 
-        for mention in entry.mentions:
+        for mention in mentions:
             if mention.id in self._mentions:
                 raise CorpusError(f"duplicate mention id {mention.id!r}")
             self._mentions[mention.id] = mention
-        for link in entry.links:
+        for link in links:
             self._links.append(
                 GoldLink(tuple_key=key_of_subject[link.tuple_key], mention_id=link.mention_id)
             )
@@ -551,7 +573,7 @@ def load_corpus_xml(source):
     builder = CorpusBuilder()
     for i, elem in enumerate(entries, start=1):
         entry_id = elem.get("eid") or f"e{i}"
-        builder.add_entry(_parse_entry_element(elem, entry_id=entry_id))
+        builder.add_entry(*_parse_entry_element(elem, entry_id=entry_id))
     return builder.finalize()
 
 
@@ -605,42 +627,3 @@ def make_stratified_splits(corpus: Corpus, spec: SplitConfig):
     return Splits(
         train=frozenset(train), test=frozenset(test), unseen=frozenset(unseen), seed=spec.seed
     )
-
-
-# ---------------------------------------------------------------------------
-# Statistics
-# ---------------------------------------------------------------------------
-
-def corpus_stats(corpus: Corpus):
-    """Per-category statistics: instances, tuples, sentences, density.
-
-    Density is the fraction of non-NULL attribute cells per tuple,
-    averaged over the category's tuples (foreign keys excluded).
-    """
-    out = {}
-    for category in corpus.categories():
-        schema = corpus.schemas[category]
-        records = corpus.tuples_of_category(category)
-        mentions = corpus.mentions_of_category(category)
-        linked = {corpus.tuples[l.tuple_key].entity for l in corpus.links_of_category(category)}
-        instances = len(linked) if linked else len({r.entity for r in records})
-        n_attrs = len(schema.attributes)
-        if n_attrs and records:
-            density = float(
-                np.mean([
-                    sum(1 for a in schema.attribute_names if r.values.get(a) not in (None, ""))
-                    / n_attrs
-                    for r in records
-                ])
-            )
-        else:
-            density = 0.0
-        out[category] = CategoryStats(
-            instances=instances,
-            tuples=len(records),
-            sentences=len(mentions),
-            sentences_per_instance=(len(mentions) / instances) if instances else 0.0,
-            columns=n_attrs + len(schema.foreign_keys),
-            avg_tuple_density=density,
-        )
-    return out

@@ -51,16 +51,10 @@ _TOKEN = re.compile(r"\w+")
 
 
 def _tokens(text):
-    return _TOKEN.findall(text.lower())
-
-
-def _contains_sequence(haystack, needle):
-    if not needle or len(needle) > len(haystack):
-        return False
-    for i in range(len(haystack) - len(needle) + 1):
-        if haystack[i : i + len(needle)] == needle:
-            return True
-    return False
+    """``text``'s case-folded word tokens as " a b " ("" if none). Tokens hold no spaces, so
+    one such string is contained in another iff its tokens occur contiguously in the other's."""
+    toks = _TOKEN.findall(text.lower())
+    return f" {' '.join(toks)} " if toks else ""
 
 
 def bootstrap_exact_match(tuples, mentions, schemas, name_attributes=None):
@@ -98,7 +92,7 @@ def bootstrap_exact_match(tuples, mentions, schemas, name_attributes=None):
         if not names:
             continue
         for mention, sent_toks in mention_tokens:
-            if any(_contains_sequence(sent_toks, name) for name in names):
+            if any(name in sent_toks for name in names):
                 candidates.append(
                     MatchCandidate(
                         tuple_key=rec.key,
@@ -164,62 +158,65 @@ def semantic_link(forest: annindex.RpForest, anchors, n, search_k=None):
 
 @dataclass
 class EvalReport:
-    """Precision@k per direction, split, and category, plus overall rows."""
+    """Precision@k per direction, split, and category, plus overall rows.
+
+    Its two forms are ``to_dict`` (``report.json``) and ``table`` (``report.txt``).
+    """
 
     ks: tuple = (1, 5, 10)
     primary_direction: str = TUPLE_TO_MENTIONS
     # direction -> split -> category -> {"count": int, "excluded": int,
-    #                                    "hits": {k: int}, "precision": {k: float}}
+    #                                    "hits": {str(k): int}, "precision": {str(k): float}}
     cells: dict = field(default_factory=dict)
 
     def add_cell(self, direction, split, category, hits, count, excluded=0):
         self.cells.setdefault(direction, {}).setdefault(split, {})[category] = {
             "count": count,
             "excluded": excluded,
-            "hits": {int(k): int(hits[k]) for k in self.ks},
-            "precision": {int(k): (hits[k] / count if count else 0.0) for k in self.ks},
+            "hits": {str(k): int(hits[k]) for k in self.ks},
+            "precision": {str(k): (hits[k] / count if count else 0.0) for k in self.ks},
         }
 
     def finalize_overall(self):
         for direction, by_split in self.cells.items():
             for split, by_category in by_split.items():
                 cats = [c for name, c in by_category.items() if name != "overall"]
-                hits = {k: sum(c["hits"][k] for c in cats) for k in self.ks}
+                hits = {k: sum(c["hits"][str(k)] for c in cats) for k in self.ks}
                 self.add_cell(direction, split, "overall", hits, sum(c["count"] for c in cats),
                               sum(c["excluded"] for c in cats))
 
     def precision(self, split, category="overall", k=1, direction=None):
         direction = direction or self.primary_direction
-        return self.cells[direction][split][category]["precision"][k]
-
-    def categories(self):
-        cats = set()
-        for by_split in self.cells.values():
-            for by_category in by_split.values():
-                cats.update(n for n in by_category if n != "overall")
-        return sorted(cats)
+        return self.cells[direction][split][category]["precision"][str(k)]
 
     def to_dict(self):
         return {
             "format_version": 1,
             "ks": list(self.ks),
             "primary_direction": self.primary_direction,
-            "cells": {
-                direction: {
-                    split: {
-                        category: {
-                            "count": cell["count"],
-                            "excluded": cell["excluded"],
-                            "hits": {str(k): v for k, v in sorted(cell["hits"].items())},
-                            "precision": {str(k): v for k, v in sorted(cell["precision"].items())},
-                        }
-                        for category, cell in by_category.items()
-                    }
-                    for split, by_category in by_split.items()
-                }
-                for direction, by_split in self.cells.items()
-            },
+            "cells": self.cells,
         }
+
+    def table(self):
+        """The aligned text table: one row per category and, for each k, the
+        primary direction's precision on the test, train and unseen splits."""
+        by_split = self.cells.get(self.primary_direction, {})
+        categories = sorted({name for by_direction in self.cells.values()
+                             for by_category in by_direction.values()
+                             for name in by_category if name != "overall"})
+        headers = ["category"] + [f"P@{k}:{s}" for k in self.ks for s in SPLIT_NAMES]
+        rows = []
+        for category in categories:
+            row = [category]
+            for k in self.ks:
+                for split in SPLIT_NAMES:
+                    cell = by_split.get(split, {}).get(category)
+                    row.append(f"{cell['precision'][str(k)]:.2f}" if cell else "-")
+            rows.append(row)
+        widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
+                  for i, h in enumerate(headers)]
+        return "".join("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() + "\n"
+                       for line in [headers, *rows])
 
 
 def evaluate_precision(results, gold, ks=(1, 5, 10), split="test", category="overall",
@@ -289,10 +286,9 @@ def train_category(corpus: Corpus, category, config, splits, tuple_vecs, mention
             "zero candidates; supply gold links or configure name_attributes to a text "
             "attribute whose values appear in sentences"
         )
-    entity_of = {rec.key: rec.entity for rec in corpus.tuples_of_category(category)}
     train_links = {}
     for tk, mid in matches:
-        entity = entity_of[tk]
+        entity = corpus.tuples[tk].entity
         if entity in splits.train:
             train_links.setdefault(entity, []).append((tk, mid))
     if not train_links:

@@ -683,7 +683,14 @@ def load_checkpoint(path):
 
 def _read_header(header):
     """(header, (layer shapes, keep probability) of each net, parameter count, pair kwargs)."""
-    nets = [(header["shapes_r"], header["keep_prob_r"]), (header["shapes_t"], header["keep_prob_t"])]
+    nets = []
+    for side in "rt":
+        keep_prob = float(header[f"keep_prob_{side}"])
+        if not 0.0 < keep_prob <= 1.0:
+            raise ValueError(f"keep_prob_{side} {keep_prob} is not in (0, 1]")
+        shapes = [(operator.index(out_dim), operator.index(in_dim))
+                  for out_dim, in_dim in header[f"shapes_{side}"]]
+        nets.append((shapes, keep_prob))
     count = sum(out_dim * (in_dim + 1) for shapes, _ in nets for out_dim, in_dim in shapes)
     hyper = {key: header[key] for key in ("joint_dim", "live_r", "live_t")}
     hyper["margin"] = float(header["margin"])

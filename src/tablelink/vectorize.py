@@ -230,8 +230,10 @@ def fit_vectorizer(tuples, schema: RelationSchema, encoder: HashingEncoder):
                     if rec.values.get(attr) not in (None, "")]
             if vals:
                 arr = np.asarray(vals, dtype=np.float64)
-                mean = float(arr.mean())
-                std = float(arr.std())  # population std
+                # an overflow gives a non-finite stat, which the check below rejects
+                with np.errstate(over="ignore", invalid="ignore"):
+                    mean = float(arr.mean())
+                    std = float(arr.std())  # population std
                 if std == 0.0:
                     mean, std = (mean, 1.0)
             else:

@@ -10,7 +10,7 @@ import pytest
 
 from tablelink import annindex, cli
 from tablelink.annindex import brute_force_knn
-from tablelink.cli import emit_report, run_command
+from tablelink.cli import run_command
 from tablelink.config import PROFILES, ConfigError, ProjectConfig, apply_profile, load_config
 from tablelink.linker import TUPLE_TO_MENTIONS, EvalReport
 from tablelink.neural import DenseNet, EmbedderPair, TrainingError
@@ -475,6 +475,10 @@ class TestErrors:
         ("model_Landmark.ckpt", ckpt_live("t", lambda live, dim: live[:-1] + [dim]), "embed-mentions"),
         ("model_Landmark.ckpt", ckpt_header(lambda h: h.update(margin="x")), "embed-tuples"),
         ("model_Landmark.ckpt", ckpt_header(lambda h: h.update(seed="x")), "embed-tuples"),
+        ("model_Landmark.ckpt",
+         ckpt_header(lambda h: h.update(shapes_r=[[float(o), i] for o, i in h["shapes_r"]])),
+         "embed-tuples"),
+        ("model_Landmark.ckpt", ckpt_header(lambda h: h.update(keep_prob_t=None)), "embed-mentions"),
         ("corpus.json", lambda b: json_set(b, "tuples", 0, "values", value=["x"]), "fit"),
         ("corpus.json", lambda b: json_set(b, "tuples", 0, "fk_values", value=["x"]), "fit"),
         ("corpus.json", lambda b: json_set(b, "tuples", 0, "fk_values", value={"x": [1]}), "fit"),
@@ -490,7 +494,8 @@ class TestErrors:
             "corpus-sentence-text-number", "vectorizer-stats-not-numbers",
             "vectorizer-stats-std-0", "vectorizer-stats-missing", "vectorizer-vocabulary-object",
             "ckpt-live-descending", "ckpt-live-out-of-range", "ckpt-margin-string",
-            "ckpt-seed-string", "corpus-tuple-values-list",
+            "ckpt-seed-string", "ckpt-shape-float", "ckpt-keep-prob-null",
+            "corpus-tuple-values-list",
             "corpus-tuple-fk-values-list", "corpus-tuple-fk-targets-not-strings",
             "corpus-numeric-not-a-number", "corpus-mention-category-unknown"])
     def test_corrupt_artifact_exits_two_naming_it(self, project, capsys, artifact, corrupt, command):
@@ -647,7 +652,7 @@ def one_category_report(value=1.0):
 
 class TestEmitReport:
     def test_single_row_nine_cells(self):
-        table = emit_report(one_category_report(), "table").decode()
+        table = one_category_report().table()
         lines = [l for l in table.splitlines() if l.strip()]
         assert len(lines) == 2
         cells = lines[1].split()
@@ -656,14 +661,13 @@ class TestEmitReport:
 
     def test_empty_report_header_only(self):
         report = EvalReport(ks=(1, 5, 10))
-        table = emit_report(report, "table").decode()
+        table = report.table()
         lines = [l for l in table.splitlines() if l.strip()]
         assert len(lines) == 1
         assert lines[0].startswith("category")
-        blob = json.loads(emit_report(report, "json").decode())
-        assert blob["cells"] == {}
+        assert report.to_dict()["cells"] == {}
 
     def test_deterministic_bytes(self):
         report = one_category_report(0.75)
-        assert emit_report(report, "json") == emit_report(report, "json")
-        assert emit_report(report, "table") == emit_report(report, "table")
+        assert report.to_dict() == report.to_dict()
+        assert report.table() == report.table()

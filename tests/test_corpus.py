@@ -11,7 +11,6 @@ from tablelink.corpus import (
     RelationSchema,
     TextMention,
     TupleRecord,
-    corpus_stats,
     load_corpus_xml,
     make_splits,
     make_stratified_splits,
@@ -280,7 +279,7 @@ class TestSplits:
 class TestStats:
     def test_two_entry_stats(self, building_entries_xml):
         corpus = load_corpus_xml(building_entries_xml)
-        stats = corpus_stats(corpus)["Building"]
+        stats = corpus.stats()["Building"]
         assert stats.instances == 2  # the two gold-linked root entities
         assert stats.tuples == 3
         assert stats.sentences == 2
@@ -294,7 +293,7 @@ class TestStats:
         schema = RelationSchema(name="R", attributes=(("a", "text"), ("b", "numeric")))
         rec = TupleRecord(relation="R", key="k", entity="k", values={})
         corpus = Corpus({"R": schema}, {"k": rec}, {}, [])
-        assert corpus_stats(corpus)["R"].avg_tuple_density == 0.0
+        assert corpus.stats()["R"].avg_tuple_density == 0.0
 
     def test_parse_stats_round_trip_attribute_counts(self, building_entries_xml):
         corpus = load_corpus_xml(building_entries_xml)

@@ -64,6 +64,15 @@ class TestBootstrap:
         got = {(c.tuple_key, c.mention_id) for c in candidates}
         assert ("HP", "m2") in got
         assert ("HP Inc.", "m2") not in got
+        # a name matches whole tokens in order; punctuation between them does not count
+        cases = [
+            mention("m3", "HPE shipped servers."),
+            mention("m4", "Inc. magazine praised HP."),
+            mention("m5", "HP, Inc. (the printer maker) grew."),
+        ]
+        candidates = bootstrap_exact_match(org_tuples, cases, {org_schema.name: org_schema})
+        got = {(c.tuple_key, c.mention_id) for c in candidates}
+        assert got == {("HP", "m4"), ("HP", "m5"), ("HP Inc.", "m5")}
 
     def test_no_text_attribute_warns_and_returns_empty(self, caplog):
         schema = RelationSchema(name="N", attributes=(("x", "numeric"),))
@@ -229,7 +238,7 @@ class TestEvaluatePrecision:
                 gold[f"t{a}"] = {f"m{int(rng.integers(20))}"}
             report = evaluate_precision(results, gold)
             cell = report.cells[TUPLE_TO_MENTIONS]["test"]["overall"]["precision"]
-            assert cell[1] <= cell[5] <= cell[10]
+            assert cell["1"] <= cell["5"] <= cell["10"]
 
 
 @pytest.fixture(scope="module")
@@ -267,7 +276,7 @@ class TestRetrainCycle:
             cell = report.cells[TUPLE_TO_MENTIONS][split]["Landmark"]
             assert cell["count"] > 0
             p = cell["precision"]
-            assert 0.0 <= p[1] <= p[5] <= p[10] <= 1.0
+            assert 0.0 <= p["1"] <= p["5"] <= p["10"] <= 1.0
         assert (tmp_path / "model_Landmark.ckpt").exists()
         assert set(timings) == set(PIPELINE_STAGES)
 

@@ -163,6 +163,12 @@ class TestFitVectorizer:
         model = fit_vectorizer(records, numeric_schema, HashingEncoder(dim=8, seed=0))
         assert model.numeric_stats["x"] == (7.0, 1.0)
 
+    def test_overflowing_stats_rejected_without_a_warning(self, numeric_schema):
+        values = (1e200, -1e200, 3.0, 4.0, 5.0, 6.0)
+        records = [make_record(numeric_schema, f"k{i}", x=v) for i, v in enumerate(values)]
+        with pytest.raises(VectorizeError, match="non-finite stats"):
+            fit_vectorizer(records, numeric_schema, HashingEncoder(dim=8, seed=0))
+
     def test_empty_tuple_set_rejected(self, numeric_schema):
         with pytest.raises(VectorizeError, match="empty"):
             fit_vectorizer([], numeric_schema, HashingEncoder(dim=8, seed=0))
