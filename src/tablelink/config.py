@@ -84,7 +84,7 @@ class ProjectConfig:
         if self.network.joint_dim < 1:
             raise ConfigError("network.joint_dim must be >= 1")
         if any(h < 1 for h in self.network.hidden_r + self.network.hidden_t):
-            raise ConfigError("hidden layer sizes must be >= 1")
+            raise ConfigError("network.hidden_r and network.hidden_t sizes must be >= 1")
         if self.training.margin < 0:
             raise ConfigError("training.margin must be >= 0")
         if not (0 < self.training.lr):
@@ -96,7 +96,7 @@ class ProjectConfig:
         if not (0 < self.training.keep_prob <= 1):
             raise ConfigError("training.keep_prob must lie in (0, 1]")
         if self.training.batch_size < 1 or self.training.batch_budget < 0:
-            raise ConfigError("training.batch_size must be >= 1 and batch_budget >= 0")
+            raise ConfigError("training.batch_size must be >= 1 and training.batch_budget >= 0")
         if self.index.t < 1 or self.index.leaf_capacity < 1 or self.index.n < 1:
             raise ConfigError("index.t, index.leaf_capacity and index.n must be >= 1")
         if self.index.search_k is not None and self.index.search_k < 1:
@@ -107,8 +107,8 @@ class ProjectConfig:
                 raise ConfigError(f"split.{name} must lie in (0, 1)")
         if self.strategy not in ("exact", "semantic"):
             raise ConfigError(f"strategy must be 'exact' or 'semantic', got {self.strategy!r}")
-        if not self.eval_ks or any(k < 1 for k in self.eval_ks):
-            raise ConfigError("eval_ks must be nonempty positive integers")
+        if not self.eval_ks or min(self.eval_ks) < 1 or len(set(self.eval_ks)) < len(self.eval_ks):
+            raise ConfigError("eval_ks must be nonempty distinct positive integers")
         return self
 
 

@@ -95,6 +95,9 @@ class TupleRecord:
     fk_values: dict = field(default_factory=dict)  # fk name -> list of target keys
 
     def __post_init__(self):
+        for name in ("relation", "key", "entity"):
+            if not isinstance(getattr(self, name), str):
+                raise CorpusError(f"tuple {self.key!r}: {name} must be a string")
         if not isinstance(self.values, dict):
             raise CorpusError(f"tuple {self.key!r}: values must be a dict of attribute values")
         if not isinstance(self.fk_values, dict) or not all(
@@ -123,7 +126,7 @@ class TextMention:
         object.__setattr__(self, "span", (start, end))  # corpus.json holds a list
         if not (0 <= start < end):
             raise CorpusError(f"mention {self.id!r}: invalid span {self.span}")
-        for name in ("mention_text", "sentence_text"):
+        for name in ("id", "mention_text", "sentence_text"):
             if not isinstance(getattr(self, name), str):
                 raise CorpusError(f"mention {self.id!r}: {name} must be a string")
         if not self.mention_text:
@@ -177,13 +180,20 @@ class Splits:
 
     @classmethod
     def from_dict(cls, d):
-        s = d["splits"]
-        return cls(
-            train=frozenset(s["train"]),
-            test=frozenset(s["test"]),
-            unseen=frozenset(s["unseen"]),
-            seed=d["seed"],
-        )
+        """Each split must list distinct entity names, no entity in two splits; ``seed`` is an int."""
+        if type(d["seed"]) is not int:
+            raise CorpusError(f"seed {d['seed']!r} is not an integer")
+        sets = {}
+        for name in ("train", "test", "unseen"):
+            members = d["splits"][name]
+            if not (isinstance(members, list) and all(isinstance(e, str) for e in members)
+                    and len(set(members)) == len(members)):
+                raise CorpusError(f"split {name!r} is not a list of distinct entity names")
+            sets[name] = frozenset(members)
+        for a, b in (("train", "test"), ("train", "unseen"), ("test", "unseen")):
+            if shared := sets[a] & sets[b]:
+                raise CorpusError(f"splits {a!r} and {b!r} share the entity {min(shared)!r}")
+        return cls(**sets, seed=d["seed"])
 
     def save(self, path):
         formats.save_json(path, self.to_dict())
@@ -266,10 +276,6 @@ class Corpus:
         self.entity_category = {}
         for rec in self.tuples.values():
             self.entity_category.setdefault(rec.entity, rec.relation)
-
-    def linked_entities(self):
-        """Entities that participate in at least one gold link, sorted."""
-        return sorted({self.tuples[link.tuple_key].entity for link in self.links})
 
     def categories(self):
         return sorted(self.schemas)
@@ -382,9 +388,8 @@ def _parse_xml(text):
         raise CorpusError(f"malformed XML at byte offset {offset}: {exc}") from exc
 
 
-def _parse_entry_element(elem, entry_id=None):
-    """(tuple records, one per subject with the root first; mentions; gold links) of one entry."""
-    eid = entry_id or elem.get("eid") or "entry"
+def _parse_entry_element(elem, eid):
+    """(tuple records, one per subject with the root first; mentions; gold links) of entry ``eid``."""
     category = elem.get("category") or "Uncategorized"
 
     tripleset = elem.find("modifiedtripleset")
@@ -572,8 +577,7 @@ def load_corpus_xml(source):
         raise CorpusError("no <entry> elements found")
     builder = CorpusBuilder()
     for i, elem in enumerate(entries, start=1):
-        entry_id = elem.get("eid") or f"e{i}"
-        builder.add_entry(*_parse_entry_element(elem, entry_id=entry_id))
+        builder.add_entry(*_parse_entry_element(elem, elem.get("eid") or f"e{i}"))
     return builder.finalize()
 
 
@@ -616,7 +620,7 @@ def make_stratified_splits(corpus: Corpus, spec: SplitConfig):
     """Split gold-linked entities per category so every category appears
     in all three sets; category i splits with seed ``spec.seed + i``."""
     by_category = {}
-    for entity in corpus.linked_entities():
+    for entity in {corpus.tuples[link.tuple_key].entity for link in corpus.links}:
         by_category.setdefault(corpus.entity_category[entity], []).append(entity)
     train, test, unseen = set(), set(), set()
     for i, category in enumerate(sorted(by_category)):

@@ -66,21 +66,13 @@ def read_binary(path, magic, fmt, version, error, rerun, parse):
         raise error(f"{path}: {exc}") from None
 
 
-def read_f64(data, pos, count):
-    """The ``count`` little-endian f64 values that end ``data`` at ``pos``, as a new array.
+def read_floats(data, pos, count, dtype):
+    """The ``count`` little-endian ``dtype`` values that end ``data`` at ``pos``, as a new array.
 
     A short or long body and a NaN or infinite value raise ``ValueError``.
     """
-    return _read_floats(data, pos, count, "f64", np.float64)
-
-
-def read_f32(data, pos, count):
-    """As ``read_f64``, for ``count`` little-endian f32 values."""
-    return _read_floats(data, pos, count, "f32", np.float32)
-
-
-def _read_floats(data, pos, count, name, dtype):
     wire = np.dtype(dtype).newbyteorder("<")
+    name = f"f{8 * wire.itemsize}"
     end = pos + wire.itemsize * count
     if len(data) < end:
         raise ValueError(f"truncated {name} values ({len(data) - pos} of {end - pos} bytes)")
@@ -131,7 +123,7 @@ def read_keyed_matrix(data, pos, dim, count):
         if keys and key <= keys[-1]:
             raise ValueError(f"id table is not strictly ascending: {key!r} after {keys[-1]!r}")
         keys.append(key)
-    matrix = read_f64(data, pos, count * dim).reshape(count, dim)
+    matrix = read_floats(data, pos, count * dim, np.float64).reshape(count, dim)
     overflows = np.flatnonzero(~np.isfinite(row_norms(matrix)))
     if len(overflows):
         raise ValueError(f"non-finite norm of row {keys[overflows[0]]!r}: a component's square "

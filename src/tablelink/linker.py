@@ -7,6 +7,7 @@ equally scored candidates share a rank.
 """
 
 import logging
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -224,24 +225,17 @@ def evaluate_precision(results, gold, ks=(1, 5, 10), split="test", category="ove
     """Precision@k over anchors: fraction whose top-k holds a gold counterpart.
 
     ``results`` maps anchor id to LinkResult; ``gold`` maps anchor id to its
-    set of gold counterparts. Top-k membership uses dense ranks. Anchors
+    set of gold counterparts. An anchor's hit rank is the best dense rank of
+    its gold counterparts, and it counts for every k at or above it. Anchors
     without any gold counterpart are excluded and counted. The cell is added
     to ``report`` (a fresh one when None), which is returned.
     """
-    hits = {k: 0 for k in ks}
-    evaluated = excluded = 0
-    for anchor, result in results.items():
-        positives = gold.get(anchor) or set()
-        if not positives:
-            excluded += 1
-            continue
-        evaluated += 1
-        for k in ks:
-            if any(cp in positives and rank <= k for cp, _, rank in result.ranked):
-                hits[k] += 1
+    best = [min((rank for cp, _, rank in result.ranked if cp in gold[anchor]), default=math.inf)
+            for anchor, result in results.items() if gold.get(anchor)]
     if report is None:
         report = EvalReport(ks=tuple(ks), primary_direction=direction)
-    report.add_cell(direction, split, category, hits, evaluated, excluded=excluded)
+    report.add_cell(direction, split, category, {k: sum(rank <= k for rank in best) for k in ks},
+                    len(best), excluded=len(results) - len(best))
     return report
 
 

@@ -233,14 +233,6 @@ class EmbedderPair:
                 out.extend((w, b))
         return out
 
-    def gradients(self):
-        """Gradient views aligned with ``parameters()``, filled by ``DenseNet.backward``."""
-        out = []
-        for net in (self.net_r, self.net_t):
-            for w, b in zip(net.grad_weights, net.grad_biases):
-                out.extend((w, b))
-        return out
-
     def embed_tuples(self, raw):
         """Joint-space f64 vectors of raw tuple vectors (rows of ``input_dim_r`` columns)."""
         return _embed(self.net_r, self.live_r, self.input_dim_r, raw)
@@ -385,8 +377,8 @@ def pairwise_contrastive_loss(pair: EmbedderPair, batch: TrainingBatch,
                               margin=None, training=False):
     """Loss over a batch plus exact parameter gradients.
 
-    Returns (loss, ``pair.gradients()``, stats). The gradients are views of
-    ``pair.grad``, which the next call overwrites.
+    Returns (loss, ``pair.grad``, stats): the gradient is flat, in
+    ``pair.flat`` order, and the next call overwrites it.
     """
     margin = pair.margin if margin is None else margin
     rng = pair.train_rng if training else None
@@ -395,7 +387,7 @@ def pairwise_contrastive_loss(pair: EmbedderPair, batch: TrainingBatch,
     loss, d_er, d_et, stats = loss_from_embeddings(e_r, e_t, batch.pos_pairs, margin)
     pair.net_r.backward(d_er, cache_r)
     pair.net_t.backward(d_et, cache_t)
-    return loss, pair.gradients(), stats
+    return loss, pair.grad, stats
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +433,13 @@ class AdamState:
                              f"the pair {flat.size} {flat.dtype}")
 
 
-def gradient_step(pair: EmbedderPair, adam: AdamState, batch: TrainingBatch, margin=None):
+def gradient_step(pair: EmbedderPair, adam: AdamState, batch: TrainingBatch):
     """One Adam update on the batch; returns (loss, stats).
 
     Aborts with a diagnostic dump of the offending batch if the loss or any
     gradient is non-finite.
     """
-    loss, _, stats = pairwise_contrastive_loss(pair, batch, margin=margin, training=True)
+    loss, _, stats = pairwise_contrastive_loss(pair, batch, training=True)
     if not np.isfinite(loss) or not np.isfinite(pair.grad).all():
         dump = {
             "step": adam.step,
@@ -504,24 +496,18 @@ def gradient_check(pair: EmbedderPair, batch: TrainingBatch, epsilon=1e-5, margi
         if stats.min_hinge_gap > 10 * epsilon:
             break
         margin += max(0.01, 100 * epsilon) * (attempt + 1)
-    _, grads, _ = pairwise_contrastive_loss(pair, batch, margin=margin, training=False)
-    analytic = [g.copy() for g in grads]  # the gradient buffer is reused below
-
-    params = pair.parameters()
+    # the gradient buffer is overwritten by every loss below
+    analytic = pairwise_contrastive_loss(pair, batch, margin=margin, training=False)[1].copy()
     max_rel = 0.0
-    for p, g in zip(params, analytic):
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        for idx in range(flat_p.size):
-            saved = flat_p[idx]
-            flat_p[idx] = saved + epsilon
-            plus = pairwise_contrastive_loss(pair, batch, margin=margin, training=False)[0]
-            flat_p[idx] = saved - epsilon
-            minus = pairwise_contrastive_loss(pair, batch, margin=margin, training=False)[0]
-            flat_p[idx] = saved
-            numeric = (plus - minus) / (2 * epsilon)
-            rel = abs(flat_g[idx] - numeric) / max(1e-6, abs(flat_g[idx]), abs(numeric))
-            max_rel = max(max_rel, rel)
+    for i, g in enumerate(analytic):
+        saved = pair.flat[i]
+        pair.flat[i] = saved + epsilon
+        plus = pairwise_contrastive_loss(pair, batch, margin=margin, training=False)[0]
+        pair.flat[i] = saved - epsilon
+        minus = pairwise_contrastive_loss(pair, batch, margin=margin, training=False)[0]
+        pair.flat[i] = saved
+        numeric = (plus - minus) / (2 * epsilon)
+        max_rel = max(max_rel, abs(g - numeric) / max(1e-6, abs(g), abs(numeric)))
     return max_rel
 
 
@@ -670,7 +656,7 @@ def load_checkpoint(path):
         header, nets, count, hyper = formats.parse_json(
             data[offset : offset + hlen], path, _read_header, TrainingError
         )
-        flat = formats.read_f32(data, offset + hlen, count)
+        flat = formats.read_floats(data, offset + hlen, count, np.float32)
         start, built = 0, []
         for shapes, keep_prob in nets:
             weights, biases, start = _layer_views(flat, start, shapes)

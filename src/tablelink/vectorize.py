@@ -168,6 +168,9 @@ class VectorizerModel:
             )
         if d["encoder"].get("type") != "hashing":
             raise VectorizeError(f"unknown encoder type {d['encoder'].get('type')!r}")
+        for key in ("dim", "seed"):
+            if type(d["encoder"][key]) is not int:  # a bool is not an encoder int either
+                raise VectorizeError(f"encoder {key} {d['encoder'][key]!r} is not an integer")
         schema = RelationSchema.from_dict(d["schema"]["name"], d["schema"])
         for key, kind in (("numeric_stats", "numeric"), ("vocabularies", "categorical")):
             wanted = sorted(a for a, k in schema.attributes if k == kind)

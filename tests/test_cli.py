@@ -78,6 +78,22 @@ def json_drop(blob, *path):
     return json.dumps(doc).encode("utf-8")
 
 
+def id_number(blob, records, field, link_side):
+    """A ``corpus.json`` whose first ``records`` entry has the id 1, in its gold links too."""
+    doc = json.loads(blob)
+    old, doc[records][0][field] = doc[records][0][field], 1
+    for link in doc["links"]:
+        if link[link_side] == old:
+            link[link_side] = 1
+    return json.dumps(doc).encode("utf-8")
+
+
+def splits_overlap(blob):
+    """A ``splits.json`` whose test split also lists the first train entity."""
+    splits = json.loads(blob)["splits"]
+    return json_set(blob, "splits", "test", value=splits["test"] + splits["train"][:1])
+
+
 def json_set(blob, *path, value):
     """A JSON artifact with the value at the key ``path`` replaced."""
     doc = json.loads(blob)
@@ -367,6 +383,23 @@ class TestErrors:
         assert status == 1
         assert "training.lr" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [
+        "encoder.dim=0", "network.joint_dim=0", "network.hidden_r=[0]", "network.hidden_t=[0]",
+        "training.margin=-1", "training.lr=0", "training.decay=0", "training.decay=1.5",
+        "training.decay_every=0", "training.keep_prob=0", "training.keep_prob=1.5",
+        "training.batch_size=0", "training.batch_budget=-1", "index.t=0", "index.leaf_capacity=0",
+        "index.n=0", "index.search_k=0", "split.unseen_fraction=1",
+        "split.test_fraction_of_seen=0", "strategy=fuzzy", "eval_ks=[]", "eval_ks=[0]",
+        "eval_ks=[5,1,5]",
+    ])
+    def test_config_out_of_bounds_exits_one_naming_the_key(self, project, capsys, override):
+        config_path, workdir = project
+        assert run_command(["ingest", "--config", str(config_path), "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert override.partition("=")[0] in err
+        assert not workdir.exists()
+
     @pytest.mark.parametrize("kind", ["directory", "missing"])
     def test_unreadable_config_exits_one(self, tmp_path, capsys, kind):
         path = tmp_path / "c.json"
@@ -485,6 +518,16 @@ class TestErrors:
         ("corpus.json", lambda b: json_set(b, "tuples", 0, "values", "height", value="tall"), "fit"),
         ("corpus.json", lambda b: json_set(b, "mentions", 0, "entity_category", value="Nowhere"),
          "train"),
+        ("corpus.json", lambda b: id_number(b, "tuples", "key", 0), "train"),
+        ("corpus.json", lambda b: id_number(b, "mentions", "id", 1), "train"),
+        ("corpus.json", lambda b: json_set(b, "tuples", 0, "entity", value=1), "train"),
+        ("splits.json", splits_overlap, "eval"),
+        ("splits.json", lambda b: json_set(b, "splits", "unseen", value=[1, 2]), "eval"),
+        ("splits.json", lambda b: json_set(b, "seed", value="1"), "eval"),
+        ("vectorizer_Landmark.json", lambda b: json_set(b, "encoder", "seed", value=True),
+         "embed-tuples"),
+        ("vectorizer_Landmark.json", lambda b: json_set(b, "encoder", "dim", value=64.9),
+         "embed-tuples"),
     ], ids=["vectorizer-cut", "vectorizer-no-encoder", "ckpt-cut-6", "ckpt-header-not-utf8",
             "ckpt-no-joint-dim", "ckpt-joint-dim-disagrees", "vectorizer-attribute-of-one",
             "corpus-attribute-of-one", "vec-cut-10", "idx-cut-10", "vec-ids-descending",
@@ -497,7 +540,10 @@ class TestErrors:
             "ckpt-seed-string", "ckpt-shape-float", "ckpt-keep-prob-null",
             "corpus-tuple-values-list",
             "corpus-tuple-fk-values-list", "corpus-tuple-fk-targets-not-strings",
-            "corpus-numeric-not-a-number", "corpus-mention-category-unknown"])
+            "corpus-numeric-not-a-number", "corpus-mention-category-unknown",
+            "corpus-tuple-key-number", "corpus-mention-id-number", "corpus-tuple-entity-number",
+            "splits-overlap", "splits-members-numbers", "splits-seed-string",
+            "vectorizer-encoder-seed-bool", "vectorizer-encoder-dim-float"])
     def test_corrupt_artifact_exits_two_naming_it(self, project, capsys, artifact, corrupt, command):
         config_path, workdir = project
         for step in INDEX_CHAIN:
@@ -632,6 +678,15 @@ class TestProfiles:
         assert config.training.decay_every == 1000
         assert config.index.t == 200
         assert config.index.n == 10
+
+    def test_paper_profile_reaches_the_command(self, project, capsys):
+        config_path, workdir = project
+        for step in INDEX_CHAIN[:-1]:
+            assert run_command([step, "--config", str(config_path)]) == 0, step
+        capsys.readouterr()
+        assert run_command(["build-index", "--config", str(config_path), "--profile", "paper"]) == 0
+        assert "indexed 12 tuples vectors for Landmark (t=200)" in capsys.readouterr().out
+        assert annindex.load_forest(workdir / "mentions_Landmark.idx").t == 200
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(ConfigError, match="unknown profile"):

@@ -227,6 +227,14 @@ class TestEvaluatePrecision:
         assert cell["count"] == 1
         assert cell["excluded"] == 1
 
+    def test_repeated_k_counts_an_anchor_once(self):
+        results, gold = self.make_results(1)
+        results["t2"] = LinkResult([("m1", 0.1, 1), ("m2", 0.1, 1), ("m3", 0.2, 2)])
+        gold["t2"] = {"m2", "m3"}
+        cell = evaluate_precision(results, gold, ks=(5, 1, 5)).cells[TUPLE_TO_MENTIONS]["test"]
+        assert cell["overall"]["hits"] == {"5": 2, "1": 2}
+        assert cell["overall"]["precision"] == {"5": 1.0, "1": 1.0}
+
     def test_p_at_k_nondecreasing_property(self):
         rng = np.random.default_rng(5)
         for _ in range(30):

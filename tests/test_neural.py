@@ -258,7 +258,7 @@ class TestGradients:
         batch = TrainingBatch(
             x_tuples=u[None, :], x_mentions=np.stack([p, n]), pos_pairs=[(0, 0)]
         )
-        loss, grads, _ = pairwise_contrastive_loss(pair, batch)
+        loss, _, _ = pairwise_contrastive_loss(pair, batch)
 
         def d_score(u, v):
             # gradient of 1 - cos(u, v) with respect to u
@@ -272,7 +272,8 @@ class TestGradients:
         d_u = d_score(u, p) - d_score(u, n)
         d_p = d_score(p, u)
         d_n = -d_score(n, u)
-        gw_r, gb_r, gw_t, gb_t = grads[0], grads[1], grads[2], grads[3]
+        (gw_r,), (gb_r,) = pair.net_r.grad_weights, pair.net_r.grad_biases
+        (gw_t,), (gb_t,) = pair.net_t.grad_weights, pair.net_t.grad_biases
         np.testing.assert_allclose(gw_r, np.outer(d_u, u), atol=1e-8)
         np.testing.assert_allclose(gb_r, d_u, atol=1e-8)
         np.testing.assert_allclose(gw_t, np.outer(d_p, p) + np.outer(d_n, n), atol=1e-8)
@@ -357,28 +358,25 @@ class TestOptimizer:
         # eps is near the gradient scale, so folding it wrongly moves the result
         lr, decay, every, b1, b2, eps = 1e-3, 0.9, 10, 0.9, 0.999, 1e-2
         adam = AdamState(lr=lr, decay=decay, decay_every=every, beta1=b1, beta2=b2, eps=eps)
-        ref = [p.copy() for p in pair.parameters()]
-        m = [np.zeros_like(p) for p in ref]
-        v = [np.zeros_like(p) for p in ref]
+        ref = pair.flat.copy()
+        m = np.zeros_like(ref)
+        v = np.zeros_like(ref)
         rng = np.random.default_rng(8)
         for step in range(32):
             batch = random_batch(rng, in_r=300, in_t=50, n_r=5, n_t=6)
             # the same dropout masks for the reference gradients and the step
             state = pair.train_rng.bit_generator.state
-            _, grads, _ = pairwise_contrastive_loss(pair, batch, training=True)
-            grads = [g.copy() for g in grads]
+            g = pairwise_contrastive_loss(pair, batch, training=True)[1].copy()
             pair.train_rng.bit_generator.state = state
             gradient_step(pair, adam, batch)
             t = step + 1
             lr_t = lr * decay ** (step // every)
-            for p, g, m_i, v_i in zip(ref, grads, m, v):
-                m_i[...] = b1 * m_i + (1 - b1) * g
-                v_i[...] = b2 * v_i + (1 - b2) * g * g
-                m_hat = m_i / (1 - b1**t)
-                v_hat = v_i / (1 - b2**t)
-                p -= lr_t * m_hat / (np.sqrt(v_hat) + eps)
-            for actual, expected in zip(pair.parameters(), ref):
-                np.testing.assert_allclose(actual, expected, rtol=1e-10, atol=0)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            m_hat = m / (1 - b1**t)
+            v_hat = v / (1 - b2**t)
+            ref -= lr_t * m_hat / (np.sqrt(v_hat) + eps)
+            np.testing.assert_allclose(pair.flat, ref, rtol=1e-10, atol=0)
         assert adam.effective_lr() == pytest.approx(lr * decay**3, rel=1e-12)
 
 
