@@ -35,11 +35,11 @@ landmarks = CategoryArtifacts(ws, "Landmark", cat_index=0)
 unseen_entity = sorted(ws.splits().unseen)[0]
 anchor_key = next(key for key in corpus.links_by_tuple
                   if corpus.tuples[key].entity == unseen_entity)
-hit_list = semantic_link(landmarks.forest("mentions"),
-                         {anchor_key: landmarks.vectors("tuples")[anchor_key]}, 5)[anchor_key]
+ranked = semantic_link(landmarks.forest("mentions"),
+                       {anchor_key: landmarks.vectors("tuples")[anchor_key]}, 5)[anchor_key]
 gold = set(corpus.links_by_tuple[anchor_key])
 print(f"top-5 mentions for unseen entity {unseen_entity}:")
-for mention_id, dist, rank in hit_list.ranked:
+for mention_id, dist, rank in ranked:
     mark = "*" if mention_id in gold else " "
     print(f" {mark} rank {rank}  {dist:.4f}  {corpus.mentions[mention_id].sentence_text}")
 print(f"artifacts in {root / 'work'}")

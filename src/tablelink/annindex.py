@@ -266,4 +266,6 @@ def load_forest(path):
 
 
 def _parse_forest(data, offset, dim, t, leaf_capacity, seed, count):
+    if seed < 0:  # SeedSequence takes no negative seed
+        raise ValueError(f"negative seed {seed}")
     return RpForest(*formats.read_keyed_matrix(data, offset, dim, count), t, leaf_capacity, seed)

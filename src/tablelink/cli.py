@@ -311,8 +311,12 @@ LINK_DIRECTIONS = {
 def stage_link(art: CategoryArtifacts, config, args):
     direction, anchor_side, side, links_file = LINK_DIRECTIONS[args.direction]
     if config.strategy == "exact":
-        candidates = linker.bootstrap_category(art.ws.corpus(), art.category, config.name_attributes)
-        results = linker.rank_candidates(candidates, direction=direction)
+        corpus = art.ws.corpus()
+        pairs = linker.bootstrap_exact_match(
+            corpus.tuples_of_category(art.category), corpus.mentions_of_category(art.category),
+            corpus.schemas[art.category], config.name_attributes.get(art.category),
+        )
+        results = linker.exact_link(pairs, direction)
     else:
         results = linker.semantic_link(
             art.forest(side), art.vectors(anchor_side), config.index.n,
@@ -346,12 +350,13 @@ STAGES = {
 def run_stages(ws: Workdir, config, args, names):
     """Run the named stages category by category; returns seconds per stage.
 
-    ``fit`` runs on every category, the other stages only on categories
-    with mentions. One category's artifacts are dropped before the next
-    category's load. ``eval`` writes the report once, after the last
-    category.
+    ``name_attributes`` is checked against the corpus first. ``fit`` runs
+    on every category, the other stages only on categories with mentions.
+    One category's artifacts are dropped before the next category's load.
+    ``eval`` writes the report once, after the last category.
     """
     corpus = ws.corpus()
+    config.check_name_attributes(corpus.schemas)
     if "eval" in names:
         ws.report = linker.EvalReport(ks=tuple(config.eval_ks))
     timings = dict.fromkeys(names, 0.0)

@@ -7,6 +7,7 @@ learning rate 1e-5 with 0.9 decay every 1000 batches, 200 trees, top-10).
 
 import dataclasses
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass, field
@@ -14,6 +15,11 @@ from dataclasses import dataclass, field
 
 class ConfigError(ValueError):
     """Raised when a configuration value is missing or out of bounds."""
+
+
+# Every ``*.seed`` is packed as an i64 (the encoder key, the .idx header) and these
+# sizes as u32 (the .vec and .idx headers); validate bounds them to fit.
+U32_FIELDS = ("network.joint_dim", "index.t", "index.leaf_capacity")
 
 
 @dataclass
@@ -76,13 +82,18 @@ class ProjectConfig:
     split: SplitConfig = field(default_factory=SplitConfig)
     strategy: str = "semantic"
     eval_ks: list[int] = field(default_factory=lambda: [1, 5, 10])
-    name_attributes: dict = field(default_factory=dict)
+    name_attributes: dict[str, str] = field(default_factory=dict)  # category -> attribute
 
     def validate(self):
+        for key, value in _values(self):
+            if type(value) is float and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
+            if key.endswith(".seed") and not 0 <= value < 2**63:
+                raise ConfigError(f"{key} must lie in [0, 2**63), got {value}")
+            if key in U32_FIELDS and not 1 <= value < 2**32:
+                raise ConfigError(f"{key} must lie in [1, 2**32), got {value}")
         if self.encoder.dim < 1:
             raise ConfigError("encoder.dim must be >= 1")
-        if self.network.joint_dim < 1:
-            raise ConfigError("network.joint_dim must be >= 1")
         if any(h < 1 for h in self.network.hidden_r + self.network.hidden_t):
             raise ConfigError("network.hidden_r and network.hidden_t sizes must be >= 1")
         if self.training.margin < 0:
@@ -97,8 +108,8 @@ class ProjectConfig:
             raise ConfigError("training.keep_prob must lie in (0, 1]")
         if self.training.batch_size < 1 or self.training.batch_budget < 0:
             raise ConfigError("training.batch_size must be >= 1 and training.batch_budget >= 0")
-        if self.index.t < 1 or self.index.leaf_capacity < 1 or self.index.n < 1:
-            raise ConfigError("index.t, index.leaf_capacity and index.n must be >= 1")
+        if self.index.n < 1:
+            raise ConfigError("index.n must be >= 1")
         if self.index.search_k is not None and self.index.search_k < 1:
             raise ConfigError("index.search_k must be >= 1 when set")
         for name in ("unseen_fraction", "test_fraction_of_seen"):
@@ -110,6 +121,27 @@ class ProjectConfig:
         if not self.eval_ks or min(self.eval_ks) < 1 or len(set(self.eval_ks)) < len(self.eval_ks):
             raise ConfigError("eval_ks must be nonempty distinct positive integers")
         return self
+
+    def check_name_attributes(self, schemas):
+        """Each ``name_attributes`` key must name a category of ``schemas`` and its value
+        an attribute that category's schema declares."""
+        for category, attr in self.name_attributes.items():
+            if category not in schemas:
+                raise ConfigError(f"name_attributes: {category!r} names no category of the "
+                                  f"corpus; categories: {sorted(schemas)}")
+            if attr not in schemas[category].attribute_names:
+                raise ConfigError(f"name_attributes[{category!r}]: {attr!r} is not an "
+                                  f"attribute of {category!r}")
+
+
+def _values(section, parts=()):
+    """(dotted key, value) of every field under ``section``, nested sections walked."""
+    for f in dataclasses.fields(section):
+        value = getattr(section, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _values(value, (*parts, f.name))
+        else:
+            yield ".".join((*parts, f.name)), value
 
 
 PROFILES = {
@@ -161,7 +193,8 @@ def _typed(value, annotation, where):
         kind, element = typing.get_origin(option) or option, typing.get_args(option)
         if kind is float and type(value) is int:
             return float(value)
-        if type(value) is kind and not (element and any(type(v) is not element[0] for v in value)):
+        if type(value) is kind and not (element and any(
+                type(v) is not element[-1] for v in (value.values() if kind is dict else value))):
             return value
     name = annotation.__name__ if isinstance(annotation, type) else annotation
     raise ConfigError(f"{where}: expected {name}, got {value!r}")

@@ -1,9 +1,10 @@
 """Linking workflow: bootstrap matching, semantic retrieval, ranking,
 per-category training and Precision@k evaluation.
 
-Candidates flow in two directions (tuple anchors retrieving mentions and
-mention anchors retrieving tuples); ranked lists use dense ranks so that
-equally scored candidates share a rank.
+Links flow in two directions (tuple anchors retrieving mentions and
+mention anchors retrieving tuples). Each anchor's links are one ranked list,
+``[(counterpart, score, dense rank), ...]``: equally scored counterparts
+share a rank.
 """
 
 import logging
@@ -20,28 +21,10 @@ logger = logging.getLogger(__name__)
 TUPLE_TO_MENTIONS = "tuple_to_mentions"
 MENTION_TO_TUPLES = "mention_to_tuples"
 SPLIT_NAMES = ("test", "train", "unseen")
-EXACT_SENTINEL_SCORE = 1.0
 
 
 class LinkerError(RuntimeError):
     """Raised when the linking workflow cannot proceed."""
-
-
-@dataclass(frozen=True)
-class MatchCandidate:
-    """A scored tuple/mention pair with its producing strategy."""
-
-    tuple_key: str
-    mention_id: str
-    score: float
-    strategy: str  # "exact" | "semantic"
-
-
-@dataclass
-class LinkResult:
-    """Ranked counterparts of the anchor that keys it: (counterpart, score, dense rank)."""
-
-    ranked: list
 
 
 # ---------------------------------------------------------------------------
@@ -58,51 +41,26 @@ def _tokens(text):
     return f" {' '.join(toks)} " if toks else ""
 
 
-def bootstrap_exact_match(tuples, mentions, schemas, name_attributes=None):
-    """Seed candidates by exact token containment of name-like attributes.
+def bootstrap_exact_match(tuples, mentions, schema, name_attribute=None):
+    """(tuple key, mention id) pairs of exact token containment of a name attribute.
 
-    A candidate (r, t) is emitted iff the full token sequence of one of r's
-    designated name attributes occurs contiguously (case-folded) in t's
-    sentence. Name attributes default to the first text attribute of each
-    schema (``schemas`` maps relation name to schema). Scores are the 1.0
-    sentinel: the strategy carries no similarity.
+    A pair (r, t) is emitted iff the full token sequence of r's
+    ``name_attribute`` value occurs contiguously (case-folded) in t's
+    sentence. The attribute defaults to the first text attribute of
+    ``schema``, the relation of ``tuples``.
     """
-    name_attributes = dict(name_attributes or {})
-    attrs_by_relation = {}
-    for relation, schema in schemas.items():
-        if relation in name_attributes:
-            chosen = name_attributes[relation]
-            attrs_by_relation[relation] = [chosen] if isinstance(chosen, str) else list(chosen)
-        else:
-            text_attrs = schema.text_attributes()
-            attrs_by_relation[relation] = text_attrs[:1]
-    if not any(attrs_by_relation.values()):
-        logger.warning("bootstrap: no text attributes on any schema; emitting no candidates")
+    attr = name_attribute or next(iter(schema.text_attributes()), None)
+    if attr is None:
+        logger.warning("bootstrap: schema %r has no text attributes; emitting no pairs", schema.name)
         return []
-
-    mention_tokens = [(m, _tokens(m.sentence_text)) for m in mentions]
-    candidates = []
+    mention_tokens = [(m.id, _tokens(m.sentence_text)) for m in mentions]
+    pairs = []
     for rec in tuples:
-        names = []
-        for attr in attrs_by_relation.get(rec.relation, []):
-            value = rec.values.get(attr)
-            if value not in (None, ""):
-                toks = _tokens(str(value))
-                if toks:
-                    names.append(toks)
-        if not names:
-            continue
-        for mention, sent_toks in mention_tokens:
-            if any(name in sent_toks for name in names):
-                candidates.append(
-                    MatchCandidate(
-                        tuple_key=rec.key,
-                        mention_id=mention.id,
-                        score=EXACT_SENTINEL_SCORE,
-                        strategy="exact",
-                    )
-                )
-    return candidates
+        value = rec.values.get(attr)
+        name = _tokens(str(value)) if value is not None else ""
+        if name:
+            pairs.extend((rec.key, mid) for mid, sent_toks in mention_tokens if name in sent_toks)
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -121,36 +79,28 @@ def dense_rank(scored):
     return ranked
 
 
-def rank_candidates(candidates, direction=TUPLE_TO_MENTIONS):
-    """Group candidates by anchor and dense-rank each group by score."""
+def exact_link(pairs, direction=TUPLE_TO_MENTIONS):
+    """Group (tuple key, mention id) pairs by the ``direction``'s anchor, each group
+    dense-ranked at score 1.0: every counterpart has rank 1, in id order."""
     groups = {}
-    for c in candidates:
-        anchor, counterpart = (
-            (c.tuple_key, c.mention_id)
-            if direction == TUPLE_TO_MENTIONS
-            else (c.mention_id, c.tuple_key)
-        )
-        groups.setdefault(anchor, []).append((counterpart, c.score))
-    return {
-        anchor: LinkResult(dense_rank(scored))
-        for anchor, scored in groups.items()
-    }
+    for tuple_key, mention_id in pairs:
+        anchor, counterpart = ((tuple_key, mention_id) if direction == TUPLE_TO_MENTIONS
+                               else (mention_id, tuple_key))
+        groups.setdefault(anchor, []).append((counterpart, 1.0))
+    return {anchor: dense_rank(scored) for anchor, scored in groups.items()}
 
 
 def semantic_link(forest: annindex.RpForest, anchors, n, search_k=None):
     """Retrieve each anchor's counterparts by its joint-space embedding, dense-ranked.
 
     ``anchors`` are keyed joint-space vectors (``KeyedVectors.of``); all of
-    them go to the forest in one query block. Returns anchor id -> LinkResult.
+    them go to the forest in one query block. Returns anchor id -> ranked list.
     """
     if not anchors:
         return {}
     anchors = KeyedVectors.of(anchors)
     hits = forest.query(anchors.matrix, n, search_k=search_k)
-    return {
-        key: LinkResult(dense_rank(ranked))
-        for key, ranked in zip(anchors.ids, hits)
-    }
+    return {key: dense_rank(ranked) for key, ranked in zip(anchors.ids, hits)}
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +174,14 @@ def evaluate_precision(results, gold, ks=(1, 5, 10), split="test", category="ove
                        direction=TUPLE_TO_MENTIONS, report=None):
     """Precision@k over anchors: fraction whose top-k holds a gold counterpart.
 
-    ``results`` maps anchor id to LinkResult; ``gold`` maps anchor id to its
+    ``results`` maps anchor id to its ranked list; ``gold`` maps anchor id to its
     set of gold counterparts. An anchor's hit rank is the best dense rank of
     its gold counterparts, and it counts for every k at or above it. Anchors
     without any gold counterpart are excluded and counted. The cell is added
     to ``report`` (a fresh one when None), which is returned.
     """
-    best = [min((rank for cp, _, rank in result.ranked if cp in gold[anchor]), default=math.inf)
-            for anchor, result in results.items() if gold.get(anchor)]
+    best = [min((rank for cp, _, rank in ranked if cp in gold[anchor]), default=math.inf)
+            for anchor, ranked in results.items() if gold.get(anchor)]
     if report is None:
         report = EvalReport(ks=tuple(ks), primary_direction=direction)
     report.add_cell(direction, split, category, {k: sum(rank <= k for rank in best) for k in ks},
@@ -243,23 +193,14 @@ def evaluate_precision(results, gold, ks=(1, 5, 10), split="test", category="ove
 # Per-category training
 # ---------------------------------------------------------------------------
 
-def bootstrap_category(corpus: Corpus, category, name_attributes=None):
-    """Exact-match candidates between one category's tuples and mentions."""
-    return bootstrap_exact_match(
-        corpus.tuples_of_category(category),
-        corpus.mentions_of_category(category),
-        {category: corpus.schemas[category]},
-        name_attributes=name_attributes,
-    )
-
-
-def category_matches(corpus: Corpus, category, name_attributes=None):
-    """Gold links of the category, or bootstrap candidates when none exist."""
+def category_matches(corpus: Corpus, category, name_attribute=None):
+    """Gold links of the category, or its exact-match pairs when none exist."""
     gold = corpus.links_of_category(category)
     if gold:
         return [(l.tuple_key, l.mention_id) for l in gold], "gold"
-    candidates = bootstrap_category(corpus, category, name_attributes)
-    return [(c.tuple_key, c.mention_id) for c in candidates], "bootstrap"
+    return bootstrap_exact_match(corpus.tuples_of_category(category),
+                                 corpus.mentions_of_category(category),
+                                 corpus.schemas[category], name_attribute), "bootstrap"
 
 
 def train_category(corpus: Corpus, category, config, splits, tuple_vecs, mention_vecs,
@@ -273,7 +214,7 @@ def train_category(corpus: Corpus, category, config, splits, tuple_vecs, mention
     """
     if not mention_vecs:
         raise LinkerError(f"category {category!r} has no mentions to train on")
-    matches, source = category_matches(corpus, category, name_attributes=config.name_attributes)
+    matches, source = category_matches(corpus, category, config.name_attributes.get(category))
     if not matches:
         raise LinkerError(
             f"category {category!r}: no gold links and the exact-match bootstrap found "
@@ -363,5 +304,5 @@ def export_links(results, path, strategy="semantic"):
     with formats.replacing(path, "w", encoding="utf-8") as f:
         f.write("anchor\tcounterpart\tscore\trank\tstrategy\n")
         for anchor in sorted(results):
-            for counterpart, score, rank in results[anchor].ranked:
+            for counterpart, score, rank in results[anchor]:
                 f.write(f"{anchor}\t{counterpart}\t{score:.17g}\t{rank}\t{strategy}\n")

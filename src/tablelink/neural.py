@@ -191,8 +191,8 @@ class EmbedderPair:
     def __post_init__(self):
         if self.net_r.output_dim != self.joint_dim or self.net_t.output_dim != self.joint_dim:
             raise ValueError("both networks must output joint_dim")
-        if self.margin < 0:
-            raise ValueError("margin must be nonnegative")
+        if not 0 <= self.margin < math.inf:
+            raise ValueError(f"margin {self.margin} is not finite and nonnegative")
         self.live_r, self.input_dim_r = _live_table(self.live_r, self.input_dim_r, self.net_r,
                                                     "live_r")
         self.live_t, self.input_dim_t = _live_table(self.live_t, self.input_dim_t, self.net_t,
@@ -599,13 +599,15 @@ def train_pair(pair: EmbedderPair, adam: AdamState, sampler: SamplerState,
     rows_r = {tk: vectors_r[tk][pair.live_r].astype(dtype) for tk, _ in drawable}
     rows_t = {mid: vectors_t[mid][pair.live_t].astype(dtype) for _, mid in drawable}
     history = []
-    for _ in range(batches):
-        batch = sample_batch(sampler, gold_pairs, rows_r, rows_t)
-        lr = adam.effective_lr()
-        loss, _ = gradient_step(pair, adam, batch)
-        history.append((adam.step - 1, lr, loss))
-        if log_fn is not None:
-            log_fn(adam.step - 1, lr, loss)
+    # a huge learning rate overflows the parameters; gradient_step then raises on the loss
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(batches):
+            batch = sample_batch(sampler, gold_pairs, rows_r, rows_t)
+            lr = adam.effective_lr()
+            loss, _ = gradient_step(pair, adam, batch)
+            history.append((adam.step - 1, lr, loss))
+            if log_fn is not None:
+                log_fn(adam.step - 1, lr, loss)
     return history
 
 

@@ -50,6 +50,8 @@ class HashingEncoder:
     def __init__(self, dim=256, seed=0):
         if dim <= 0:
             raise VectorizeError(f"encoder dim must be positive, got {dim}")
+        if not 0 <= seed < 2**63:  # the key is the seed as an i64
+            raise VectorizeError(f"encoder seed must lie in [0, 2**63), got {seed}")
         self.dim = int(dim)
         self.seed = int(seed)
         self._key = struct.pack("<q", self.seed)

@@ -18,7 +18,7 @@ import pytest
 from tablelink.annindex import brute_force_knn, build_forest, load_forest, query_forest, save_forest
 from tablelink.cli import run_command
 from tablelink.corpus import RelationSchema, load_corpus_xml
-from tablelink.linker import MatchCandidate, rank_candidates
+from tablelink.linker import dense_rank
 from tablelink.neural import (
     EmbedderPair,
     SamplerState,
@@ -303,14 +303,10 @@ def test_criterion_9_ranking_oracle():
         for trial in range(1000):
             n = int(rng.integers(1, 40))
             if trial % 10 == 0:
-                scores = [1.0] * n  # the all-equal sentinel case
+                scores = [1.0] * n  # the all-equal case of an exact link
             else:
                 scores = [float(s) for s in rng.choice([0.1, 0.2, 0.2, 0.5, 0.9], size=n)]
-            candidates = [
-                MatchCandidate("anchor", f"m{i:03d}", s, "semantic")
-                for i, s in enumerate(scores)
-            ]
-            ranked = rank_candidates(candidates)["anchor"].ranked
+            ranked = dense_rank([(f"m{i:03d}", s) for i, s in enumerate(scores)])
             assert len(ranked) == n
             for cp, sc, rank in ranked:
                 assert rank == oracle_rank(scores, sc)

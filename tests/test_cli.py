@@ -351,7 +351,23 @@ class TestCommands:
         lines = (workdir / "links_Landmark.tsv").read_text().splitlines()
         assert len(lines) > 1
         assert all(l.split("\t")[4] == "exact" for l in lines[1:])
-        assert all(l.split("\t")[3] == "1" for l in lines[1:])  # sentinel scores tie
+        assert all(l.split("\t")[2:4] == ["1", "1"] for l in lines[1:])  # score 1, rank 1
+
+    @pytest.mark.parametrize("name_attributes, message", [
+        ({"Nope": "title"}, "'Nope' names no category"),
+        ({"Landmark": "nonexistent"}, "'nonexistent' is not an attribute of 'Landmark'"),
+    ])
+    def test_name_attributes_outside_the_corpus_exit_one(self, project, capsys,
+                                                         name_attributes, message):
+        config_path, workdir = project
+        assert run_command(["ingest", "--config", str(config_path)]) == 0
+        capsys.readouterr()
+        assert run_command(["link", "--config", str(config_path), "--set", "strategy=exact",
+                            "--set", f"name_attributes={json.dumps(name_attributes)}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: name_attributes") and err.count("\n") == 1
+        assert message in err
+        assert not (workdir / "links_Landmark.tsv").exists()
 
 
 class TestErrors:
@@ -390,7 +406,11 @@ class TestErrors:
         "training.batch_size=0", "training.batch_budget=-1", "index.t=0", "index.leaf_capacity=0",
         "index.n=0", "index.search_k=0", "split.unseen_fraction=1",
         "split.test_fraction_of_seen=0", "strategy=fuzzy", "eval_ks=[]", "eval_ks=[0]",
-        "eval_ks=[5,1,5]",
+        "eval_ks=[5,1,5]", "split.seed=-1", "training.seed=-1", f"encoder.seed={10**30}",
+        f"index.seed={10**23}", "index.seed=-1", "index.t=4294967296",
+        "index.leaf_capacity=4294967296", "network.joint_dim=4294967296", "training.margin=NaN",
+        "training.lr=Infinity", "training.margin=Infinity", "training.decay=-Infinity",
+        "split.unseen_fraction=NaN", 'name_attributes={"Landmark": 5}',
     ])
     def test_config_out_of_bounds_exits_one_naming_the_key(self, project, capsys, override):
         config_path, workdir = project
@@ -528,6 +548,13 @@ class TestErrors:
          "embed-tuples"),
         ("vectorizer_Landmark.json", lambda b: json_set(b, "encoder", "dim", value=64.9),
          "embed-tuples"),
+        ("vectorizer_Landmark.json", lambda b: json_set(b, "encoder", "seed", value=2**70),
+         "train"),
+        ("model_Landmark.ckpt", ckpt_header(lambda h: h.update(margin=float("nan"))),
+         "embed-tuples"),
+        ("model_Landmark.ckpt", ckpt_header(lambda h: h.update(margin=float("inf"))),
+         "embed-tuples"),
+        ("mentions_Landmark.idx", lambda b: b[:20] + struct.pack("<q", -1) + b[28:], "link"),
     ], ids=["vectorizer-cut", "vectorizer-no-encoder", "ckpt-cut-6", "ckpt-header-not-utf8",
             "ckpt-no-joint-dim", "ckpt-joint-dim-disagrees", "vectorizer-attribute-of-one",
             "corpus-attribute-of-one", "vec-cut-10", "idx-cut-10", "vec-ids-descending",
@@ -543,7 +570,9 @@ class TestErrors:
             "corpus-numeric-not-a-number", "corpus-mention-category-unknown",
             "corpus-tuple-key-number", "corpus-mention-id-number", "corpus-tuple-entity-number",
             "splits-overlap", "splits-members-numbers", "splits-seed-string",
-            "vectorizer-encoder-seed-bool", "vectorizer-encoder-dim-float"])
+            "vectorizer-encoder-seed-bool", "vectorizer-encoder-dim-float",
+            "vectorizer-encoder-seed-2**70", "ckpt-margin-nan", "ckpt-margin-inf",
+            "idx-seed-negative"])
     def test_corrupt_artifact_exits_two_naming_it(self, project, capsys, artifact, corrupt, command):
         config_path, workdir = project
         for step in INDEX_CHAIN:

@@ -1,7 +1,7 @@
 import pytest
 
 from tablelink import formats
-from tablelink.linker import LinkResult, export_links
+from tablelink.linker import export_links
 
 
 def write_blob(path, body):
@@ -16,8 +16,7 @@ def write_lines(path, lines):
 
 
 def write_links(path, second_ranked):
-    export_links({"t1": LinkResult([("m1", 0.5, 1)]),
-                  "t2": LinkResult(second_ranked)}, path)
+    export_links({"t1": [("m1", 0.5, 1)], "t2": second_ranked}, path)
 
 
 class TestAtomicWrites:

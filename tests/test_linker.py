@@ -11,12 +11,11 @@ from tablelink.linker import (
     MENTION_TO_TUPLES,
     TUPLE_TO_MENTIONS,
     LinkerError,
-    LinkResult,
-    MatchCandidate,
     bootstrap_exact_match,
     category_matches,
+    dense_rank,
     evaluate_precision,
-    rank_candidates,
+    exact_link,
     semantic_link,
     train_category,
 )
@@ -46,22 +45,18 @@ class TestBootstrap:
             mention("m1", "IBM reported strong sales this quarter."),
             mention("m2", "Big Blue beat expectations.", mtext="Big Blue"),
         ]
-        candidates = bootstrap_exact_match(org_tuples, mentions, {org_schema.name: org_schema})
-        got = {(c.tuple_key, c.mention_id) for c in candidates}
+        got = bootstrap_exact_match(org_tuples, mentions, org_schema)
         assert ("IBM", "m1") in got
         assert all(m != "m2" for _, m in got)
-        assert all(c.score == 1.0 and c.strategy == "exact" for c in candidates)
 
     def test_containment_asymmetry(self, org_schema, org_tuples):
         mentions = [mention("m1", "HP Inc. announced a merger.", mtext="HP Inc.")]
-        candidates = bootstrap_exact_match(org_tuples, mentions, {org_schema.name: org_schema})
-        got = {(c.tuple_key, c.mention_id) for c in candidates}
+        got = set(bootstrap_exact_match(org_tuples, mentions, org_schema))
         # "HP" is contained in the sentence, "HP Inc." is too
         assert ("HP", "m1") in got
         assert ("HP Inc.", "m1") in got
         short = [mention("m2", "Only HP appears here.")]
-        candidates = bootstrap_exact_match(org_tuples, short, {org_schema.name: org_schema})
-        got = {(c.tuple_key, c.mention_id) for c in candidates}
+        got = set(bootstrap_exact_match(org_tuples, short, org_schema))
         assert ("HP", "m2") in got
         assert ("HP Inc.", "m2") not in got
         # a name matches whole tokens in order; punctuation between them does not count
@@ -70,15 +65,14 @@ class TestBootstrap:
             mention("m4", "Inc. magazine praised HP."),
             mention("m5", "HP, Inc. (the printer maker) grew."),
         ]
-        candidates = bootstrap_exact_match(org_tuples, cases, {org_schema.name: org_schema})
-        got = {(c.tuple_key, c.mention_id) for c in candidates}
+        got = set(bootstrap_exact_match(org_tuples, cases, org_schema))
         assert got == {("HP", "m4"), ("HP", "m5"), ("HP Inc.", "m5")}
 
     def test_no_text_attribute_warns_and_returns_empty(self, caplog):
         schema = RelationSchema(name="N", attributes=(("x", "numeric"),))
         records = [make_record(schema, "k", x=1.0)]
         with caplog.at_level(logging.WARNING):
-            out = bootstrap_exact_match(records, [mention("m", "Anything.")], {"N": schema})
+            out = bootstrap_exact_match(records, [mention("m", "Anything.")], schema)
         assert out == []
         assert any("no text attributes" in r.message for r in caplog.records)
 
@@ -94,9 +88,9 @@ class TestBootstrap:
             cleaned = "".join(ch if ch.isalnum() else " " for ch in text.lower())
             return cleaned.split()
 
-        for c in bootstrap_exact_match(org_tuples, mentions, {org_schema.name: org_schema}):
-            rec = next(r for r in org_tuples if r.key == c.tuple_key)
-            sent = words(next(m for m in mentions if m.id == c.mention_id).sentence_text)
+        for tuple_key, mention_id in bootstrap_exact_match(org_tuples, mentions, org_schema):
+            rec = next(r for r in org_tuples if r.key == tuple_key)
+            sent = words(next(m for m in mentions if m.id == mention_id).sentence_text)
             name = words(rec.values["name"])
             joined = " " + " ".join(sent) + " "
             assert " " + " ".join(name) + " " in joined
@@ -104,47 +98,30 @@ class TestBootstrap:
 
 class TestRanking:
     def test_dense_rank_semantics(self):
-        candidates = [
-            MatchCandidate("t", "m1", 0.1, "semantic"),
-            MatchCandidate("t", "m2", 0.1, "semantic"),
-            MatchCandidate("t", "m3", 0.3, "semantic"),
-        ]
-        results = rank_candidates(candidates)
-        ranks = [rank for _, _, rank in results["t"].ranked]
-        assert ranks == [1, 1, 2]
+        ranked = dense_rank([("m1", 0.1), ("m2", 0.1), ("m3", 0.3)])
+        assert [rank for _, _, rank in ranked] == [1, 1, 2]
 
-    def test_all_sentinel_scores_share_rank_one(self):
-        candidates = [MatchCandidate("t", f"m{i}", 1.0, "exact") for i in range(5)]
-        results = rank_candidates(candidates)
-        assert all(rank == 1 for _, _, rank in results["t"].ranked)
+    def test_exact_links_share_rank_one_in_id_order(self):
+        results = exact_link([("t", f"m{i}") for i in (3, 0, 4, 1, 2)])
+        assert results == {"t": [(f"m{i}", 1.0, 1) for i in range(5)]}
 
-    def test_empty_candidates(self):
-        assert rank_candidates([]) == {}
+    def test_no_exact_pairs(self):
+        assert exact_link([]) == {}
 
     def test_direction_grouping(self):
-        candidates = [
-            MatchCandidate("t1", "m", 0.2, "semantic"),
-            MatchCandidate("t2", "m", 0.1, "semantic"),
-        ]
-        results = rank_candidates(candidates, direction=MENTION_TO_TUPLES)
+        results = exact_link([("t1", "m"), ("t2", "m")], direction=MENTION_TO_TUPLES)
         assert list(results) == ["m"]
-        assert [cp for cp, _, _ in results["m"].ranked] == ["t2", "t1"]
+        assert [cp for cp, _, _ in results["m"]] == ["t1", "t2"]
 
     def test_oracle_on_random_candidate_sets(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             n = int(rng.integers(1, 100))
-            scores = rng.choice([0.1, 0.25, 0.5, 0.5, 0.9], size=n)
-            candidates = [
-                MatchCandidate("t", f"m{i:03d}", float(s), "semantic")
-                for i, s in enumerate(scores)
-            ]
-            ranked = rank_candidates(candidates)["t"].ranked
+            scores = [float(s) for s in rng.choice([0.1, 0.25, 0.5, 0.5, 0.9], size=n)]
+            ranked = dense_rank([(f"m{i:03d}", s) for i, s in enumerate(scores)])
             for cp, sc, rank in ranked:
                 # independent formulation: dense rank = 1 + distinct smaller scores
-                oracle = 1 + len({s for _, s, _ in
-                                  [(c.mention_id, c.score, None) for c in candidates]
-                                  if s < sc})
+                oracle = 1 + len({s for s in scores if s < sc})
                 assert rank == oracle
 
 
@@ -154,8 +131,7 @@ class TestSemanticLink:
         vectors = {f"m{i}": rng.normal(size=6) for i in range(20)}
         anchor = vectors["m7"].copy()
         forest = build_forest(vectors, t=4, leaf_capacity=4, seed=0)
-        result = semantic_link(forest, {"t": anchor}, 5)["t"]
-        cp, sc, rank = result.ranked[0]
+        cp, sc, rank = semantic_link(forest, {"t": anchor}, 5)["t"][0]
         assert cp == "m7"
         assert sc == pytest.approx(0.0, abs=1e-12)
         assert rank == 1
@@ -167,18 +143,18 @@ class TestSemanticLink:
         vectors = {f"m{i}": rng.normal(size=6) for i in range(12)}
         forest = build_forest(vectors, t=3, leaf_capacity=16, seed=0)
         anchor = rng.normal(size=6)
-        result = semantic_link(forest, {"t": anchor}, 6)["t"]
+        ranked = semantic_link(forest, {"t": anchor}, 6)["t"]
         exact = brute_force_knn(vectors, anchor, 6)
-        assert [(cp, sc) for cp, sc, _ in result.ranked] == exact
+        assert [(cp, sc) for cp, sc, _ in ranked] == exact
 
     def test_scores_ascending(self):
         rng = np.random.default_rng(4)
         vectors = {f"m{i}": rng.normal(size=4) for i in range(30)}
         forest = build_forest(vectors, t=4, leaf_capacity=8, seed=0)
-        result = semantic_link(forest, {"t": rng.normal(size=4)}, 10)["t"]
-        scores = [sc for _, sc, _ in result.ranked]
+        ranked = semantic_link(forest, {"t": rng.normal(size=4)}, 10)["t"]
+        scores = [sc for _, sc, _ in ranked]
         assert scores == sorted(scores)
-        assert len(result.ranked) == 10
+        assert len(ranked) == 10
 
     @pytest.mark.parametrize("search_k", [None, 24])
     def test_batch_equals_one_anchor_calls(self, search_k):
@@ -202,7 +178,7 @@ class TestSemanticLink:
 class TestEvaluatePrecision:
     def make_results(self, gold_rank, n=10):
         ranked = [(f"m{r}", 0.01 * r, r) for r in range(1, n + 1)]
-        results = {"t": LinkResult(ranked)}
+        results = {"t": ranked}
         gold = {"t": {f"m{gold_rank}"}}
         return results, gold
 
@@ -221,7 +197,7 @@ class TestEvaluatePrecision:
 
     def test_anchor_without_gold_excluded(self):
         results, gold = self.make_results(1)
-        results["orphan"] = LinkResult([("m1", 0.1, 1)])
+        results["orphan"] = [("m1", 0.1, 1)]
         report = evaluate_precision(results, gold)
         cell = report.cells[TUPLE_TO_MENTIONS]["test"]["overall"]
         assert cell["count"] == 1
@@ -229,7 +205,7 @@ class TestEvaluatePrecision:
 
     def test_repeated_k_counts_an_anchor_once(self):
         results, gold = self.make_results(1)
-        results["t2"] = LinkResult([("m1", 0.1, 1), ("m2", 0.1, 1), ("m3", 0.2, 2)])
+        results["t2"] = [("m1", 0.1, 1), ("m2", 0.1, 1), ("m3", 0.2, 2)]
         gold["t2"] = {"m2", "m3"}
         cell = evaluate_precision(results, gold, ks=(5, 1, 5)).cells[TUPLE_TO_MENTIONS]["test"]
         assert cell["overall"]["hits"] == {"5": 2, "1": 2}
@@ -242,7 +218,7 @@ class TestEvaluatePrecision:
             for a in range(10):
                 order = rng.permutation(20)
                 ranked = [(f"m{j}", 0.01 * r, r + 1) for r, j in enumerate(order)]
-                results[f"t{a}"] = LinkResult(ranked)
+                results[f"t{a}"] = ranked
                 gold[f"t{a}"] = {f"m{int(rng.integers(20))}"}
             report = evaluate_precision(results, gold)
             cell = report.cells[TUPLE_TO_MENTIONS]["test"]["overall"]["precision"]
@@ -408,9 +384,7 @@ class TestCategoryMatches:
 
 class TestExportLinks:
     def test_tsv_format(self, tmp_path):
-        results = {
-            "t1": LinkResult([("m1", 0.25, 1), ("m2", 0.5, 2)])
-        }
+        results = {"t1": [("m1", 0.25, 1), ("m2", 0.5, 2)]}
         path = tmp_path / "links.tsv"
         from tablelink.linker import export_links
 

@@ -1,18 +1,22 @@
-"""Seeded mutation sweep of the CLI exit contract.
+"""Seeded mutation sweep and config sweep of the CLI exit contract.
 
 Each mutant of a workdir artifact, a truncation or a single-byte flip, goes
-to a command that reads it. The command must exit 0, or exit 1 or 2 with
-exactly one ``error:`` line and no traceback. A flip inside a float that stays
-finite is legal input and may exit 0, so the sweep requires only the
-contract.
+to a command that reads it. Each numeric config key goes through ``--set``,
+with boundary values, to the first command that reads it. The command must
+exit 0, or exit 1 or 2 with exactly one ``error:`` line and no traceback. A
+flip inside a float that stays finite is legal input and may exit 0, so the
+sweep requires only the contract.
 
-Tier 1 runs a fixed subset of each artifact's mutants (3 truncations and 3
-flips). The whole sweep (11 truncations and 65 flips per artifact) is opt-in:
+Tier 1 runs a fixed subset: 3 truncations and 3 flips of each artifact, and
+the config cases in ``CONFIG_PROBES`` plus every 11th other one. The whole
+sweep (11 truncations and 65 flips per artifact, every key with every value)
+is opt-in:
 
     TABLELINK_MUTATION_SWEEP=1 PYTHONPATH=src python -m pytest -q tests/test_mutation_sweep.py
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -21,6 +25,7 @@ import numpy as np
 import pytest
 
 from tablelink.cli import run_command
+from tablelink.config import ConfigError, ProjectConfig, load_config
 from tablelink.synthetic import write_synthetic_corpus
 
 FULL = os.environ.get("TABLELINK_MUTATION_SWEEP") == "1"
@@ -85,23 +90,96 @@ def quiet_run(argv):
     return status, err.getvalue()
 
 
+def restore(work, pristine, replaced=None):
+    """Put the workdir back to its ``pristine`` bytes, with ``replaced`` (name -> bytes) swapped in."""
+    for path in work.iterdir():
+        if path.name not in pristine:
+            path.unlink()
+    for name, original in pristine.items():
+        (work / name).write_bytes((replaced or {}).get(name, original))
+
+
+def contract_breach(argv):
+    """How ``run_command(argv)`` breaks the exit contract, or None if it keeps it."""
+    try:
+        status, err = quiet_run(argv)
+    except Exception as exc:  # an escape from the exit contract is the finding
+        return f"raised {type(exc).__name__}: {exc}"
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    if status != 0 and (status not in (1, 2) or len(errors) != 1 or "Traceback" in err):
+        return f"exit {status}, stderr {err!r}"
+    return None
+
+
 @pytest.mark.parametrize("artifact", sorted(READERS))
 def test_every_mutant_keeps_the_exit_contract(workdir, artifact):
     config_path, work, pristine = workdir
     command = READERS[artifact]
     broken = []
     for label, blob in mutants(pristine[artifact], seed=sorted(READERS).index(artifact)):
-        for path in work.iterdir():
-            if path.name not in pristine:
-                path.unlink()
-        for name, original in pristine.items():
-            (work / name).write_bytes(blob if name == artifact else original)
-        try:
-            status, err = quiet_run([*command, "--config", str(config_path)])
-        except Exception as exc:  # an escape from the exit contract is the finding
-            broken.append(f"{label}: raised {type(exc).__name__}: {exc}")
-            continue
-        errors = [line for line in err.splitlines() if line.startswith("error:")]
-        if status != 0 and (status not in (1, 2) or len(errors) != 1 or "Traceback" in err):
-            broken.append(f"{label}: exit {status}, stderr {err!r}")
+        restore(work, pristine, {artifact: blob})
+        breach = contract_breach([*command, "--config", str(config_path)])
+        if breach:
+            broken.append(f"{label}: {breach}")
     assert not broken, f"{artifact} fed to `{' '.join(command)}`:\n" + "\n".join(broken)
+
+
+NARROW_LINK = ["link", "--set", "index.search_k=2", "--set", "index.n=1"]
+
+# numeric config key -> the first command that reads it
+CONFIG_READERS = {
+    "encoder.dim": ["fit"],
+    "encoder.seed": ["fit"],
+    **{f"network.{key}": ["train"] for key in ("hidden_r", "hidden_t", "joint_dim")},
+    **{f"training.{key}": ["train"] for key in ("margin", "lr", "decay", "decay_every",
+                                                "keep_prob", "batch_size", "batch_budget", "seed")},
+    **{f"index.{key}": ["build-index"] for key in ("t", "leaf_capacity", "seed")},
+    "index.search_k": NARROW_LINK,
+    "index.n": NARROW_LINK,
+    **{f"split.{key}": ["ingest"] for key in ("seed", "unseen_fraction", "test_fraction_of_seen")},
+    "eval_ks": ["eval"],
+}
+LIST_KEYS = {"network.hidden_r", "network.hidden_t", "eval_ks"}
+BOUNDARY_VALUES = ("-1", "0", str(2**31), str(2**32), str(2**63), str(2**64),
+                   "NaN", "Infinity", "-Infinity")
+# A command allocates or loops in proportion to these: a large one goes through validate alone.
+SIZES = {"encoder.dim", "network.hidden_r", "network.hidden_t", "network.joint_dim",
+         "training.batch_size", "training.batch_budget", "index.t"}
+# Values that once ended in a traceback or exited 0; tier 1 always runs them.
+CONFIG_PROBES = {("split.seed", "-1"), ("training.seed", "-1"), ("encoder.seed", str(2**64)),
+                 ("index.seed", str(2**64)), ("index.seed", "-1"), ("index.t", str(2**32)),
+                 ("index.leaf_capacity", str(2**32)), ("training.margin", "NaN"),
+                 ("training.lr", "Infinity"), ("training.margin", "Infinity")}
+CONFIG_CASES = [(key, value) for key in CONFIG_READERS for value in BOUNDARY_VALUES]
+if not FULL:
+    CONFIG_CASES = [case for i, case in enumerate(CONFIG_CASES)
+                    if case in CONFIG_PROBES or i % 11 == 0]
+
+
+def test_config_sweep_covers_every_numeric_key():
+    numeric = (int, float, int | None, list[int])
+
+    def keys(section, parts=()):
+        for f in dataclasses.fields(section):
+            if dataclasses.is_dataclass(f.type):
+                yield from keys(f.type, (*parts, f.name))
+            elif f.type in numeric:
+                yield ".".join((*parts, f.name))
+
+    assert sorted(keys(ProjectConfig)) == sorted(CONFIG_READERS)
+
+
+@pytest.mark.parametrize("key, value", CONFIG_CASES)
+def test_every_config_value_keeps_the_exit_contract(workdir, key, value):
+    config_path, work, pristine = workdir
+    override = f"{key}=[{value}]" if key in LIST_KEYS else f"{key}={value}"
+    if key in SIZES and value.isdigit() and int(value) >= 2**31:
+        try:
+            load_config(config_path, overrides=[override])
+        except ConfigError:
+            pass
+        return
+    restore(work, pristine)
+    command = [*CONFIG_READERS[key], "--config", str(config_path), "--set", override]
+    breach = contract_breach(command)
+    assert breach is None, f"`{' '.join(command)}`: {breach}"
