@@ -18,8 +18,14 @@ class ConfigError(ValueError):
 
 
 # Every ``*.seed`` is packed as an i64 (the encoder key, the .idx header) and these
-# sizes as u32 (the .vec and .idx headers); validate bounds them to fit.
-U32_FIELDS = ("network.joint_dim", "index.t", "index.leaf_capacity")
+# sizes as u32 (the .idx header); validate bounds them to fit.
+U32_FIELDS = ("index.t", "index.leaf_capacity")
+# Sizes of what a command allocates lie in [1, MAX_SIZE]. A hashing encoder with more
+# slots has almost no collisions left to remove, and a layer this wide over the narrowest
+# raw input (512 mention columns) already holds 2 GiB of f32 weights.
+MAX_SIZE = 2**20
+SIZE_FIELDS = ("encoder.dim", "network.hidden_r", "network.hidden_t", "network.joint_dim",
+               "training.batch_size")
 
 
 @dataclass
@@ -92,22 +98,22 @@ class ProjectConfig:
                 raise ConfigError(f"{key} must lie in [0, 2**63), got {value}")
             if key in U32_FIELDS and not 1 <= value < 2**32:
                 raise ConfigError(f"{key} must lie in [1, 2**32), got {value}")
-        if self.encoder.dim < 1:
-            raise ConfigError("encoder.dim must be >= 1")
-        if any(h < 1 for h in self.network.hidden_r + self.network.hidden_t):
-            raise ConfigError("network.hidden_r and network.hidden_t sizes must be >= 1")
+            sizes = value if type(value) is list else [value]
+            if key in SIZE_FIELDS and not all(1 <= size <= MAX_SIZE for size in sizes):
+                raise ConfigError(f"{key} must lie in [1, 2**20], got {value}")
         if self.training.margin < 0:
             raise ConfigError("training.margin must be >= 0")
-        if not (0 < self.training.lr):
-            raise ConfigError("training.lr must be > 0")
+        # Adam moves each parameter by about lr per step, so a rate above 1 overwrites the init
+        if not (0 < self.training.lr <= 1):
+            raise ConfigError(f"training.lr must lie in (0, 1], got {self.training.lr}")
         if not (0 < self.training.decay <= 1):
             raise ConfigError("training.decay must lie in (0, 1]")
         if self.training.decay_every < 1:
             raise ConfigError("training.decay_every must be >= 1")
         if not (0 < self.training.keep_prob <= 1):
             raise ConfigError("training.keep_prob must lie in (0, 1]")
-        if self.training.batch_size < 1 or self.training.batch_budget < 0:
-            raise ConfigError("training.batch_size must be >= 1 and training.batch_budget >= 0")
+        if self.training.batch_budget < 0:
+            raise ConfigError("training.batch_budget must be >= 0")
         if self.index.n < 1:
             raise ConfigError("index.n must be >= 1")
         if self.index.search_k is not None and self.index.search_k < 1:

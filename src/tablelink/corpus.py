@@ -214,17 +214,13 @@ class CategoryStats:
 
 
 class Corpus:
-    """An immutable, loaded corpus: schemas, tuple records, mentions, links."""
+    """An immutable, loaded corpus: schemas, tuples, mentions, links, checked and grouped by category."""
 
     def __init__(self, schemas, tuples, mentions, links):
         self.schemas = dict(schemas)
         self.tuples = dict(tuples)
         self.mentions = dict(mentions)
         self.links = list(links)
-        self._validate()
-        self._index()
-
-    def _validate(self):
         for schema in self.schemas.values():
             for fk_name, target in schema.foreign_keys:
                 if target not in self.schemas:
@@ -237,6 +233,11 @@ class Corpus:
                 raise CorpusError(f"gold link references unknown tuple {link.tuple_key!r}")
             if link.mention_id not in self.mentions:
                 raise CorpusError(f"gold link references unknown mention {link.mention_id!r}")
+        self._tuples_by = {category: [] for category in self.schemas}
+        self._mentions_by = {category: [] for category in self.schemas}
+        self._links_by = {category: [] for category in self.schemas}
+        self.entity_category = {}
+        self.dangling_fks = []
         for rec in self.tuples.values():
             if rec.relation not in self.schemas:
                 raise CorpusError(f"tuple {rec.key!r} references unknown relation {rec.relation!r}")
@@ -248,46 +249,39 @@ class Corpus:
                     except ValueError as exc:
                         raise CorpusError(
                             f"tuple {rec.key!r}, numeric attribute {attr!r}: {exc}") from None
+            self._tuples_by[rec.relation].append(rec)
+            self.entity_category.setdefault(rec.entity, rec.relation)
+            self.dangling_fks += [(rec.key, fk, target) for fk, targets in rec.fk_values.items()
+                                  for target in targets if target not in self.tuples]
         for mention in self.mentions.values():
             if mention.entity_category not in self.schemas:
                 raise CorpusError(f"mention {mention.id!r} names unknown category "
                                   f"{mention.entity_category!r}")
+            self._mentions_by[mention.entity_category].append(mention)
+        self.links_by_tuple = {}
+        self.links_by_mention = {}
         for link in self.links:
             relation = self.tuples[link.tuple_key].relation
             if self.mentions[link.mention_id].entity_category != relation:
                 raise CorpusError(f"gold link joins tuple {link.tuple_key!r} of {relation!r} to "
                                   f"mention {link.mention_id!r} of another category")
-        self.dangling_fks = [
-            (rec.key, fk, target)
-            for rec in self.tuples.values()
-            for fk, targets in rec.fk_values.items()
-            for target in targets
-            if target not in self.tuples
-        ]
-        if self.dangling_fks:
-            logger.warning("corpus has %d dangling foreign-key targets", len(self.dangling_fks))
-
-    def _index(self):
-        self.links_by_tuple = {}
-        self.links_by_mention = {}
-        for link in self.links:
+            self._links_by[relation].append(link)
             self.links_by_tuple.setdefault(link.tuple_key, []).append(link.mention_id)
             self.links_by_mention.setdefault(link.mention_id, []).append(link.tuple_key)
-        self.entity_category = {}
-        for rec in self.tuples.values():
-            self.entity_category.setdefault(rec.entity, rec.relation)
+        if self.dangling_fks:
+            logger.warning("corpus has %d dangling foreign-key targets", len(self.dangling_fks))
 
     def categories(self):
         return sorted(self.schemas)
 
     def tuples_of_category(self, category):
-        return [r for r in self.tuples.values() if r.relation == category]
+        return self._tuples_by.get(category, [])
 
     def mentions_of_category(self, category):
-        return [m for m in self.mentions.values() if m.entity_category == category]
+        return self._mentions_by.get(category, [])
 
     def links_of_category(self, category):
-        return [l for l in self.links if self.tuples[l.tuple_key].relation == category]
+        return self._links_by.get(category, [])
 
     def stats(self):
         """Per-category statistics: instances, tuples, sentences, density.
@@ -296,23 +290,15 @@ class Corpus:
         averaged over the category's tuples (foreign keys excluded).
         """
         out = {}
-        for category in self.categories():
-            schema = self.schemas[category]
-            records = self.tuples_of_category(category)
-            mentions = self.mentions_of_category(category)
-            linked = {self.tuples[l.tuple_key].entity for l in self.links_of_category(category)}
+        for category, schema in sorted(self.schemas.items()):
+            records, mentions = self._tuples_by[category], self._mentions_by[category]
+            linked = {self.tuples[l.tuple_key].entity for l in self._links_by[category]}
             instances = len(linked) if linked else len({r.entity for r in records})
             n_attrs = len(schema.attributes)
-            if n_attrs and records:
-                density = float(
-                    np.mean([
-                        sum(1 for a in schema.attribute_names if r.values.get(a) not in (None, ""))
-                        / n_attrs
-                        for r in records
-                    ])
-                )
-            else:
-                density = 0.0
+            density = float(np.mean([
+                sum(r.values.get(a) not in (None, "") for a in schema.attribute_names) / n_attrs
+                for r in records
+            ])) if n_attrs and records else 0.0
             out[category] = CategoryStats(
                 instances=instances,
                 tuples=len(records),

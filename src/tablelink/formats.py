@@ -44,9 +44,9 @@ def read_binary(path, magic, fmt, version, error, rerun, parse):
     """``parse(data, body offset, *header fields after the version)`` of a binary artifact.
 
     A bad magic, a short header, another version (the message says to rerun
-    ``rerun``) and a ``ValueError`` from ``parse`` (a body that disagrees with
-    its header, or values of the wrong shape) raise ``error``; an ``error``
-    that ``parse`` raises passes through.
+    ``rerun``) and any ``ValueError`` from ``parse``, ``error`` included (a body
+    that disagrees with its header, values of the wrong shape), raise ``error``
+    prefixed with the file; other exceptions pass through and name it themselves.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -60,8 +60,6 @@ def read_binary(path, magic, fmt, version, error, rerun, parse):
         raise error(f"{path}: format version {found} unsupported; expected {version} (rerun {rerun})")
     try:
         return parse(data, offset, *fields)
-    except error:
-        raise
     except ValueError as exc:
         raise error(f"{path}: {exc}") from None
 
@@ -135,10 +133,15 @@ def read_keyed_matrix(data, pos, dim, count):
 # JSON artifacts
 # ---------------------------------------------------------------------------
 
+def encode_json(obj):
+    """``obj`` as UTF-8 JSON, keys sorted, no spaces: every JSON artifact's and header's encoding."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 def save_json(path, obj):
-    """Write ``obj`` as UTF-8 JSON, keys sorted, indent 1."""
-    with replacing(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, sort_keys=True, indent=1)
+    """Write ``encode_json(obj)`` to ``path``."""
+    with replacing(path, "wb") as f:
+        f.write(encode_json(obj))
 
 
 def load_json(path, from_dict, error):

@@ -8,7 +8,6 @@ All forward/backward math is explicit numpy so gradients can be verified
 against finite differences.
 """
 
-import json
 import logging
 import math
 import operator
@@ -645,7 +644,7 @@ def save_checkpoint(path, pair: EmbedderPair, step=0, extra=None):
     }
     if extra:
         header["extra"] = extra
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    blob = formats.encode_json(header)
     with formats.write_binary(path, CKPT_MAGIC, CKPT_HEADER, CKPT_VERSION, len(blob)) as f:
         f.write(blob)
         f.write(np.ascontiguousarray(pair.flat, dtype="<f4"))

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import formats
+from .config import MAX_SIZE
 from .corpus import RelationSchema, numeric_value
 
 
@@ -48,8 +49,8 @@ class HashingEncoder:
     """
 
     def __init__(self, dim=256, seed=0):
-        if dim <= 0:
-            raise VectorizeError(f"encoder dim must be positive, got {dim}")
+        if not 1 <= dim <= MAX_SIZE:
+            raise VectorizeError(f"encoder dim must lie in [1, 2**20], got {dim}")
         if not 0 <= seed < 2**63:  # the key is the seed as an i64
             raise VectorizeError(f"encoder seed must lie in [0, 2**63), got {seed}")
         self.dim = int(dim)

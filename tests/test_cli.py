@@ -270,6 +270,21 @@ class TestCommands:
         del piped["timings.json"]
         assert piped == chain
 
+    def test_json_artifacts_and_checkpoint_headers_share_one_compact_encoding(self, project):
+        config_path, workdir = project
+        assert run_command(["pipeline", "--config", str(config_path)]) == 0
+
+        def compact(blob):
+            return json.dumps(json.loads(blob), sort_keys=True, separators=(",", ":")).encode()
+
+        documents = {p.name: p.read_bytes() for p in workdir.glob("*.json")}
+        assert {"corpus.json", "splits.json", "vectorizer_Landmark.json", "report.json",
+                "timings.json"} <= set(documents)
+        ckpt = (workdir / "model_Landmark.ckpt").read_bytes()
+        documents["checkpoint header"] = ckpt[12 : 12 + struct.unpack_from("<I", ckpt, 8)[0]]
+        for name, blob in documents.items():
+            assert compact(blob) == blob, name
+
     def test_new_artifact_deletes_those_derived_from_the_old(self, project, capsys):
         config_path, workdir = project
         for step in INDEX_CHAIN:
@@ -410,7 +425,7 @@ class TestErrors:
         f"index.seed={10**23}", "index.seed=-1", "index.t=4294967296",
         "index.leaf_capacity=4294967296", "network.joint_dim=4294967296", "training.margin=NaN",
         "training.lr=Infinity", "training.margin=Infinity", "training.decay=-Infinity",
-        "split.unseen_fraction=NaN", 'name_attributes={"Landmark": 5}',
+        "split.unseen_fraction=NaN", 'name_attributes={"Landmark": 5}', "training.lr=2147483648",
     ])
     def test_config_out_of_bounds_exits_one_naming_the_key(self, project, capsys, override):
         config_path, workdir = project
@@ -419,6 +434,20 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert override.partition("=")[0] in err
         assert not workdir.exists()
+
+    @pytest.mark.parametrize("key", ["encoder.dim", "network.hidden_r", "network.hidden_t",
+                                     "network.joint_dim", "training.batch_size"])
+    def test_sizes_are_capped_at_two_to_the_twenty(self, project, key):
+        # through validate alone: a command would try to allocate the size
+        config_path, _ = project
+
+        def override(size):
+            return f"{key}=[{size}]" if key.startswith("network.hidden") else f"{key}={size}"
+
+        assert load_config(config_path, overrides=[override(2**20)]).validate()
+        for size in (2**20 + 1, 2**61):
+            with pytest.raises(ConfigError, match=key):
+                load_config(config_path, overrides=[override(size)])
 
     @pytest.mark.parametrize("kind", ["directory", "missing"])
     def test_unreadable_config_exits_one(self, tmp_path, capsys, kind):
@@ -462,7 +491,7 @@ class TestErrors:
         config_path, workdir = project
         assert run_command(["ingest", "--config", str(config_path)]) == 0
         blob = (workdir / "corpus.json").read_text().replace(
-            '"format_version": 1', '"format_version": 7'
+            '"format_version":1', '"format_version":7'
         )
         (workdir / "corpus.json").write_text(blob)
         assert run_command(["stats", "--config", str(config_path)]) == 2
@@ -496,7 +525,7 @@ class TestErrors:
         ("model_Landmark.ckpt", lambda b: b[:6], "embed-tuples"),
         ("model_Landmark.ckpt", lambda b: b[:12] + b"\xff" + b[13:], "embed-tuples"),
         ("model_Landmark.ckpt", lambda b: b.replace(b'"joint_dim"', b'"joint_dix"'), "embed-tuples"),
-        ("model_Landmark.ckpt", lambda b: b.replace(b'"joint_dim": 16', b'"joint_dim": 15'),
+        ("model_Landmark.ckpt", lambda b: b.replace(b'"joint_dim":16', b'"joint_dim":15'),
          "embed-tuples"),
         ("vectorizer_Landmark.json", lambda b: first_attribute_of_one(b, "schema"), "train"),
         ("corpus.json", lambda b: first_attribute_of_one(b, "schemas", "Landmark"), "fit"),
@@ -555,6 +584,10 @@ class TestErrors:
         ("model_Landmark.ckpt", ckpt_header(lambda h: h.update(margin=float("inf"))),
          "embed-tuples"),
         ("mentions_Landmark.idx", lambda b: b[:20] + struct.pack("<q", -1) + b[28:], "link"),
+        ("mentions_Landmark.idx", lambda b: b[:12] + struct.pack("<I", 0) + b[16:], "link"),
+        ("mentions_Landmark.idx", lambda b: b[:16] + struct.pack("<I", 0) + b[20:], "link"),
+        ("vectorizer_Landmark.json", lambda b: json_set(b, "encoder", "dim", value=2**20 + 1),
+         "train"),
     ], ids=["vectorizer-cut", "vectorizer-no-encoder", "ckpt-cut-6", "ckpt-header-not-utf8",
             "ckpt-no-joint-dim", "ckpt-joint-dim-disagrees", "vectorizer-attribute-of-one",
             "corpus-attribute-of-one", "vec-cut-10", "idx-cut-10", "vec-ids-descending",
@@ -572,7 +605,8 @@ class TestErrors:
             "splits-overlap", "splits-members-numbers", "splits-seed-string",
             "vectorizer-encoder-seed-bool", "vectorizer-encoder-dim-float",
             "vectorizer-encoder-seed-2**70", "ckpt-margin-nan", "ckpt-margin-inf",
-            "idx-seed-negative"])
+            "idx-seed-negative", "idx-t-zero", "idx-leaf-capacity-zero",
+            "vectorizer-encoder-dim-2**20+1"])
     def test_corrupt_artifact_exits_two_naming_it(self, project, capsys, artifact, corrupt, command):
         config_path, workdir = project
         for step in INDEX_CHAIN:

@@ -207,6 +207,32 @@ class TestLoadCorpusXml:
             with pytest.raises(CorpusError, match=match):
                 Corpus(schemas, {"k": rec}, {"m": mention}, [GoldLink("k", "m")])
 
+    def test_links_endpoints_checked_before_the_records(self):
+        # a link to an unknown mention and a tuple of an unknown relation: the link is reported
+        schema = RelationSchema(name="R", attributes=(("a", "text"),))
+        rec = TupleRecord(relation="Q", key="k", entity="k", values={"a": "v"})
+        with pytest.raises(CorpusError, match="unknown mention 'nope'"):
+            Corpus({"R": schema}, {"k": rec}, {}, [GoldLink("k", "nope")])
+
+    def test_records_of_a_category_keep_their_stored_order(self):
+        schemas = {name: RelationSchema(name=name, attributes=(("a", "text"),)) for name in "ABC"}
+        tuples = {key: TupleRecord(relation=key[0], key=key, entity=key, values={"a": key})
+                  for key in ("A1", "B1", "A2", "C1", "B2", "A3")}
+        mentions = {mid: TextMention(id=mid, span=(0, 1), mention_text="x", sentence_text="x",
+                                     entity_category=mid[1])
+                    for mid in ("mB1", "mA1", "mA2", "mB2", "mA3")}  # C has no mentions
+        links = [GoldLink(f"{m[1]}{m[2]}", m) for m in ("mA2", "mB1", "mA1", "mB2", "mA3")]
+        corpus = Corpus(schemas, tuples, mentions, links)
+        for category in ("A", "B", "C", "Z"):
+            assert corpus.tuples_of_category(category) == [
+                r for r in tuples.values() if r.relation == category]
+            assert corpus.mentions_of_category(category) == [
+                m for m in mentions.values() if m.entity_category == category]
+            assert corpus.links_of_category(category) == [
+                l for l in links if tuples[l.tuple_key].relation == category]
+        assert corpus.mentions_of_category("C") == [] and len(corpus.tuples_of_category("A")) == 3
+        assert corpus.stats()["C"].sentences == 0
+
     def test_dangling_fk_targets_listed(self, caplog):
         schema = RelationSchema(name="R", attributes=(("a", "text"),), foreign_keys=(("ref", "R"),))
         rec = TupleRecord(relation="R", key="k", entity="k", values={"a": "v"},

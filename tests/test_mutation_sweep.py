@@ -145,6 +145,9 @@ BOUNDARY_VALUES = ("-1", "0", str(2**31), str(2**32), str(2**63), str(2**64),
 # A command allocates or loops in proportion to these: a large one goes through validate alone.
 SIZES = {"encoder.dim", "network.hidden_r", "network.hidden_t", "network.joint_dim",
          "training.batch_size", "training.batch_budget", "index.t"}
+# validate caps these sizes at 2**20, so a large one must raise ConfigError.
+CAPPED = {"encoder.dim", "network.hidden_r", "network.hidden_t", "network.joint_dim",
+          "training.batch_size"}
 # Values that once ended in a traceback or exited 0; tier 1 always runs them.
 CONFIG_PROBES = {("split.seed", "-1"), ("training.seed", "-1"), ("encoder.seed", str(2**64)),
                  ("index.seed", str(2**64)), ("index.seed", "-1"), ("index.t", str(2**32)),
@@ -173,6 +176,10 @@ def test_config_sweep_covers_every_numeric_key():
 def test_every_config_value_keeps_the_exit_contract(workdir, key, value):
     config_path, work, pristine = workdir
     override = f"{key}=[{value}]" if key in LIST_KEYS else f"{key}={value}"
+    if key in CAPPED and value.isdigit() and int(value) >= 2**31:
+        with pytest.raises(ConfigError, match=key):
+            load_config(config_path, overrides=[override])
+        return
     if key in SIZES and value.isdigit() and int(value) >= 2**31:
         try:
             load_config(config_path, overrides=[override])

@@ -395,7 +395,7 @@ class TestModelSerialization:
         model = fit_vectorizer(records, mixed_schema, HashingEncoder(dim=8, seed=0))
         path = tmp_path / "vectorizer.json"
         model.save(path)
-        blob = path.read_text().replace('"format_version": 1', '"format_version": 9')
+        blob = path.read_text().replace('"format_version":1', '"format_version":9')
         path.write_text(blob)
         with pytest.raises(VectorizeError, match="version"):
             VectorizerModel.load(path)
