@@ -30,6 +30,19 @@ class CorpusError(ValueError):
     """Raised for malformed corpus inputs (XML, artifacts, split fractions)."""
 
 
+_WORD = re.compile(r"\w+")
+
+
+def words(text):
+    """The case-folded word tokens of ``text``: the encoder's word features and the bootstrap's."""
+    return _WORD.findall(text.lower())
+
+
+def is_null(value):
+    """Whether an attribute value is NULL: None or the empty string."""
+    return value in (None, "")
+
+
 @dataclass(frozen=True)
 class RelationSchema:
     """A relation with ordered, typed attributes and foreign keys.
@@ -124,8 +137,9 @@ class TextMention:
     def __post_init__(self):
         start, end = self.span
         object.__setattr__(self, "span", (start, end))  # corpus.json holds a list
-        if not (0 <= start < end):
-            raise CorpusError(f"mention {self.id!r}: invalid span {self.span}")
+        if not (type(start) is type(end) is int and 0 <= start < end):
+            raise CorpusError(f"mention {self.id!r}: invalid span {self.span}; expected integers "
+                              "0 <= start < end")
         for name in ("id", "mention_text", "sentence_text"):
             if not isinstance(getattr(self, name), str):
                 raise CorpusError(f"mention {self.id!r}: {name} must be a string")
@@ -140,23 +154,19 @@ def _records_of(cls, entries, key):
     """``cls`` records of ``corpus.json`` entries, keyed by field ``key``.
 
     Each entry holds exactly the fields of ``cls``: ``cls`` rejects an
-    unknown field, and a missing one is rejected here.
+    unknown field, and a missing one or a repeated key is rejected here.
     """
-    names = _FIELDS[cls]
+    names, records = _FIELDS[cls], {}
     for entry in entries:
         if len(entry) != len(names):
             raise CorpusError(
                 f"{cls.__name__} entry has fields {sorted(entry)}; expected {sorted(names)}"
             )
-    return {entry[key]: cls(**entry) for entry in entries}
-
-
-@dataclass(frozen=True)
-class GoldLink:
-    """A labelled positive pair between a tuple record and a text mention."""
-
-    tuple_key: str
-    mention_id: str
+        record = cls(**entry)
+        if entry[key] in records:
+            raise CorpusError(f"duplicate {cls.__name__} {key} {entry[key]!r}")
+        records[entry[key]] = record
+    return records
 
 
 @dataclass(frozen=True)
@@ -214,7 +224,10 @@ class CategoryStats:
 
 
 class Corpus:
-    """An immutable, loaded corpus: schemas, tuples, mentions, links, checked and grouped by category."""
+    """An immutable, loaded corpus: schemas, tuples, mentions, links, checked and grouped by category.
+
+    A gold link is a (tuple key, mention id) pair.
+    """
 
     def __init__(self, schemas, tuples, mentions, links):
         self.schemas = dict(schemas)
@@ -228,27 +241,40 @@ class Corpus:
                         f"schema {schema.name!r}: foreign key {fk_name!r} targets "
                         f"undeclared relation {target!r}"
                     )
+        seen = set()
         for link in self.links:
-            if link.tuple_key not in self.tuples:
-                raise CorpusError(f"gold link references unknown tuple {link.tuple_key!r}")
-            if link.mention_id not in self.mentions:
-                raise CorpusError(f"gold link references unknown mention {link.mention_id!r}")
+            tk, mid = link
+            if tk not in self.tuples:
+                raise CorpusError(f"gold link references unknown tuple {tk!r}")
+            if mid not in self.mentions:
+                raise CorpusError(f"gold link references unknown mention {mid!r}")
+            if link in seen:
+                raise CorpusError(f"gold link ({tk!r}, {mid!r}) is repeated")
+            seen.add(link)
         self._tuples_by = {category: [] for category in self.schemas}
         self._mentions_by = {category: [] for category in self.schemas}
         self._links_by = {category: [] for category in self.schemas}
         self.entity_category = {}
         self.dangling_fks = []
+        declared = {name: (dict(s.attributes), dict(s.foreign_keys))
+                    for name, s in self.schemas.items()}
         for rec in self.tuples.values():
             if rec.relation not in self.schemas:
                 raise CorpusError(f"tuple {rec.key!r} references unknown relation {rec.relation!r}")
-            kinds = dict(self.schemas[rec.relation].attributes)
+            kinds, fks = declared[rec.relation]
+            undeclared = (rec.values.keys() - kinds.keys()) | (rec.fk_values.keys() - fks.keys())
+            if undeclared:
+                raise CorpusError(f"tuple {rec.key!r}: {min(undeclared)!r} is not an attribute or "
+                                  f"foreign key of schema {rec.relation!r}")
             for attr, value in rec.values.items():
-                if kinds.get(attr) == "numeric" and value not in (None, ""):
-                    try:
+                try:  # a value is NULL, a string or, if numeric, a finite number
+                    if kinds[attr] == "numeric" and not is_null(value):
                         numeric_value(value)
-                    except ValueError as exc:
-                        raise CorpusError(
-                            f"tuple {rec.key!r}, numeric attribute {attr!r}: {exc}") from None
+                    elif value is not None and not isinstance(value, str):
+                        raise ValueError(f"{value!r} is not a string or null")
+                except ValueError as exc:
+                    raise CorpusError(
+                        f"tuple {rec.key!r}, {kinds[attr]} attribute {attr!r}: {exc}") from None
             self._tuples_by[rec.relation].append(rec)
             self.entity_category.setdefault(rec.entity, rec.relation)
             self.dangling_fks += [(rec.key, fk, target) for fk, targets in rec.fk_values.items()
@@ -261,13 +287,14 @@ class Corpus:
         self.links_by_tuple = {}
         self.links_by_mention = {}
         for link in self.links:
-            relation = self.tuples[link.tuple_key].relation
-            if self.mentions[link.mention_id].entity_category != relation:
-                raise CorpusError(f"gold link joins tuple {link.tuple_key!r} of {relation!r} to "
-                                  f"mention {link.mention_id!r} of another category")
+            tk, mid = link
+            relation = self.tuples[tk].relation
+            if self.mentions[mid].entity_category != relation:
+                raise CorpusError(f"gold link joins tuple {tk!r} of {relation!r} to "
+                                  f"mention {mid!r} of another category")
             self._links_by[relation].append(link)
-            self.links_by_tuple.setdefault(link.tuple_key, []).append(link.mention_id)
-            self.links_by_mention.setdefault(link.mention_id, []).append(link.tuple_key)
+            self.links_by_tuple.setdefault(tk, []).append(mid)
+            self.links_by_mention.setdefault(mid, []).append(tk)
         if self.dangling_fks:
             logger.warning("corpus has %d dangling foreign-key targets", len(self.dangling_fks))
 
@@ -292,11 +319,11 @@ class Corpus:
         out = {}
         for category, schema in sorted(self.schemas.items()):
             records, mentions = self._tuples_by[category], self._mentions_by[category]
-            linked = {self.tuples[l.tuple_key].entity for l in self._links_by[category]}
+            linked = {self.tuples[tk].entity for tk, _ in self._links_by[category]}
             instances = len(linked) if linked else len({r.entity for r in records})
             n_attrs = len(schema.attributes)
             density = float(np.mean([
-                sum(r.values.get(a) not in (None, "") for a in schema.attribute_names) / n_attrs
+                sum(not is_null(r.values.get(a)) for a in schema.attribute_names) / n_attrs
                 for r in records
             ])) if n_attrs and records else 0.0
             out[category] = CategoryStats(
@@ -316,7 +343,7 @@ class Corpus:
             # a record's __dict__ holds its dataclass fields and nothing else
             "tuples": [r.__dict__.copy() for r in self.tuples.values()],
             "mentions": [m.__dict__.copy() for m in self.mentions.values()],
-            "links": [[l.tuple_key, l.mention_id] for l in self.links],
+            "links": self.links,  # each pair encodes as a JSON list
         }
 
     @classmethod
@@ -328,7 +355,7 @@ class Corpus:
         schemas = {name: RelationSchema.from_dict(name, s) for name, s in d["schemas"].items()}
         tuples = _records_of(TupleRecord, d["tuples"], "key")
         mentions = _records_of(TextMention, d["mentions"], "id")
-        links = [GoldLink(t, m) for t, m in d["links"]]
+        links = [(tk, mid) for tk, mid in d["links"]]
         return cls(schemas, tuples, mentions, links)
 
     def save(self, path):
@@ -444,7 +471,7 @@ def _parse_entry_element(elem, eid):
                 entity_category=category,
             )
         )
-        links.append(GoldLink(tuple_key=root, mention_id=mid))
+        links.append((root, mid))
 
     return records, mentions, links
 
@@ -493,10 +520,7 @@ class CorpusBuilder:
             if mention.id in self._mentions:
                 raise CorpusError(f"duplicate mention id {mention.id!r}")
             self._mentions[mention.id] = mention
-        for link in links:
-            self._links.append(
-                GoldLink(tuple_key=key_of_subject[link.tuple_key], mention_id=link.mention_id)
-            )
+        self._links += [(key_of_subject[tk], mid) for tk, mid in links]
 
     def finalize(self):
         """The corpus, each schema's columns in first-seen order over the stored records."""
@@ -518,7 +542,7 @@ class CorpusBuilder:
 
 
 def _infer_kind(values):
-    non_null = [v for v in values if v not in (None, "")]
+    non_null = [v for v in values if not is_null(v)]
     if non_null and all(_parses_numeric(v) for v in non_null):
         return "numeric"
     distinct = set(non_null)
@@ -606,7 +630,7 @@ def make_stratified_splits(corpus: Corpus, spec: SplitConfig):
     """Split gold-linked entities per category so every category appears
     in all three sets; category i splits with seed ``spec.seed + i``."""
     by_category = {}
-    for entity in {corpus.tuples[link.tuple_key].entity for link in corpus.links}:
+    for entity in {corpus.tuples[tk].entity for tk, _ in corpus.links}:
         by_category.setdefault(corpus.entity_category[entity], []).append(entity)
     train, test, unseen = set(), set(), set()
     for i, category in enumerate(sorted(by_category)):

@@ -9,11 +9,10 @@ share a rank.
 
 import logging
 import math
-import re
 from dataclasses import dataclass, field
 
 from . import annindex, formats, neural
-from .corpus import Corpus
+from .corpus import Corpus, is_null, words
 from .vectorize import KeyedVectors
 
 logger = logging.getLogger(__name__)
@@ -31,13 +30,10 @@ class LinkerError(RuntimeError):
 # Bootstrap (exact) matching
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\w+")
-
-
 def _tokens(text):
     """``text``'s case-folded word tokens as " a b " ("" if none). Tokens hold no spaces, so
     one such string is contained in another iff its tokens occur contiguously in the other's."""
-    toks = _TOKEN.findall(text.lower())
+    toks = words(text)
     return f" {' '.join(toks)} " if toks else ""
 
 
@@ -57,7 +53,7 @@ def bootstrap_exact_match(tuples, mentions, schema, name_attribute=None):
     pairs = []
     for rec in tuples:
         value = rec.values.get(attr)
-        name = _tokens(str(value)) if value is not None else ""
+        name = "" if is_null(value) else _tokens(str(value))
         if name:
             pairs.extend((rec.key, mid) for mid, sent_toks in mention_tokens if name in sent_toks)
     return pairs
@@ -197,7 +193,7 @@ def category_matches(corpus: Corpus, category, name_attribute=None):
     """Gold links of the category, or its exact-match pairs when none exist."""
     gold = corpus.links_of_category(category)
     if gold:
-        return [(l.tuple_key, l.mention_id) for l in gold], "gold"
+        return gold, "gold"
     return bootstrap_exact_match(corpus.tuples_of_category(category),
                                  corpus.mentions_of_category(category),
                                  corpus.schemas[category], name_attribute), "bootstrap"
@@ -229,7 +225,8 @@ def train_category(corpus: Corpus, category, config, splits, tuple_vecs, mention
     if not train_links:
         raise LinkerError(f"category {category!r}: no matches among train-split entities")
 
-    drawable = [link for links in train_links.values() for link in links]
+    seed = config.training.seed + cat_index
+    sampler = neural.SamplerState(train_links, batch_size=config.training.batch_size, seed=seed)
     pair = neural.EmbedderPair.build(
         input_dim_r=tuple_vecs.dim,
         input_dim_t=mention_vecs.dim,
@@ -238,19 +235,15 @@ def train_category(corpus: Corpus, category, config, splits, tuple_vecs, mention
         joint_dim=config.network.joint_dim,
         margin=config.training.margin,
         keep_prob=config.training.keep_prob,
-        seed=config.training.seed + cat_index,
-        live_r=neural.live_columns(tuple_vecs, {tk for tk, _ in drawable}, tuple_vecs.dim),
-        live_t=neural.live_columns(mention_vecs, {mid for _, mid in drawable}, mention_vecs.dim),
+        seed=seed,
+        live_r=neural.live_columns(tuple_vecs, {tk for tk, _ in sampler.drawable}, tuple_vecs.dim),
+        live_t=neural.live_columns(mention_vecs, {mid for _, mid in sampler.drawable},
+                                   mention_vecs.dim),
     )
     adam = neural.AdamState(
         lr=config.training.lr,
         decay=config.training.decay,
         decay_every=config.training.decay_every,
-    )
-    sampler = neural.SamplerState(
-        train_links,
-        batch_size=config.training.batch_size,
-        seed=config.training.seed + cat_index,
     )
     history = neural.train_pair(
         pair, adam, sampler, set(matches), tuple_vecs, mention_vecs,
@@ -271,8 +264,8 @@ def evaluate_category(report, corpus: Corpus, category, splits,
     """
     entity_of_tuple = {rec.key: rec.entity for rec in corpus.tuples_of_category(category)}
     entity_of_mention = {}
-    for link in corpus.links_of_category(category):
-        entity_of_mention.setdefault(link.mention_id, corpus.tuples[link.tuple_key].entity)
+    for tk, mid in corpus.links_of_category(category):
+        entity_of_mention.setdefault(mid, corpus.tuples[tk].entity)
     directions = (
         (TUPLE_TO_MENTIONS, entity_of_tuple, tuple_vecs, mention_forest, corpus.links_by_tuple),
         (MENTION_TO_TUPLES, entity_of_mention, mention_vecs, tuple_forest, corpus.links_by_mention),

@@ -8,7 +8,6 @@ All forward/backward math is explicit numpy so gradients can be verified
 against finite differences.
 """
 
-import logging
 import math
 import operator
 from dataclasses import dataclass, field, replace
@@ -16,8 +15,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import formats
-
-logger = logging.getLogger(__name__)
 
 
 class TrainingError(RuntimeError):
@@ -520,7 +517,7 @@ class SamplerState:
     Entities are drawn with probability proportional to 1/(1 + seen count),
     so rarely sampled entities catch up; one of the entity's gold links is
     then drawn uniformly. Every batch therefore contains at least one
-    positive pair by construction.
+    positive pair by construction. ``drawable`` lists every link it can draw.
     """
 
     def __init__(self, links_by_entity, batch_size=32, seed=0):
@@ -533,6 +530,7 @@ class SamplerState:
             raise ValueError("batch_size must be >= 1")
         self.rng = np.random.default_rng(seed)
         self.seen = {e: 0 for e in self.entities}
+        self.drawable = [link for links in self.links_by_entity.values() for link in links]
 
     def sample_pairs(self):
         """Draw one batch worth of (tuple_key, mention_id) positive pairs."""
@@ -593,10 +591,9 @@ def train_pair(pair: EmbedderPair, adam: AdamState, sampler: SamplerState,
     half the bytes of f64. ``adam`` holds the moments of the pair's
     parameters.
     """
-    drawable = [link for links in sampler.links_by_entity.values() for link in links]
     dtype = pair.flat.dtype
-    rows_r = {tk: vectors_r[tk][pair.live_r].astype(dtype) for tk, _ in drawable}
-    rows_t = {mid: vectors_t[mid][pair.live_t].astype(dtype) for _, mid in drawable}
+    rows_r = {tk: vectors_r[tk][pair.live_r].astype(dtype) for tk, _ in sampler.drawable}
+    rows_t = {mid: vectors_t[mid][pair.live_t].astype(dtype) for _, mid in sampler.drawable}
     history = []
     # a huge learning rate overflows the parameters; gradient_step then raises on the loss
     with np.errstate(over="ignore", invalid="ignore"):

@@ -9,7 +9,6 @@ the encodings of the mention surface form and of its covering sentence.
 
 import functools
 import hashlib
-import re
 import struct
 import sys
 from collections.abc import Mapping
@@ -19,14 +18,12 @@ import numpy as np
 
 from . import formats
 from .config import MAX_SIZE
-from .corpus import RelationSchema, numeric_value
+from .corpus import RelationSchema, is_null, numeric_value, words
 
 
 class VectorizeError(ValueError):
     """Raised for schema/model mismatches and malformed vector files."""
 
-
-_WORD = re.compile(r"\w+")
 
 # Most (slot, sign) entries one encoder remembers; past it, new features are
 # hashed on every use. A full memo of short features holds about 50 MB.
@@ -79,7 +76,7 @@ class HashingEncoder:
         feats = []
         for i in range(len(text) - 2):
             feats.append((b"c3", text[i : i + 3]))
-        for word in _WORD.findall(text.lower()):
+        for word in words(text):
             feats.append((b"w", word))
         return feats
 
@@ -226,14 +223,12 @@ def fit_vectorizer(tuples, schema: RelationSchema, encoder: HashingEncoder):
         raise VectorizeError("cannot fit a vectorizer on an empty tuple set")
     for rec in records:
         _check_relation(schema, rec)
-        for attr in rec.values:
-            schema.kind_of(attr)
 
     numeric_stats, vocabularies = {}, {}
     for attr, kind in schema.attributes:
         if kind == "numeric":
             vals = [numeric_value(rec.values[attr]) for rec in records
-                    if rec.values.get(attr) not in (None, "")]
+                    if not is_null(rec.values.get(attr))]
             if vals:
                 arr = np.asarray(vals, dtype=np.float64)
                 # an overflow gives a non-finite stat, which the check below rejects
@@ -249,7 +244,7 @@ def fit_vectorizer(tuples, schema: RelationSchema, encoder: HashingEncoder):
             numeric_stats[attr] = (mean, std)
         elif kind == "categorical":
             seen = sorted(
-                {str(rec.values[attr]) for rec in records if rec.values.get(attr) not in (None, "")}
+                {str(rec.values[attr]) for rec in records if not is_null(rec.values.get(attr))}
             )
             vocab = {v: i for i, v in enumerate(seen)}
             vocab[VectorizerModel.UNK] = len(vocab)
@@ -261,17 +256,17 @@ def vectorize_attribute(model: VectorizerModel, attribute: str, value) -> np.nda
     """One attribute section. NULL values map to the all-zero section."""
     kind = model.schema.kind_of(attribute)
     if kind == "text":
-        if value in (None, ""):
+        if is_null(value):
             return np.zeros(model.encoder.dim, dtype=np.float64)
         return model.encoder.encode(str(value))
     if kind == "numeric":
-        if value in (None, ""):
+        if is_null(value):
             return np.zeros(1, dtype=np.float64)
         mean, std = model.numeric_stats[attribute]
         return np.array([(numeric_value(value) - mean) / std], dtype=np.float64)
     vocab = model.vocabularies[attribute]
     out = np.zeros(len(vocab), dtype=np.float64)
-    if value not in (None, ""):
+    if not is_null(value):
         out[vocab.get(str(value), vocab[VectorizerModel.UNK])] = 1.0
     return out
 
@@ -284,7 +279,7 @@ def _sections(model: VectorizerModel, rec):
         for attr in model.schema.attribute_names
     ]
     presence = [
-        1.0 if rec.values.get(attr) not in (None, "") else 0.0
+        0.0 if is_null(rec.values.get(attr)) else 1.0
         for attr in model.schema.attribute_names
     ] + [1.0 if rec.fk_targets(fk_name) else 0.0 for fk_name, _ in model.schema.foreign_keys]
     return attrs, np.asarray(presence, dtype=np.float64)

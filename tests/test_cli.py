@@ -88,6 +88,13 @@ def id_number(blob, records, field, link_side):
     return json.dumps(doc).encode("utf-8")
 
 
+def json_repeat(blob, records, index=0):
+    """A ``corpus.json`` whose ``records`` list repeats its entry ``index`` at the end."""
+    doc = json.loads(blob)
+    doc[records].append(doc[records][index])
+    return json.dumps(doc).encode("utf-8")
+
+
 def splits_overlap(blob):
     """A ``splits.json`` whose test split also lists the first train entity."""
     splits = json.loads(blob)["splits"]
@@ -588,6 +595,20 @@ class TestErrors:
         ("mentions_Landmark.idx", lambda b: b[:16] + struct.pack("<I", 0) + b[20:], "link"),
         ("vectorizer_Landmark.json", lambda b: json_set(b, "encoder", "dim", value=2**20 + 1),
          "train"),
+        ("corpus.json", lambda b: json_set(b, "tuples", 0, "values", "colour", value="red"), "stats"),
+        ("corpus.json", lambda b: json_set(b, "tuples", 0, "fk_values", "owner", value=[]), "train"),
+        ("corpus.json", lambda b: json_set(b, "tuples", 0, "values", "title", value=["a"]), "train"),
+        ("corpus.json", lambda b: json_set(b, "tuples", 0, "values", "region", value={"x": 1}),
+         "train"),
+        ("corpus.json", lambda b: json_set(b, "tuples", 0, "values", "region", value=5), "train"),
+        ("corpus.json", lambda b: json_set(b, "tuples", 0, "values", "title", value=True), "train"),
+        ("corpus.json", lambda b: json_set(b, "tuples", 0, "values", "title", value=3.5), "train"),
+        ("corpus.json", lambda b: json_set(b, "tuples", 0, "values", "title", value=float("nan")),
+         "train"),
+        ("corpus.json", lambda b: json_repeat(b, "tuples"), "stats"),
+        ("corpus.json", lambda b: json_repeat(b, "mentions"), "train"),
+        ("corpus.json", lambda b: json_repeat(b, "links"), "train"),
+        ("corpus.json", lambda b: json_set(b, "mentions", 0, "span", value=[0.5, True]), "train"),
     ], ids=["vectorizer-cut", "vectorizer-no-encoder", "ckpt-cut-6", "ckpt-header-not-utf8",
             "ckpt-no-joint-dim", "ckpt-joint-dim-disagrees", "vectorizer-attribute-of-one",
             "corpus-attribute-of-one", "vec-cut-10", "idx-cut-10", "vec-ids-descending",
@@ -606,7 +627,11 @@ class TestErrors:
             "vectorizer-encoder-seed-bool", "vectorizer-encoder-dim-float",
             "vectorizer-encoder-seed-2**70", "ckpt-margin-nan", "ckpt-margin-inf",
             "idx-seed-negative", "idx-t-zero", "idx-leaf-capacity-zero",
-            "vectorizer-encoder-dim-2**20+1"])
+            "vectorizer-encoder-dim-2**20+1", "corpus-attribute-undeclared",
+            "corpus-foreign-key-undeclared", "corpus-text-list", "corpus-categorical-object",
+            "corpus-categorical-number", "corpus-text-bool", "corpus-text-float", "corpus-text-nan",
+            "corpus-tuple-key-repeated", "corpus-mention-id-repeated", "corpus-link-repeated",
+            "corpus-span-not-integers"])
     def test_corrupt_artifact_exits_two_naming_it(self, project, capsys, artifact, corrupt, command):
         config_path, workdir = project
         for step in INDEX_CHAIN:

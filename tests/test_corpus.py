@@ -7,7 +7,6 @@ from tablelink.config import SplitConfig
 from tablelink.corpus import (
     Corpus,
     CorpusError,
-    GoldLink,
     RelationSchema,
     TextMention,
     TupleRecord,
@@ -42,7 +41,7 @@ class TestParseEntry:
         assert mentions[0].mention_text == "200 Public Square"
         assert mentions[0].entity_category == "Building"
         assert len(corpus.links) == 1
-        assert corpus.links[0].tuple_key == "200_Public_Square"
+        assert corpus.links[0][0] == "200_Public_Square"
 
     def test_colmore_row_entry(self):
         corpus = load_corpus_xml(COLMORE_ROW_ENTRY)
@@ -57,7 +56,7 @@ class TestParseEntry:
         assert madin.values == {"birthPlace": "Birmingham"}
         assert len(corpus.mentions) == 1
         assert len(corpus.links) == 1
-        assert corpus.links[0].tuple_key == "103_Colmore_Row"
+        assert corpus.links[0][0] == "103_Colmore_Row"
 
     def test_mention_span_covers_surface_form(self):
         m = list(load_corpus_xml(PUBLIC_SQUARE_ENTRY).mentions.values())[0]
@@ -177,7 +176,7 @@ class TestLoadCorpusXml:
         assert corpus.tuples["R"].fk_values == {"owner": ["S"]}
         assert corpus.tuples["S"].values == {"color": "red"}
         assert corpus.tuples["S#2"].values == {"color": "blue"}
-        assert [link.tuple_key for link in corpus.links] == ["R", "R", "R"]
+        assert [tk for tk, _ in corpus.links] == ["R", "R", "R"]
 
     def test_same_subject_new_content_gets_new_record(self):
         second = PUBLIC_SQUARE_ENTRY.replace("Id24", "Id25").replace(
@@ -195,7 +194,7 @@ class TestLoadCorpusXml:
         rec = TupleRecord(relation="R", key="k", entity="k", values={"a": "v"})
         mention = TextMention(id="m", span=(0, 1), mention_text="v", sentence_text="v here")
         with pytest.raises(CorpusError, match="unknown mention"):
-            Corpus({"R": schema}, {"k": rec}, {"m": mention}, [GoldLink("k", "nope")])
+            Corpus({"R": schema}, {"k": rec}, {"m": mention}, [("k", "nope")])
 
     def test_mention_category_validated(self):
         schemas = {name: RelationSchema(name=name, attributes=(("a", "text"),)) for name in "RS"}
@@ -205,14 +204,14 @@ class TestLoadCorpusXml:
             mention = TextMention(id="m", span=(0, 1), mention_text="v", sentence_text="v here",
                                   entity_category=category)
             with pytest.raises(CorpusError, match=match):
-                Corpus(schemas, {"k": rec}, {"m": mention}, [GoldLink("k", "m")])
+                Corpus(schemas, {"k": rec}, {"m": mention}, [("k", "m")])
 
     def test_links_endpoints_checked_before_the_records(self):
         # a link to an unknown mention and a tuple of an unknown relation: the link is reported
         schema = RelationSchema(name="R", attributes=(("a", "text"),))
         rec = TupleRecord(relation="Q", key="k", entity="k", values={"a": "v"})
         with pytest.raises(CorpusError, match="unknown mention 'nope'"):
-            Corpus({"R": schema}, {"k": rec}, {}, [GoldLink("k", "nope")])
+            Corpus({"R": schema}, {"k": rec}, {}, [("k", "nope")])
 
     def test_records_of_a_category_keep_their_stored_order(self):
         schemas = {name: RelationSchema(name=name, attributes=(("a", "text"),)) for name in "ABC"}
@@ -221,7 +220,7 @@ class TestLoadCorpusXml:
         mentions = {mid: TextMention(id=mid, span=(0, 1), mention_text="x", sentence_text="x",
                                      entity_category=mid[1])
                     for mid in ("mB1", "mA1", "mA2", "mB2", "mA3")}  # C has no mentions
-        links = [GoldLink(f"{m[1]}{m[2]}", m) for m in ("mA2", "mB1", "mA1", "mB2", "mA3")]
+        links = [(f"{m[1]}{m[2]}", m) for m in ("mA2", "mB1", "mA1", "mB2", "mA3")]
         corpus = Corpus(schemas, tuples, mentions, links)
         for category in ("A", "B", "C", "Z"):
             assert corpus.tuples_of_category(category) == [
@@ -229,7 +228,7 @@ class TestLoadCorpusXml:
             assert corpus.mentions_of_category(category) == [
                 m for m in mentions.values() if m.entity_category == category]
             assert corpus.links_of_category(category) == [
-                l for l in links if tuples[l.tuple_key].relation == category]
+                (tk, mid) for tk, mid in links if tuples[tk].relation == category]
         assert corpus.mentions_of_category("C") == [] and len(corpus.tuples_of_category("A")) == 3
         assert corpus.stats()["C"].sentences == 0
 
