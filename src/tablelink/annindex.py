@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import formats
+from .config import check
 from .vectorize import KeyedVectors
 
 
@@ -50,11 +51,9 @@ class RpForest(KeyedVectors):
 
     def __init__(self, ids, matrix, t, leaf_capacity, seed):
         super().__init__(ids, matrix)
-        self.t = int(t)
-        self.leaf_capacity = int(leaf_capacity)
-        if self.t < 1 or self.leaf_capacity < 1:
-            raise AnnIndexError("t and leaf_capacity must be >= 1")
-        self.seed = int(seed)
+        self.t = check("index.t", int(t), AnnIndexError)
+        self.leaf_capacity = check("index.leaf_capacity", int(leaf_capacity), AnnIndexError)
+        self.seed = check("index.seed", int(seed), AnnIndexError)
 
     @functools.cached_property
     def trees(self):
@@ -266,6 +265,4 @@ def load_forest(path):
 
 
 def _parse_forest(data, offset, dim, t, leaf_capacity, seed, count):
-    if seed < 0:  # SeedSequence takes no negative seed
-        raise ValueError(f"negative seed {seed}")
     return RpForest(*formats.read_keyed_matrix(data, offset, dim, count), t, leaf_capacity, seed)

@@ -12,20 +12,61 @@ import types
 import typing
 from dataclasses import dataclass, field
 
+from .formats import unique_keys
+
 
 class ConfigError(ValueError):
     """Raised when a configuration value is missing or out of bounds."""
 
 
-# Every ``*.seed`` is packed as an i64 (the encoder key, the .idx header) and these
-# sizes as u32 (the .idx header); validate bounds them to fit.
-U32_FIELDS = ("index.t", "index.leaf_capacity")
-# Sizes of what a command allocates lie in [1, MAX_SIZE]. A hashing encoder with more
-# slots has almost no collisions left to remove, and a layer this wide over the narrowest
-# raw input (512 mention columns) already holds 2 GiB of f32 weights.
-MAX_SIZE = 2**20
-SIZE_FIELDS = ("encoder.dim", "network.hidden_r", "network.hidden_t", "network.joint_dim",
-               "training.batch_size")
+# Each numeric config key -> the interval (opening bracket, low, high, closing bracket) that
+# its value, or each element of its list, lies in; so a float is finite, never NaN or ±inf.
+# A seed is packed as an i64 (the encoder key, the .idx header), and numpy seeds no
+# generator with a negative one; the .idx header packs index.t and leaf_capacity as u32s.
+SEED = ("[", 0, 2**63, ")")
+U32 = ("[", 1, 2**32, ")")
+# A size of what a command allocates: a hashing encoder with more slots has almost no
+# collisions left to remove, and a layer this wide over the narrowest raw input (512
+# mention columns) already holds 2 GiB of f32 weights.
+SIZE = ("[", 1, 2**20, "]")
+POSITIVE = ("[", 1, math.inf, ")")
+FRACTION = ("(", 0, 1, ")")
+BOUNDS = {
+    "encoder.dim": SIZE,
+    "encoder.seed": SEED,
+    "network.hidden_r": SIZE,
+    "network.hidden_t": SIZE,
+    "network.joint_dim": SIZE,
+    "training.margin": ("[", 0, math.inf, ")"),
+    # Adam moves each parameter by about lr per step, so a rate above 1 overwrites the init
+    "training.lr": ("(", 0, 1, "]"),
+    "training.decay": ("(", 0, 1, "]"),
+    "training.decay_every": POSITIVE,
+    "training.keep_prob": ("(", 0, 1, "]"),
+    "training.batch_size": SIZE,
+    "training.batch_budget": ("[", 0, math.inf, ")"),
+    "training.seed": SEED,
+    "index.t": U32,
+    "index.leaf_capacity": U32,
+    "index.search_k": POSITIVE,
+    "index.n": POSITIVE,
+    "index.seed": SEED,
+    "split.seed": SEED,
+    "split.unseen_fraction": FRACTION,
+    "split.test_fraction_of_seen": FRACTION,
+    "eval_ks": POSITIVE,
+}
+
+
+def check(key, value, error=ConfigError):
+    """``value``, checked to lie in ``BOUNDS[key]`` (a list element by element); else ``error``."""
+    opening, low, high, closing = BOUNDS[key]
+    for v in value if type(value) is list else (value,):
+        above = low <= v if opening == "[" else low < v
+        below = v <= high if closing == "]" else v < high
+        if not (above and below):
+            raise error(f"{key} must lie in {opening}{low}, {high}{closing}, got {value}")
+    return value
 
 
 @dataclass
@@ -92,40 +133,12 @@ class ProjectConfig:
 
     def validate(self):
         for key, value in _values(self):
-            if type(value) is float and not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {value}")
-            if key.endswith(".seed") and not 0 <= value < 2**63:
-                raise ConfigError(f"{key} must lie in [0, 2**63), got {value}")
-            if key in U32_FIELDS and not 1 <= value < 2**32:
-                raise ConfigError(f"{key} must lie in [1, 2**32), got {value}")
-            sizes = value if type(value) is list else [value]
-            if key in SIZE_FIELDS and not all(1 <= size <= MAX_SIZE for size in sizes):
-                raise ConfigError(f"{key} must lie in [1, 2**20], got {value}")
-        if self.training.margin < 0:
-            raise ConfigError("training.margin must be >= 0")
-        # Adam moves each parameter by about lr per step, so a rate above 1 overwrites the init
-        if not (0 < self.training.lr <= 1):
-            raise ConfigError(f"training.lr must lie in (0, 1], got {self.training.lr}")
-        if not (0 < self.training.decay <= 1):
-            raise ConfigError("training.decay must lie in (0, 1]")
-        if self.training.decay_every < 1:
-            raise ConfigError("training.decay_every must be >= 1")
-        if not (0 < self.training.keep_prob <= 1):
-            raise ConfigError("training.keep_prob must lie in (0, 1]")
-        if self.training.batch_budget < 0:
-            raise ConfigError("training.batch_budget must be >= 0")
-        if self.index.n < 1:
-            raise ConfigError("index.n must be >= 1")
-        if self.index.search_k is not None and self.index.search_k < 1:
-            raise ConfigError("index.search_k must be >= 1 when set")
-        for name in ("unseen_fraction", "test_fraction_of_seen"):
-            f = getattr(self.split, name)
-            if not (0 < f < 1):
-                raise ConfigError(f"split.{name} must lie in (0, 1)")
+            if key in BOUNDS and value is not None:  # None: index.search_k unset
+                check(key, value)
         if self.strategy not in ("exact", "semantic"):
             raise ConfigError(f"strategy must be 'exact' or 'semantic', got {self.strategy!r}")
-        if not self.eval_ks or min(self.eval_ks) < 1 or len(set(self.eval_ks)) < len(self.eval_ks):
-            raise ConfigError("eval_ks must be nonempty distinct positive integers")
+        if not self.eval_ks or len(set(self.eval_ks)) < len(self.eval_ks):
+            raise ConfigError(f"eval_ks must be nonempty and distinct, got {self.eval_ks}")
         return self
 
     def check_name_attributes(self, schemas):
@@ -215,9 +228,11 @@ def apply_overrides(config: ProjectConfig, overrides):
         owner, found = _field(config, path.split("."))
         if found.type is not str:
             try:
-                value = json.loads(value)
+                value = json.loads(value, object_pairs_hook=unique_keys)
             except json.JSONDecodeError:
                 pass
+            except ValueError as exc:  # a repeated key, or an int past Python's digit limit
+                raise ConfigError(f"override {item!r}: {exc}") from None
         setattr(owner, found.name, _typed(value, found.type, f"override {item!r}"))
     return config
 
@@ -225,8 +240,8 @@ def apply_overrides(config: ProjectConfig, overrides):
 def load_config(path, profile=None, overrides=None):
     with open(path, encoding="utf-8") as f:
         try:
-            raw = json.load(f)
-        except ValueError as exc:  # malformed JSON or not UTF-8
+            raw = json.load(f, object_pairs_hook=unique_keys)
+        except ValueError as exc:  # malformed JSON, a repeated key or not UTF-8
             raise ConfigError(f"{path}: not a valid JSON config ({exc})") from None
     config = _assign(ProjectConfig(), raw)
     if profile:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import formats
-from .config import SplitConfig
+from .config import SplitConfig, check
 
 logger = logging.getLogger(__name__)
 
@@ -48,7 +48,9 @@ class RelationSchema:
     """A relation with ordered, typed attributes and foreign keys.
 
     Attribute order is fixed: the tuple vector layout concatenates
-    per-attribute sections in exactly this order.
+    per-attribute sections in exactly this order. A foreign key targets the
+    relation itself, since the vectorizer sums its targets' base vectors in
+    this relation's layout.
     """
 
     name: str
@@ -62,6 +64,10 @@ class RelationSchema:
         for _, kind in self.attributes:
             if kind not in ATTRIBUTE_KINDS:
                 raise CorpusError(f"unknown attribute kind {kind!r} in schema {self.name!r}")
+        for fk_name, target in self.foreign_keys:
+            if target != self.name:
+                raise CorpusError(f"schema {self.name!r}: foreign key {fk_name!r} targets "
+                                  f"{target!r}, not its own relation")
 
     @property
     def attribute_names(self):
@@ -234,13 +240,6 @@ class Corpus:
         self.tuples = dict(tuples)
         self.mentions = dict(mentions)
         self.links = list(links)
-        for schema in self.schemas.values():
-            for fk_name, target in schema.foreign_keys:
-                if target not in self.schemas:
-                    raise CorpusError(
-                        f"schema {schema.name!r}: foreign key {fk_name!r} targets "
-                        f"undeclared relation {target!r}"
-                    )
         seen = set()
         for link in self.links:
             tk, mid = link
@@ -277,8 +276,13 @@ class Corpus:
                         f"tuple {rec.key!r}, {kinds[attr]} attribute {attr!r}: {exc}") from None
             self._tuples_by[rec.relation].append(rec)
             self.entity_category.setdefault(rec.entity, rec.relation)
-            self.dangling_fks += [(rec.key, fk, target) for fk, targets in rec.fk_values.items()
-                                  for target in targets if target not in self.tuples]
+            for fk, targets in rec.fk_values.items():
+                for target in targets:
+                    if target not in self.tuples:
+                        self.dangling_fks.append((rec.key, fk, target))
+                    elif self.tuples[target].relation != rec.relation:
+                        raise CorpusError(f"tuple {rec.key!r}: foreign key {fk!r} names {target!r}, "
+                                          f"a tuple of {self.tuples[target].relation!r}")
         for mention in self.mentions.values():
             if mention.entity_category not in self.schemas:
                 raise CorpusError(f"mention {mention.id!r} names unknown category "
@@ -602,8 +606,7 @@ def make_splits(entity_keys, spec: SplitConfig):
     is split into train and test by ``test_fraction_of_seen``.
     """
     for name in ("unseen_fraction", "test_fraction_of_seen"):
-        if not (0.0 < getattr(spec, name) < 1.0):
-            raise CorpusError(f"{name} must lie in (0, 1), got {getattr(spec, name)}")
+        check(f"split.{name}", getattr(spec, name), CorpusError)
     keys = sorted(entity_keys)
     n = len(keys)
     if n < 5:

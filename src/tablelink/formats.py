@@ -150,16 +150,26 @@ def load_json(path, from_dict, error):
         return parse_json(f.read(), path, from_dict, error)
 
 
+def unique_keys(pairs):
+    """The JSON object of the (key, value) ``pairs``; a repeated key raises ``ValueError``."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
 def parse_json(blob, path, from_dict, error):
     """``from_dict`` of the UTF-8 JSON bytes ``blob`` read from ``path``.
 
-    Bytes that are not UTF-8 or JSON and a document ``from_dict`` cannot read
-    (a missing key, a wrong type, a value of the wrong shape) raise ``error``,
-    and so does an ``error`` that ``from_dict`` raises itself, such as an
-    unsupported version; every message names ``path``.
+    Bytes that are not UTF-8 or JSON, an object with a repeated key and a
+    document ``from_dict`` cannot read (a missing key, a wrong type, a value
+    of the wrong shape) raise ``error``, and so does an ``error`` that
+    ``from_dict`` raises itself, such as an unsupported version; every
+    message names ``path``.
     """
     try:
-        return from_dict(json.loads(blob.decode("utf-8")))
+        return from_dict(json.loads(blob.decode("utf-8"), object_pairs_hook=unique_keys))
     except error as exc:
         raise error(f"{path}: {exc}") from None
     except (ValueError, KeyError, TypeError, AttributeError) as exc:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import formats
+from .config import check
 
 
 class TrainingError(RuntimeError):
@@ -187,8 +188,7 @@ class EmbedderPair:
     def __post_init__(self):
         if self.net_r.output_dim != self.joint_dim or self.net_t.output_dim != self.joint_dim:
             raise ValueError("both networks must output joint_dim")
-        if not 0 <= self.margin < math.inf:
-            raise ValueError(f"margin {self.margin} is not finite and nonnegative")
+        check("training.margin", self.margin, ValueError)
         self.live_r, self.input_dim_r = _live_table(self.live_r, self.input_dim_r, self.net_r,
                                                     "live_r")
         self.live_t, self.input_dim_t = _live_table(self.live_t, self.input_dim_t, self.net_t,
@@ -525,9 +525,7 @@ class SamplerState:
         if not self.links_by_entity:
             raise ValueError("no gold links among trainable entities")
         self.entities = sorted(self.links_by_entity)
-        self.batch_size = int(batch_size)
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        self.batch_size = check("training.batch_size", int(batch_size), ValueError)
         self.rng = np.random.default_rng(seed)
         self.seen = {e: 0 for e in self.entities}
         self.drawable = [link for links in self.links_by_entity.values() for link in links]
@@ -669,9 +667,7 @@ def _read_header(header):
     """(header, (layer shapes, keep probability) of each net, parameter count, pair kwargs)."""
     nets = []
     for side in "rt":
-        keep_prob = float(header[f"keep_prob_{side}"])
-        if not 0.0 < keep_prob <= 1.0:
-            raise ValueError(f"keep_prob_{side} {keep_prob} is not in (0, 1]")
+        keep_prob = check("training.keep_prob", float(header[f"keep_prob_{side}"]), ValueError)
         shapes = [(operator.index(out_dim), operator.index(in_dim))
                   for out_dim, in_dim in header[f"shapes_{side}"]]
         nets.append((shapes, keep_prob))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import formats
-from .config import MAX_SIZE
+from .config import check
 from .corpus import RelationSchema, is_null, numeric_value, words
 
 
@@ -46,12 +46,8 @@ class HashingEncoder:
     """
 
     def __init__(self, dim=256, seed=0):
-        if not 1 <= dim <= MAX_SIZE:
-            raise VectorizeError(f"encoder dim must lie in [1, 2**20], got {dim}")
-        if not 0 <= seed < 2**63:  # the key is the seed as an i64
-            raise VectorizeError(f"encoder seed must lie in [0, 2**63), got {seed}")
-        self.dim = int(dim)
-        self.seed = int(seed)
+        self.dim = int(check("encoder.dim", dim, VectorizeError))
+        self.seed = int(check("encoder.seed", seed, VectorizeError))
         self._key = struct.pack("<q", self.seed)
         self._memo = {}  # (namespace, feature) -> (slot, sign)
 

@@ -258,7 +258,7 @@ class TestSerialization:
         data = bytearray(path.read_bytes())
         data[offset:offset + 4] = struct.pack("<I", 0)
         path.write_bytes(bytes(data))
-        with pytest.raises(AnnIndexError, match="t and leaf_capacity"):
+        with pytest.raises(AnnIndexError, match=r"index\.(t|leaf_capacity) must lie in \[1, "):
             load_forest(path)
 
     def test_file_holds_header_ids_and_matrix_only(self, tmp_path):

@@ -40,15 +40,22 @@ def last_f32(value):
     return lambda blob: blob[:-4] + struct.pack("<f", value)
 
 
-def ckpt_header(edit):
-    """A corruption that applies ``edit`` to a checkpoint's JSON header, in place."""
+def ckpt_header_text(edit):
+    """A corruption that replaces a checkpoint's JSON header bytes with ``edit`` of them."""
     def corrupt(blob):
         hlen = struct.unpack_from("<I", blob, 8)[0]
-        header = json.loads(blob[12 : 12 + hlen])
-        edit(header)
-        text = json.dumps(header, sort_keys=True).encode("utf-8")
+        text = edit(blob[12 : 12 + hlen])
         return blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + hlen :]
     return corrupt
+
+
+def ckpt_header(edit):
+    """A corruption that applies ``edit`` to a checkpoint's JSON header, in place."""
+    def rewrite(text):
+        header = json.loads(text)
+        edit(header)
+        return json.dumps(header, sort_keys=True).encode("utf-8")
+    return ckpt_header_text(rewrite)
 
 
 def ckpt_live(side, edit):
@@ -92,6 +99,22 @@ def json_repeat(blob, records, index=0):
     """A ``corpus.json`` whose ``records`` list repeats its entry ``index`` at the end."""
     doc = json.loads(blob)
     doc[records].append(doc[records][index])
+    return json.dumps(doc).encode("utf-8")
+
+
+def json_key_repeated(key):
+    """A corruption that writes the first JSON object key ``key`` twice, first with the value {}."""
+    return lambda blob: blob.replace(b'"%s":' % key, b'"%s":{},"%s":' % (key, key), 1)
+
+
+def fk_to_other_relation(blob):
+    """A ``corpus.json`` whose first tuple's foreign key names a tuple of another relation."""
+    doc = json.loads(blob)
+    doc["schemas"]["Landmark"]["foreign_keys"] = [["near", "Landmark"]]
+    doc["schemas"]["Peak"] = {"attributes": [], "foreign_keys": []}
+    doc["tuples"].append({"relation": "Peak", "key": "peak", "entity": "peak", "values": {},
+                          "fk_values": {}})
+    doc["tuples"][0]["fk_values"] = {"near": ["peak"]}
     return json.dumps(doc).encode("utf-8")
 
 
@@ -609,6 +632,22 @@ class TestErrors:
         ("corpus.json", lambda b: json_repeat(b, "mentions"), "train"),
         ("corpus.json", lambda b: json_repeat(b, "links"), "train"),
         ("corpus.json", lambda b: json_set(b, "mentions", 0, "span", value=[0.5, True]), "train"),
+        ("corpus.json",
+         lambda b: json_set(b, "schemas", "Landmark", "foreign_keys", value=[["near", "Peak"]]),
+         "fit"),
+        ("corpus.json", fk_to_other_relation, "fit"),
+        ("vectorizer_Landmark.json",
+         lambda b: json_set(b, "schema", "foreign_keys", value=[["near", "Peak"]]), "train"),
+        ("corpus.json", json_key_repeated(b"values"), "fit"),
+        ("vectorizer_Landmark.json", json_key_repeated(b"encoder"), "train"),
+        ("model_Landmark.ckpt", ckpt_header_text(json_key_repeated(b"margin")), "embed-tuples"),
+        ("model_Landmark.ckpt", ckpt_header(lambda h: h.update(keep_prob_r=0)), "embed-tuples"),
+        ("model_Landmark.ckpt", ckpt_header(lambda h: h.update(keep_prob_t=1.5)),
+         "embed-mentions"),
+        ("model_Landmark.ckpt", ckpt_header(lambda h: h.update(margin=-1e-9)), "embed-tuples"),
+        ("vectorizer_Landmark.json", lambda b: json_set(b, "encoder", "seed", value=2**63),
+         "train"),
+        ("vectorizer_Landmark.json", lambda b: json_set(b, "encoder", "seed", value=-1), "train"),
     ], ids=["vectorizer-cut", "vectorizer-no-encoder", "ckpt-cut-6", "ckpt-header-not-utf8",
             "ckpt-no-joint-dim", "ckpt-joint-dim-disagrees", "vectorizer-attribute-of-one",
             "corpus-attribute-of-one", "vec-cut-10", "idx-cut-10", "vec-ids-descending",
@@ -631,7 +670,12 @@ class TestErrors:
             "corpus-foreign-key-undeclared", "corpus-text-list", "corpus-categorical-object",
             "corpus-categorical-number", "corpus-text-bool", "corpus-text-float", "corpus-text-nan",
             "corpus-tuple-key-repeated", "corpus-mention-id-repeated", "corpus-link-repeated",
-            "corpus-span-not-integers"])
+            "corpus-span-not-integers", "corpus-foreign-key-targets-other-relation",
+            "corpus-foreign-key-names-tuple-of-other-relation",
+            "vectorizer-foreign-key-targets-other-relation", "corpus-values-key-repeated",
+            "vectorizer-key-repeated", "ckpt-header-key-repeated", "ckpt-keep-prob-r-0",
+            "ckpt-keep-prob-t-1.5", "ckpt-margin-negative", "vectorizer-encoder-seed-2**63",
+            "vectorizer-encoder-seed-negative"])
     def test_corrupt_artifact_exits_two_naming_it(self, project, capsys, artifact, corrupt, command):
         config_path, workdir = project
         for step in INDEX_CHAIN:
@@ -687,6 +731,12 @@ class TestErrors:
         assert status == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "training.batch_size" in err
+        for override, message in (
+                ('name_attributes={"Landmark": "title", "Landmark": "title"}', "repeated key"),
+                ("encoder.seed=" + "1" * 5000, "limit")):
+            assert run_command(["ingest", "--config", str(config_path), "--set", override]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1 and message in err
         lr = load_config(config_path, overrides=["training.lr=1"]).training.lr
         assert lr == 1.0 and isinstance(lr, float)
 
@@ -702,7 +752,8 @@ class TestErrors:
             assert run_command(["ingest", "--config", str(config_path)]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and key in err
-        for text in ('{"training": 5}', "[1]", '{"paths": '):
+        index_twice = json.dumps(config)[:-1] + ', "index": ' + json.dumps(config["index"]) + "}"
+        for text in ('{"training": 5}', "[1]", '{"paths": ', index_twice):
             config_path.write_text(text)
             assert run_command(["ingest", "--config", str(config_path)]) == 1
             assert capsys.readouterr().err.startswith("error: ")

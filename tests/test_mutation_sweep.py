@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from tablelink.cli import run_command
-from tablelink.config import ConfigError, ProjectConfig, load_config
+from tablelink.config import BOUNDS, ConfigError, ProjectConfig, load_config
 from tablelink.synthetic import write_synthetic_corpus
 
 FULL = os.environ.get("TABLELINK_MUTATION_SWEEP") == "1"
@@ -160,6 +160,7 @@ if not FULL:
 
 
 def test_config_sweep_covers_every_numeric_key():
+    """The sweep and ``config.BOUNDS`` each hold exactly the numeric config keys."""
     numeric = (int, float, int | None, list[int])
 
     def keys(section, parts=()):
@@ -169,7 +170,7 @@ def test_config_sweep_covers_every_numeric_key():
             elif f.type in numeric:
                 yield ".".join((*parts, f.name))
 
-    assert sorted(keys(ProjectConfig)) == sorted(CONFIG_READERS)
+    assert sorted(keys(ProjectConfig)) == sorted(CONFIG_READERS) == sorted(BOUNDS)
 
 
 @pytest.mark.parametrize("key, value", CONFIG_CASES)
