@@ -9,9 +9,9 @@ from tablelink.corpus import RelationSchema, TextMention, TupleRecord
 from tablelink.vectorize import (
     HashingEncoder,
     fit_vectorizer,
+    mention_vectors,
+    tuple_vectors,
     vectorize_attribute,
-    vectorize_mention,
-    vectorize_tuple,
 )
 
 # The text encoder hashes character 3-grams and lowercased words into signed
@@ -46,13 +46,21 @@ print("NULL founded ->", vectorize_attribute(model, "founded", None))
 # The tuple vector concatenates all attribute sections, then one section per
 # foreign key that sums the targets' base vectors (their attribute sections
 # and presence bits, without their own fk sections), then one presence bit
-# per field.
-lookup = {r.key: r for r in records}
-vec = vectorize_tuple(model, records[2], lookup)
+# per field. tuple_vectors builds each tuple's base vector once and sums those
+# rows into the fk sections of every tuple that names it.
+tuples = tuple_vectors(model, records)
 print("\nlayout:", model.layout())
-print("tuple vector dim:", vec.shape[0])
+print("tuple ids:", tuples.ids, "tuple vector dim:", tuples.dim)
 
-mention = TextMention(id="m1", span=(0, 7), mention_text="Red Hat",
-                      sentence_text="Red Hat shipped a new release this week.")
-mv = vectorize_mention(model.encoder, mention)
-print("mention vector dim (2 x encoder dim):", mv.shape[0])
+# A mention vector is the encoding of its surface form, then of its sentence;
+# mention_vectors encodes each distinct text once, however many mentions share it.
+mentions = [
+    TextMention(id="m1", span=(0, 7), mention_text="Red Hat",
+                sentence_text="Red Hat shipped a new release this week."),
+    TextMention(id="m2", span=(24, 31), mention_text="Red Hat",
+                sentence_text="The parent company owns Red Hat."),
+]
+mv = mention_vectors(model.encoder, mentions)
+print("mention vector dim (2 x encoder dim):", mv.dim)
+print("shared surface form, equal first halves:",
+      np.array_equal(mv["m1"][:16], mv["m2"][:16]))

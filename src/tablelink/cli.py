@@ -10,7 +10,6 @@ commands.
 import argparse
 import json
 import os
-import re
 import sys
 import time
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import annindex, formats, linker, neural, vectorize
 from .config import ConfigError, load_config
-from .corpus import Corpus, CorpusError, Splits, load_corpus_xml, make_stratified_splits
+from .corpus import Corpus, CorpusError, Splits, load_corpus_xml, make_stratified_splits, slug
 
 
 class UsageError(Exception):
@@ -33,10 +32,6 @@ class PrerequisiteError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _slug(category):
-    return re.sub(r"[^A-Za-z0-9_.-]+", "_", category)
 
 
 class WorkdirLock:
@@ -165,7 +160,7 @@ class CategoryArtifacts(Artifacts):
     """One category's artifacts, dropped with it before the next category loads."""
 
     def __init__(self, ws: Workdir, category, cat_index):
-        super().__init__(ws.root, _slug(category))
+        super().__init__(ws.root, slug(category))
         self.ws = ws
         self.category = category
         self.cat_index = cat_index
@@ -177,13 +172,10 @@ class CategoryArtifacts(Artifacts):
         """Vectors of one side ("tuples" or "mentions") before the networks, built once."""
         if f"raw {side}" not in self._memo:
             corpus, model = self.ws.corpus(), self.vectorizer()
-            if side == "tuples":
-                vectors = {rec.key: vectorize.vectorize_tuple(model, rec, corpus.tuples)
-                           for rec in corpus.tuples_of_category(self.category)}
-            else:
-                vectors = {m.id: vectorize.vectorize_mention(model.encoder, m)
-                           for m in corpus.mentions_of_category(self.category)}
-            self._memo[f"raw {side}"] = vectorize.KeyedVectors.of(vectors)
+            self._memo[f"raw {side}"] = (
+                vectorize.tuple_vectors(model, corpus.tuples_of_category(self.category))
+                if side == "tuples" else
+                vectorize.mention_vectors(model.encoder, corpus.mentions_of_category(self.category)))
         return self._memo[f"raw {side}"]
 
     def pair(self) -> neural.EmbedderPair:
@@ -218,12 +210,6 @@ def cmd_ingest(config, args):
     if not source.exists():
         raise ConfigError(f"paths.corpus does not exist: {source}")
     corpus = load_corpus_xml(source)
-    stems = {}
-    for category in corpus.categories():
-        other = stems.setdefault(_slug(category), category)
-        if other != category:
-            raise CorpusError(f"categories {other!r} and {category!r} would share the "
-                              f"artifact names *_{_slug(category)}.*")
     ws = Workdir(config.paths.workdir)
     splits = make_stratified_splits(corpus, config.split)
     ws.ingest(corpus, splits)

@@ -38,6 +38,11 @@ def words(text):
     return _WORD.findall(text.lower())
 
 
+def slug(category):
+    """The name a category's artifacts carry (``model_<slug>.ckpt``), safe in a file name."""
+    return re.sub(r"[^A-Za-z0-9_.-]+", "_", category)
+
+
 def is_null(value):
     """Whether an attribute value is NULL: None or the empty string."""
     return value in (None, "")
@@ -240,6 +245,12 @@ class Corpus:
         self.tuples = dict(tuples)
         self.mentions = dict(mentions)
         self.links = list(links)
+        slugs = {}
+        for category in sorted(self.schemas):
+            other = slugs.setdefault(slug(category), category)
+            if other != category:
+                raise CorpusError(f"categories {other!r} and {category!r} would share the "
+                                  f"artifact names *_{slug(category)}.*")
         seen = set()
         for link in self.links:
             tk, mid = link
@@ -577,14 +588,20 @@ def _parses_numeric(v):
 
 
 def load_corpus_xml(source):
-    """Load a corpus from WebNLG-like XML (a path or an XML string)."""
-    text = source
-    if "\n" not in str(source) and not str(source).lstrip().startswith("<"):
-        try:
-            with open(source, encoding="utf-8") as f:
-                text = f.read()
-        except UnicodeDecodeError as exc:
-            raise CorpusError(f"{source}: not UTF-8 ({exc})") from None
+    """Load a corpus from WebNLG-like XML (a path or an XML string); errors name the path."""
+    if "\n" in str(source) or str(source).lstrip().startswith("<"):
+        return _corpus_of_xml(source)
+    try:
+        with open(source, encoding="utf-8") as f:
+            return _corpus_of_xml(f.read())
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{source}: not UTF-8 ({exc})") from None
+    except CorpusError as exc:
+        raise CorpusError(f"{source}: {exc}") from None
+
+
+def _corpus_of_xml(text):
+    """The corpus of the XML string ``text``."""
     root = _parse_xml(text)
     entries = [root] if root.tag == "entry" else root.findall(".//entry")
     if not entries:

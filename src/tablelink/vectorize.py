@@ -3,8 +3,9 @@
 Tuples are vectorized attribute by attribute (text encoder output, normalized
 numerics, one-hot categoricals) plus, per foreign key, the summed base vectors
 of its targets (their attribute sections and presence bits) and per-field
-presence bits, concatenated in schema order. Mentions concatenate
-the encodings of the mention surface form and of its covering sentence.
+presence bits, concatenated in schema order. Mentions concatenate the
+encodings of the mention surface form and of its covering sentence. A side is
+built in one call (``tuple_vectors``, ``mention_vectors``), each part once.
 """
 
 import functools
@@ -267,57 +268,64 @@ def vectorize_attribute(model: VectorizerModel, attribute: str, value) -> np.nda
     return out
 
 
-def _sections(model: VectorizerModel, rec):
-    """A tuple's attribute sections and its presence bits, the parts of its base vector."""
+def base_vector(model: VectorizerModel, rec) -> np.ndarray:
+    """A tuple's base vector: its attribute sections, then its presence bits, no fk sections."""
     _check_relation(model.schema, rec)
-    attrs = [
-        vectorize_attribute(model, attr, rec.values.get(attr))
-        for attr in model.schema.attribute_names
-    ]
-    presence = [
-        0.0 if is_null(rec.values.get(attr)) else 1.0
-        for attr in model.schema.attribute_names
-    ] + [1.0 if rec.fk_targets(fk_name) else 0.0 for fk_name, _ in model.schema.foreign_keys]
-    return attrs, np.asarray(presence, dtype=np.float64)
+    names = model.schema.attribute_names
+    attrs = [vectorize_attribute(model, attr, rec.values.get(attr)) for attr in names]
+    presence = [0.0 if is_null(rec.values.get(attr)) else 1.0 for attr in names]
+    presence += [1.0 if rec.fk_targets(fk_name) else 0.0 for fk_name, _ in model.schema.foreign_keys]
+    return np.concatenate([*attrs, presence])
 
 
-def embed_foreign_key(model: VectorizerModel, fk_values, tuple_lookup) -> np.ndarray:
+def embed_foreign_key(model: VectorizerModel, fk_values, bases) -> np.ndarray:
     """Component-wise sum of the referenced tuples' base vectors.
 
-    A base vector is a tuple's attribute sections, then its presence bits,
-    without fk sections. ``tuple_lookup`` maps tuple keys to records.
-    Dangling target keys contribute nothing (``Corpus.dangling_fks`` lists
-    them at load); an empty target list yields the zero vector.
+    ``bases`` maps tuple keys to their ``base_vector``. Dangling target keys
+    contribute nothing (``Corpus.dangling_fks`` lists them at load); an
+    empty target list yields the zero vector.
     """
-    out = np.zeros(model.fk_section_dim(), dtype=np.float64)
-    for key in fk_values:
-        target = tuple_lookup.get(key)
-        if target is not None:
-            attrs, presence = _sections(model, target)
-            out += np.concatenate([*attrs, presence])
-    return out
+    return sum((bases[key] for key in fk_values if key in bases),
+               np.zeros(model.fk_section_dim(), dtype=np.float64))
 
 
-def vectorize_tuple(model: VectorizerModel, rec, tuple_lookup) -> np.ndarray:
+def vectorize_tuple(model: VectorizerModel, rec, bases) -> np.ndarray:
     """Full tuple vector: attribute sections, fk sums, presence bits.
 
-    The fk sections sum base vectors, which hold no fk sections, so a
-    referenced tuple contributes one level deep and cycles terminate.
+    ``bases`` holds the base vector of ``rec`` and of its targets. The fk
+    sections sum base vectors, which hold no fk sections, so a referenced
+    tuple contributes one level deep and cycles terminate.
     """
-    attrs, presence = _sections(model, rec)
+    base, cut = bases[rec.key], model.fk_section_dim() - model.presence_dim()
     fk_sections = [
-        embed_foreign_key(model, rec.fk_targets(fk_name), tuple_lookup)
+        embed_foreign_key(model, rec.fk_targets(fk_name), bases)
         for fk_name, _ in model.schema.foreign_keys
     ]
-    out = np.concatenate([*attrs, *fk_sections, presence])
+    out = np.concatenate([base[:cut], *fk_sections, base[cut:]])
     if not np.all(np.isfinite(out)):
         raise VectorizeError(f"non-finite components in vector of tuple {rec.key!r}")
     return out
 
 
-def vectorize_mention(encoder: HashingEncoder, mention) -> np.ndarray:
+def tuple_vectors(model: VectorizerModel, records):
+    """``KeyedVectors`` of one relation's tuples (a list), each base vector built once.
+
+    Foreign keys name tuples of their own relation (``Corpus`` checks it)."""
+    bases = {rec.key: base_vector(model, rec) for rec in records}
+    return KeyedVectors.of({rec.key: vectorize_tuple(model, rec, bases) for rec in records})
+
+
+def vectorize_mention(encode, mention) -> np.ndarray:
     """Mention vector: encode(mention text) concatenated with encode(sentence)."""
-    return np.concatenate([encoder.encode(mention.mention_text), encoder.encode(mention.sentence_text)])
+    return np.concatenate([encode(mention.mention_text), encode(mention.sentence_text)])
+
+
+def mention_vectors(encoder: HashingEncoder, mentions):
+    """``KeyedVectors`` of ``mentions``; each distinct text is encoded once."""
+    encode = functools.cache(encoder.encode)
+    rows = {m.id: vectorize_mention(encode, m) for m in mentions}
+    encode.cache_clear()  # before the stack, so the cached encodings and the matrix never coexist
+    return KeyedVectors.of(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,11 @@ from tablelink.neural import (
 from tablelink.synthetic import write_synthetic_corpus
 from tablelink.vectorize import (
     HashingEncoder,
+    base_vector,
     embed_foreign_key,
     fit_vectorizer,
+    tuple_vectors,
     vectorize_attribute,
-    vectorize_tuple,
 )
 
 from conftest import (
@@ -194,19 +195,19 @@ def test_criterion_6_vectorizer_invariants():
         assert abs(normalized.var() - 1.0) < 1e-6
 
         # fk-sum linearity
-        lookup = {r.key: r for r in records}
+        bases = {r.key: base_vector(model, r) for r in records}
         l1, l2 = ["k0", "k1", "k2"], ["k2", "k5"]
         np.testing.assert_allclose(
-            embed_foreign_key(model, l1 + l2, lookup),
-            embed_foreign_key(model, l1, lookup) + embed_foreign_key(model, l2, lookup),
+            embed_foreign_key(model, l1 + l2, bases),
+            embed_foreign_key(model, l1, bases) + embed_foreign_key(model, l2, bases),
             rtol=0, atol=1e-9,
         )
 
         # NULL handling: zero sections, presence bits zero
         empty = make_record(schema, "empty")
-        vec = vectorize_tuple(model, empty, tuple_lookup=lookup)
+        vec = tuple_vectors(model, [empty])["empty"]
         assert np.all(vec == 0.0)
-        full_vec = vectorize_tuple(model, records[0], tuple_lookup=lookup)
+        full_vec = tuple_vectors(model, records)["k0"]
         layout = {(kind, name): (off, dim) for kind, name, off, dim in model.layout()}
         off, dim = layout[("presence", "")]
         np.testing.assert_array_equal(full_vec[off : off + dim], [1, 1, 1, 0])

@@ -118,6 +118,14 @@ def fk_to_other_relation(blob):
     return json.dumps(doc).encode("utf-8")
 
 
+def categories_sharing_a_slug(blob):
+    """A ``corpus.json`` with two more categories whose artifact names would be the same."""
+    doc = json.loads(blob)
+    for category in ("Land/mark", "Land_mark"):
+        doc["schemas"][category] = {"attributes": [], "foreign_keys": []}
+    return json.dumps(doc).encode("utf-8")
+
+
 def splits_overlap(blob):
     """A ``splits.json`` whose test split also lists the first train entity."""
     splits = json.loads(blob)["splits"]
@@ -648,6 +656,7 @@ class TestErrors:
         ("vectorizer_Landmark.json", lambda b: json_set(b, "encoder", "seed", value=2**63),
          "train"),
         ("vectorizer_Landmark.json", lambda b: json_set(b, "encoder", "seed", value=-1), "train"),
+        ("corpus.json", categories_sharing_a_slug, "fit"),
     ], ids=["vectorizer-cut", "vectorizer-no-encoder", "ckpt-cut-6", "ckpt-header-not-utf8",
             "ckpt-no-joint-dim", "ckpt-joint-dim-disagrees", "vectorizer-attribute-of-one",
             "corpus-attribute-of-one", "vec-cut-10", "idx-cut-10", "vec-ids-descending",
@@ -675,7 +684,7 @@ class TestErrors:
             "vectorizer-foreign-key-targets-other-relation", "corpus-values-key-repeated",
             "vectorizer-key-repeated", "ckpt-header-key-repeated", "ckpt-keep-prob-r-0",
             "ckpt-keep-prob-t-1.5", "ckpt-margin-negative", "vectorizer-encoder-seed-2**63",
-            "vectorizer-encoder-seed-negative"])
+            "vectorizer-encoder-seed-negative", "corpus-categories-share-a-slug"])
     def test_corrupt_artifact_exits_two_naming_it(self, project, capsys, artifact, corrupt, command):
         config_path, workdir = project
         for step in INDEX_CHAIN:
@@ -707,9 +716,29 @@ class TestErrors:
         for command in ("ingest", "pipeline"):
             assert run_command([command, "--config", str(config_path)]) == 2, command
             err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1
+            assert err.startswith("error: ") and err.count("\n") == 1 and corpus_path in err
             assert "'Sky Tower'" in err and "'Sky_Tower'" in err
             assert list(workdir.iterdir()) == []
+
+    @pytest.mark.parametrize("xml, message", [
+        ("<benchmark><entries><entry></entries></benchmark>", "malformed XML at byte offset"),
+        ("<benchmark><entries/></benchmark>", "no <entry> elements"),
+        ("<entry eid='Id9'><modifiedtripleset><mtriple>A | b</mtriple></modifiedtripleset>"
+         "<lex>A.</lex></entry>", "malformed triple"),
+        ("<entry eid='Id9'><modifiedtripleset/><lex>A.</lex></entry>", "empty triple set"),
+        ("<entry eid='Id9'><modifiedtripleset><mtriple>A | b | c</mtriple></modifiedtripleset>"
+         "</entry>", "no lexicalization"),
+    ], ids=["malformed-xml", "no-entries", "malformed-triple", "empty-triple-set",
+            "no-lexicalization"])
+    def test_corpus_xml_rejected_exits_two_naming_it(self, project, capsys, xml, message):
+        config_path, workdir = project
+        corpus_path = json.loads(config_path.read_text())["paths"]["corpus"]
+        with open(corpus_path, "w", encoding="utf-8") as f:
+            f.write(xml)
+        assert run_command(["ingest", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {corpus_path}: ") and err.count("\n") == 1 and message in err
+        assert list(workdir.iterdir()) == []
 
     def test_eval_on_vectors_missing_an_anchor_exits_two(self, project, capsys):
         config_path, workdir = project

@@ -14,7 +14,7 @@ from tablelink.corpus import (
     make_splits,
     make_stratified_splits,
 )
-from tablelink.vectorize import HashingEncoder, fit_vectorizer, vectorize_tuple
+from tablelink.vectorize import HashingEncoder, fit_vectorizer, tuple_vectors
 
 from conftest import COLMORE_ROW_ENTRY, PUBLIC_SQUARE_ENTRY
 
@@ -22,6 +22,22 @@ from conftest import COLMORE_ROW_ENTRY, PUBLIC_SQUARE_ENTRY
 def records(corpus):
     """The corpus's tuple records in the order they were stored, an entry's root first."""
     return list(corpus.tuples.values())
+
+
+def rejections(xml, tmp_path):
+    """The messages ``load_corpus_xml`` rejects ``xml`` with, read as a string and from a file.
+
+    The file's message is the string's, after the file's path.
+    """
+    path = tmp_path / "corpus.xml"
+    path.write_text(xml, encoding="utf-8")
+    messages = []
+    for source in (xml, path):
+        with pytest.raises(CorpusError) as exc:
+            load_corpus_xml(source)
+        messages.append(str(exc.value))
+    assert messages[1] == f"{path}: {messages[0]}"
+    return messages[0]
 
 
 class TestParseEntry:
@@ -63,37 +79,39 @@ class TestParseEntry:
         start, end = m.span
         assert m.sentence_text[start:end] == m.mention_text
 
-    def test_empty_tripleset_rejected(self):
+    def test_empty_tripleset_rejected(self, tmp_path):
         xml = "<entry eid='Id9' category='X'><modifiedtripleset/><lex>Some text.</lex></entry>"
-        with pytest.raises(CorpusError, match="empty triple set"):
-            load_corpus_xml(xml)
+        assert rejections(xml, tmp_path) == "entry 'Id9' rejected: empty triple set"
 
-    def test_no_lexicalization_rejected(self):
+    def test_no_lexicalization_rejected(self, tmp_path):
         xml = (
             "<entry eid='Id9' category='X'><modifiedtripleset>"
             "<mtriple>A | b | c</mtriple></modifiedtripleset></entry>"
         )
-        with pytest.raises(CorpusError, match="no lexicalization"):
-            load_corpus_xml(xml)
+        assert rejections(xml, tmp_path) == "entry 'Id9' rejected: no lexicalization"
 
     def test_malformed_xml_reports_byte_offset(self):
         with pytest.raises(CorpusError, match="byte offset"):
             load_corpus_xml("<entry><modifiedtripleset></entry>")
 
-    def test_malformed_triple_rejected(self):
+    def test_malformed_triple_rejected(self, tmp_path):
         xml = (
             "<entry eid='Id9' category='X'><modifiedtripleset>"
             "<mtriple>only two | parts</mtriple></modifiedtripleset>"
             "<lex>Text.</lex></entry>"
         )
-        with pytest.raises(CorpusError, match="malformed triple"):
-            load_corpus_xml(xml)
+        assert rejections(xml, tmp_path) == "entry 'Id9': malformed triple 'only two | parts'"
 
 
 class TestLoadCorpusXml:
-    def test_malformed_xml_reports_byte_offset(self):
-        with pytest.raises(CorpusError, match="byte offset 30: mismatched tag: line 2, column 18"):
-            load_corpus_xml("<benchmark>\n<entries><entry></entries>\n</benchmark>")
+    def test_malformed_xml_reports_byte_offset(self, tmp_path):
+        xml = "<benchmark>\n<entries><entry></entries>\n</benchmark>"
+        assert rejections(xml, tmp_path) == (
+            "malformed XML at byte offset 30: mismatched tag: line 2, column 18")
+
+    def test_no_entries_rejected(self, tmp_path):
+        assert rejections("<benchmark><entries/></benchmark>", tmp_path) == (
+            "no <entry> elements found")
 
     def test_two_entries(self, building_entries_xml):
         corpus = load_corpus_xml(building_entries_xml)
@@ -125,7 +143,7 @@ class TestLoadCorpusXml:
         model = fit_vectorizer(corpus.tuples_of_category("Building"), corpus.schemas["Building"],
                                HashingEncoder(dim=8))
         assert model.numeric_stats["floorCount"] == (545.0, 500.0)
-        vectorize_tuple(model, corpus.tuples["300_Public_Square"], tuple_lookup=corpus.tuples)
+        tuple_vectors(model, corpus.tuples_of_category("Building"))["300_Public_Square"]
 
     def test_same_subject_same_content_merges(self):
         entry = PUBLIC_SQUARE_ENTRY
@@ -152,7 +170,7 @@ class TestLoadCorpusXml:
         assert corpus.tuples["Alan_Walker"].fk_values == {"mentor": ["John_Madin#2"]}
         schema = corpus.schemas["Person"]
         model = fit_vectorizer(corpus.tuples_of_category("Person"), schema, HashingEncoder(dim=8))
-        vectorize_tuple(model, corpus.tuples["Alan_Walker"], tuple_lookup=corpus.tuples)
+        tuple_vectors(model, corpus.tuples_of_category("Person"))["Alan_Walker"]
 
     def test_first_stored_record_wins(self):
         def entry(eid, color):

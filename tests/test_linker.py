@@ -24,10 +24,9 @@ from tablelink.neural import save_checkpoint
 from tablelink.synthetic import synthetic_corpus_xml
 from tablelink.vectorize import (
     HashingEncoder,
-    KeyedVectors,
     fit_vectorizer,
-    vectorize_mention,
-    vectorize_tuple,
+    mention_vectors,
+    tuple_vectors,
 )
 
 from conftest import make_record
@@ -296,10 +295,8 @@ class TestRetrainCycle:
         encoder = HashingEncoder(dim=config.encoder.dim, seed=config.encoder.seed)
         tuples = corpus.tuples_of_category("Landmark")
         model = fit_vectorizer(tuples, corpus.schemas["Landmark"], encoder)
-        tuple_vecs = KeyedVectors.of({rec.key: vectorize_tuple(model, rec, corpus.tuples)
-                                      for rec in tuples})
-        mention_vecs = KeyedVectors.of({m.id: vectorize_mention(encoder, m)
-                                        for m in corpus.mentions_of_category("Landmark")})
+        tuple_vecs = tuple_vectors(model, tuples)
+        mention_vecs = mention_vectors(encoder, corpus.mentions_of_category("Landmark"))
         blobs = []
         for name in ("a.ckpt", "b.ckpt"):
             pair, adam, _ = train_category(corpus, "Landmark", config, splits,

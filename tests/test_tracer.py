@@ -3,8 +3,9 @@
 ``perfbench/tracer.py`` wraps package functions by their names in
 ``TARGETS``; a rename or a move would otherwise show only in a traced
 benchmark run. This test loads the tracer read-only, runs a small command
-chain under it and checks that every target recorded a span and that
-``uninstall`` put every original back.
+chain under it and checks that every target recorded a span, that
+``uninstall`` put every original back, and that each build of a side
+recorded one row span per tuple or mention.
 """
 
 import importlib.util
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import tablelink
 from tablelink.cli import run_command
+from tablelink.corpus import Corpus
 from tablelink.synthetic import write_synthetic_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,10 +50,29 @@ def test_every_target_records_a_span_and_is_restored(tmp_path):
     tracer.install()
     try:
         for command in CHAIN:
-            assert run_command([command, "--config", str(config)]) == 0, command
+            with tracer.span(f"cli.{command}"):
+                assert run_command([command, "--config", str(config)]) == 0, command
     finally:
         tracer.uninstall()
     missing = {target[3] for target in tracer_module.TARGETS} - {span[0] for span in tracer.spans}
     assert not missing
     for target, original in zip(tracer_module.TARGETS, originals):
         assert current(*target[:3]) is original, target[:3]
+
+    # each build of a side names every row of the category once, as vectors_built counts them
+    corpus = Corpus.load(tmp_path / "work" / "corpus.json")
+    tuple_keys = [("t", rec.key) for rec in corpus.tuples_of_category("Landmark")]
+    mention_ids = [("m", m.id) for m in corpus.mentions_of_category("Landmark")]
+    for command, rows in (("train", tuple_keys + mention_ids), ("embed-tuples", tuple_keys),
+                          ("embed-mentions", mention_ids)):
+        assert sorted(row_spans(tracer.spans, f"cli.{command}")) == sorted(rows)
+
+
+def row_spans(spans, command_span):
+    """The info of each ``vectorize.tuple`` and ``vectorize.mention`` span under ``command_span``."""
+    for name, _, _, parent, info in spans:
+        if name in ("vectorize.tuple", "vectorize.mention"):
+            while parent >= 0 and spans[parent][0] != command_span:
+                parent = spans[parent][3]
+            if parent >= 0:
+                yield info

@@ -17,11 +17,13 @@ from tablelink.vectorize import (
     KeyedVectors,
     VectorizeError,
     VectorizerModel,
+    base_vector,
     embed_foreign_key,
     fit_vectorizer,
+    mention_vectors,
     read_vector_file,
+    tuple_vectors,
     vectorize_attribute,
-    vectorize_mention,
     vectorize_tuple,
     write_vector_file,
 )
@@ -203,7 +205,7 @@ class TestVectorizeAttribute:
         model = fit_vectorizer(records, mixed_schema, HashingEncoder(dim=8, seed=0))
         assert np.all(vectorize_attribute(model, "desc", None) == 0.0)
         rec = make_record(mixed_schema, "k2", x=1.0, kind="a")
-        vec = vectorize_tuple(model, rec, {})
+        vec = tuple_vectors(model, [rec])["k2"]
         layout = {(kind, name): (off, dim) for kind, name, off, dim in model.layout()}
         p_off, p_dim = layout[("presence", "")]
         presence = vec[p_off : p_off + p_dim]
@@ -239,12 +241,12 @@ class TestForeignKeys:
         base_t1 = [-1.0, 0.0, 1.0, 0.0, 0.0]
         base_t2 = [0.0, -1.0, 0.0, 1.0, 0.0]
         base_t3 = [1.0, 1.0, 1.0, 1.0, 1.0]
-        lookup = {"t1": t1, "t2": t2, "t3": t3}
-        got = embed_foreign_key(model, ["t1", "t2", "t3"], lookup)
+        bases = {rec.key: base_vector(model, rec) for rec in (t1, t2, t3)}
+        got = embed_foreign_key(model, ["t1", "t2", "t3"], bases)
         np.testing.assert_array_equal(got, np.sum([base_t1, base_t2, base_t3], axis=0))
         # and the fk section of a full tuple vector is that same sum
         np.testing.assert_array_equal(
-            vectorize_tuple(model, t3, lookup), [1.0, 1.0] + base_t1 + [1.0, 1.0, 1.0]
+            vectorize_tuple(model, t3, bases), [1.0, 1.0] + base_t1 + [1.0, 1.0, 1.0]
         )
 
     def test_empty_fk_list_is_zero(self):
@@ -278,7 +280,7 @@ class TestForeignKeys:
         # depth-0 contribution of b omits b's own fk section:
         # [normalized x, presence(x), presence(ref)]
         oracle_b0 = [(3.0 - 2.5) / 0.5, 1.0, 1.0]
-        got = vectorize_tuple(model, a, tuple_lookup={"a": a, "b": b})
+        got = tuple_vectors(model, [a, b])["a"]
         oracle = [(2.0 - 2.5) / 0.5] + oracle_b0 + [1.0, 1.0]
         np.testing.assert_array_equal(got, oracle)
 
@@ -293,8 +295,9 @@ class TestForeignKeys:
         model = self.make_model(list(records.values()), schema)
         l1 = ["t0", "t1", "t2"]
         l2 = ["t2", "t3", "t4", "t5"]
-        combined = embed_foreign_key(model, l1 + l2, records)
-        separate = embed_foreign_key(model, l1, records) + embed_foreign_key(model, l2, records)
+        bases = {key: base_vector(model, rec) for key, rec in records.items()}
+        combined = embed_foreign_key(model, l1 + l2, bases)
+        separate = embed_foreign_key(model, l1, bases) + embed_foreign_key(model, l2, bases)
         np.testing.assert_allclose(combined, separate, rtol=0, atol=1e-9)
 
 
@@ -310,20 +313,20 @@ class TestVectorizeTuple:
         d = model.fk_section_dim()
         assert d == 16 + 1 + 4 + 4
         assert model.dim() == 16 + 1 + 4 + d + 4
-        vec = vectorize_tuple(model, records[0], tuple_lookup={})
+        vec = tuple_vectors(model, records)["k0"]
         assert vec.shape == (model.dim(),)
 
     def test_determinism(self, mixed_schema):
         records = [make_record(mixed_schema, "k", desc="same text", x=2.0, kind="a")]
         model = fit_vectorizer(records, mixed_schema, HashingEncoder(dim=16, seed=0))
-        v1 = vectorize_tuple(model, records[0], tuple_lookup={})
-        v2 = vectorize_tuple(model, records[0], tuple_lookup={})
+        v1 = tuple_vectors(model, records)["k"]
+        v2 = tuple_vectors(model, records)["k"]
         assert v1.tobytes() == v2.tobytes()
 
     def test_all_null_tuple_is_zero(self, mixed_schema):
         records = [make_record(mixed_schema, "k", desc="text", x=1.0, kind="a")]
         model = fit_vectorizer(records, mixed_schema, HashingEncoder(dim=16, seed=0))
-        vec = vectorize_tuple(model, make_record(mixed_schema, "empty"), tuple_lookup={})
+        vec = tuple_vectors(model, [make_record(mixed_schema, "empty")])["empty"]
         assert np.all(vec == 0.0)
 
     def test_dim_invariant_across_tuples(self, mixed_schema):
@@ -333,7 +336,8 @@ class TestVectorizeTuple:
             make_record(mixed_schema, "k3", kind="never seen before"),
         ]
         model = fit_vectorizer(records, mixed_schema, HashingEncoder(dim=16, seed=0))
-        dims = {vectorize_tuple(model, r, tuple_lookup={}).shape for r in records}
+        vecs = tuple_vectors(model, records)
+        dims = {vecs[r.key].shape for r in records}
         assert dims == {(model.dim(),)}
 
 
@@ -344,11 +348,65 @@ class TestVectorizeMention:
                          sentence_text="IBM was founded long ago.")
         m2 = TextMention(id="2", span=(0, 3), mention_text="IBM",
                          sentence_text="Analysts wrote about IBM yesterday.")
-        v1, v2 = vectorize_mention(enc, m1), vectorize_mention(enc, m2)
+        vecs = mention_vectors(enc, [m1, m2])
+        v1, v2 = vecs["1"], vecs["2"]
         assert v1.shape == (64,)
         np.testing.assert_array_equal(v1[:32], enc.encode("IBM"))
         np.testing.assert_array_equal(v1[:32], v2[:32])
         assert not np.array_equal(v1[32:], v2[32:])
+
+
+class TestSideBuilders:
+    """Each side is built in one call that builds a tuple's base vector and encodes a text once."""
+
+    def counted(self, monkeypatch):
+        calls = {"base_vector": 0, "encode": 0}
+
+        def count(name, fn):
+            def counting(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counting
+
+        monkeypatch.setattr(vectorize, "base_vector", count("base_vector", vectorize.base_vector))
+        monkeypatch.setattr(HashingEncoder, "encode", count("encode", HashingEncoder.encode))
+        return calls
+
+    def test_each_base_built_once(self, monkeypatch):
+        schema = RelationSchema(name="R", attributes=(("d", "text"), ("x", "numeric")),
+                                foreign_keys=(("ref", "R"), ("near", "R")))
+        hub = make_record(schema, "hub", d="the hub", x=1.0)
+        records = [hub] + [
+            TupleRecord(relation="R", key=f"t{i}", entity=f"t{i}", values={"d": f"spoke {i}"},
+                        fk_values={"ref": ["hub"], "near": ["hub", f"t{(i + 1) % 4}"]})
+            for i in range(4)
+        ]
+        model = fit_vectorizer(records, schema, HashingEncoder(dim=16, seed=0))
+        calls = self.counted(monkeypatch)
+        vecs = tuple_vectors(model, records)
+        assert calls == {"base_vector": len(records), "encode": len(records)}
+        assert vecs.ids == sorted(rec.key for rec in records)
+        bases = {rec.key: base_vector(model, rec) for rec in records}
+        for rec in records:
+            assert vecs[rec.key].tobytes() == vectorize_tuple(model, rec, bases).tobytes()
+
+    def test_each_distinct_text_encoded_once(self, monkeypatch):
+        enc = HashingEncoder(dim=16, seed=0)
+        shared = "IBM and HP both sell servers."
+        mentions = [
+            TextMention(id="1", span=(0, 3), mention_text="IBM", sentence_text=shared),
+            TextMention(id="2", span=(8, 10), mention_text="HP", sentence_text=shared),
+            TextMention(id="3", span=(0, 3), mention_text="IBM", sentence_text="IBM grew."),
+            TextMention(id="4", span=(0, 3), mention_text="IBM", sentence_text=shared),
+        ]
+        texts = {t for m in mentions for t in (m.mention_text, m.sentence_text)}
+        calls = self.counted(monkeypatch)
+        vecs = mention_vectors(enc, mentions)
+        assert calls["encode"] == len(texts) == 4
+        assert vecs.ids == ["1", "2", "3", "4"]
+        for m in mentions:
+            np.testing.assert_array_equal(
+                vecs[m.id], np.concatenate([enc.encode(m.mention_text), enc.encode(m.sentence_text)]))
 
 
 class TestModelSerialization:
@@ -361,11 +419,9 @@ class TestModelSerialization:
         path = tmp_path / "vectorizer.json"
         model.save(path)
         again = VectorizerModel.load(path)
+        built, rebuilt = tuple_vectors(model, records), tuple_vectors(again, records)
         for rec in records:
-            np.testing.assert_array_equal(
-                vectorize_tuple(model, rec, tuple_lookup={}),
-                vectorize_tuple(again, rec, tuple_lookup={}),
-            )
+            np.testing.assert_array_equal(built[rec.key], rebuilt[rec.key])
 
     def test_fk_depth_key_of_older_files_is_ignored(self, tmp_path):
         schema = RelationSchema(
@@ -386,9 +442,10 @@ class TestModelSerialization:
         doc["fk_depth"] = 1
         path.write_text(json.dumps(doc, sort_keys=True, indent=1))
         again = VectorizerModel.load(path)
+        built = tuple_vectors(model, list(records.values()))
+        rebuilt = tuple_vectors(again, list(records.values()))
         for rec in records.values():
-            assert (vectorize_tuple(again, rec, records).tobytes()
-                    == vectorize_tuple(model, rec, records).tobytes())
+            assert rebuilt[rec.key].tobytes() == built[rec.key].tobytes()
 
     def test_version_mismatch_rejected(self, mixed_schema, tmp_path):
         records = [make_record(mixed_schema, "k", desc="w", x=1.0, kind="a")]
