@@ -73,7 +73,7 @@ print(f"mean cosine distance to own mentions: {dist[own].mean():.3f}, "
       f"to others: {dist[~own].mean():.3f}")
 
 # The checkpoint stores the live column indices and the float32 weights; the
-# pair loaded back embeds raw vectors to the same f64 bits.
+# pair loaded back embeds raw vectors to the same float32 bits.
 with tempfile.TemporaryDirectory() as directory:
     path = Path(directory) / "model.ckpt"
     save_checkpoint(path, pair, step=adam.step)

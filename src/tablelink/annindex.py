@@ -19,7 +19,7 @@ import numpy as np
 
 from . import formats
 from .config import check
-from .vectorize import KeyedVectors
+from .vectorize import KeyedVectors, to_float32
 
 
 class AnnIndexError(ValueError):
@@ -70,13 +70,16 @@ class RpForest(KeyedVectors):
 def cosine_distances(matrix, norms, Q):
     """Cosine distances of each query row to each item row, a (b, items) block.
 
-    ``norms`` are the items' L2 norms; a zero item or query vector scores 1.
-    Each entry is one einsum reduction over two contiguous rows, so a row
-    scores the same bits alone, in a batch or against a subset of items; a
-    BLAS ``Q @ M.T`` changes the last bits with the batch shape.
+    ``norms`` are the items' f64 L2 norms; a zero item or query vector scores
+    1. The float32 rows and queries are widened to f64, so each dot product
+    and norm of float32 values is summed in f64 and a vector's distance to
+    itself is 0 within 1e-12. Each entry is one einsum reduction over two
+    contiguous rows, so a row scores the same bits alone, in a batch or
+    against a subset of items; a BLAS ``Q @ M.T`` changes the last bits with
+    the batch shape.
     """
     Q = np.ascontiguousarray(Q, dtype=np.float64)
-    dist = np.einsum("kj,ij->ki", Q, np.ascontiguousarray(matrix))
+    dist = np.einsum("kj,ij->ki", Q, np.ascontiguousarray(matrix, dtype=np.float64))
     denom = np.linalg.norm(Q, axis=1)[:, None] * norms
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(dist, denom, out=dist)
@@ -87,15 +90,26 @@ def cosine_distances(matrix, norms, Q):
 
 
 def _top_n(ids, dist, n):
-    """Per row of ``dist``, the n nearest (id, distance) pairs.
+    """Per row of ``dist``, the n nearest (id, distance) pairs: a stable sort of the row, cut at n.
 
-    ``ids`` name the columns in ascending order, so the stable sort breaks
-    ties by id.
+    ``ids`` name the columns in ascending order, so ties break by id. Only
+    the columns not beyond a row's n-th smallest distance, ties included,
+    are sorted.
     """
-    order = np.argsort(dist, axis=1, kind="stable")[:, :n]
-    scores = np.take_along_axis(dist, order, axis=1).tolist()
-    return [[(ids[i], score) for i, score in zip(row, row_scores)]
-            for row, row_scores in zip(order.tolist(), scores)]
+    if n < dist.shape[1]:
+        nth = np.partition(dist, n - 1, axis=1)[:, n - 1 : n]
+        rows, cols = np.nonzero(~(dist > nth))  # a NaN is kept where a sort puts it: last
+    else:
+        rows, cols = np.indices(dist.shape).reshape(2, -1)
+    scores = dist[rows, cols]
+    order = np.lexsort((scores, rows))  # by row, then distance; ties keep ascending columns
+    cols, scores = cols[order].tolist(), scores[order].tolist()
+    hits, start = [], 0
+    for end in np.cumsum(np.bincount(rows, minlength=len(dist))).tolist():
+        stop = min(end, start + n)
+        hits.append([(ids[i], score) for i, score in zip(cols[start:stop], scores[start:stop])])
+        start = end
+    return hits
 
 
 def build_forest(items, t=16, leaf_capacity=16, seed=0):
@@ -171,13 +185,16 @@ def query_forest(forest: RpForest, q, n, search_k=None):
     were collected (or everything was visited), and the candidates are
     re-ranked by exact cosine distance. When ``n`` or ``search_k`` reaches
     the forest size that search collects every item, so the whole block is
-    ranked exactly in one kernel call without touching the trees.
+    ranked exactly in one kernel call without touching the trees. ``q`` is
+    rounded to float32 first, the precision of the forest's vectors.
     """
-    q = np.asarray(q, dtype=np.float64)
+    q = to_float32(q)
     if len(forest) == 0:
         raise AnnIndexError("cannot query an empty forest")
     if q.ndim not in (1, 2) or q.shape[-1] != forest.dim:
         raise AnnIndexError(f"query dim {q.shape} does not match forest dim {forest.dim}")
+    if not np.isfinite(q).all():
+        raise AnnIndexError("query has a NaN or infinite component, or one past the float32 range")
     if n < 1:
         raise AnnIndexError("n must be >= 1")
     queries = q.reshape(-1, forest.dim)
@@ -238,7 +255,7 @@ def brute_force_knn(items, q, n):
     if n <= 0:
         return []
     items = KeyedVectors.of(items)
-    q = np.asarray(q, dtype=np.float64)
+    q = to_float32(q)
     return _top_n(items.ids, cosine_distances(items.matrix, items.norms, q[None]), n)[0]
 
 
@@ -248,7 +265,7 @@ def brute_force_knn(items, q, n):
 # ---------------------------------------------------------------------------
 
 IDX_MAGIC = b"RPFI"
-IDX_VERSION = 2
+IDX_VERSION = 3
 IDX_HEADER = "<IIIIqQ"  # version, dim, t, leaf capacity, seed, count
 
 

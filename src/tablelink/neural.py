@@ -83,7 +83,7 @@ class DenseNet:
         return cls(weights, biases, keep_prob=keep_prob)
 
     def widened(self):
-        """An f64 copy of the net."""
+        """An f64 copy of the net, for ``gradient_check``."""
         return DenseNet([w.astype(np.float64) for w in self.weights],
                         [b.astype(np.float64) for b in self.biases], keep_prob=self.keep_prob)
 
@@ -230,20 +230,20 @@ class EmbedderPair:
         return out
 
     def embed_tuples(self, raw):
-        """Joint-space f64 vectors of raw tuple vectors (rows of ``input_dim_r`` columns)."""
+        """Joint-space float32 vectors of raw tuple vectors (rows of ``input_dim_r`` columns)."""
         return _embed(self.net_r, self.live_r, self.input_dim_r, raw)
 
     def embed_mentions(self, raw):
-        """Joint-space f64 vectors of raw mention vectors (rows of ``input_dim_t`` columns)."""
+        """Joint-space float32 vectors of raw mention vectors (rows of ``input_dim_t`` columns)."""
         return _embed(self.net_t, self.live_t, self.input_dim_t, raw)
 
 
 def _embed(net, live, input_dim, raw):
-    """``net`` widened to f64, run on the ``live`` columns of the raw rows."""
+    """``net`` as trained, in float32, run on the ``live`` columns of the raw rows."""
     raw = np.atleast_2d(np.asarray(raw))
     if raw.shape[1] != input_dim:
         raise ValueError(f"input dim {raw.shape[1]} != pair input dim {input_dim}")
-    return net.widened().forward(raw[:, live])[0]
+    return net.forward(raw[:, live])[0]
 
 
 def _live_table(live, input_dim, net, name):

@@ -329,20 +329,31 @@ def mention_vectors(encoder: HashingEncoder, mentions):
 
 
 # ---------------------------------------------------------------------------
-# Keyed vector sets: ascending keys over one f64 matrix in memory, and a
+# Keyed vector sets: ascending keys over one float32 matrix in memory, and a
 # keyed-matrix body (``formats``) on disk, in ``*.vec`` and ``*.idx`` alike
 # ---------------------------------------------------------------------------
 
+def to_float32(values):
+    """``values`` rounded once to float32, the precision of the trained networks.
+
+    A value past the float32 range becomes infinite, without a warning, which
+    the vector file writer, the forest builder and the forest query reject.
+    """
+    with np.errstate(over="ignore"):
+        return np.asarray(values, dtype=np.float32)
+
+
 class KeyedVectors(Mapping):
-    """A read-only key -> vector mapping: row i of the f64 ``matrix`` belongs to ``ids[i]``.
+    """A read-only key -> vector mapping: row i of the float32 ``matrix`` belongs to ``ids[i]``.
 
     ``ids`` ascend; ``KeyedVectors.of`` sorts them, and the file readers
-    reject an id table that does not ascend.
+    reject an id table that does not ascend. Training reads each row as
+    float32 too, so rounding f64 rows here moves no trained bit.
     """
 
     def __init__(self, ids, matrix):
         self.ids = list(ids)
-        self.matrix = np.asarray(matrix, dtype=np.float64)
+        self.matrix = to_float32(matrix)
 
     @classmethod
     def of(cls, items):
@@ -350,11 +361,11 @@ class KeyedVectors(Mapping):
         if isinstance(items, KeyedVectors):
             return items
         keys = sorted(items)
-        rows = [np.asarray(items[k], dtype=np.float64) for k in keys]
+        rows = [np.asarray(items[k]) for k in keys]
         shapes = {row.shape for row in rows}
         if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
             raise VectorizeError(f"keyed vectors must be 1-D of one dimension, not {sorted(shapes)}")
-        return cls(keys, np.stack(rows) if rows else np.empty((0, 0)))
+        return cls(keys, rows if rows else np.empty((0, 0)))
 
     @property
     def dim(self):
@@ -362,7 +373,8 @@ class KeyedVectors(Mapping):
 
     @functools.cached_property
     def norms(self):
-        return formats.row_norms(self.matrix)
+        """The f64 L2 norm of each row; no square of a float32 value overflows f64."""
+        return np.linalg.norm(self.matrix.astype(np.float64), axis=1)
 
     @functools.cached_property
     def _row(self):
@@ -379,15 +391,15 @@ class KeyedVectors(Mapping):
 
 
 VEC_MAGIC = b"TLVC"
-VEC_VERSION = 2
+VEC_VERSION = 3
 VEC_HEADER = "<IIQ"  # version, dim, count
 
 
 def write_vector_file(path, items):
     """Write keyed vectors: header (magic, version, dim, count), then the keyed-matrix body.
 
-    Vectors with a NaN or infinite component, or a norm that overflows, raise
-    ``VectorizeError`` and are not written.
+    Vectors with a NaN or infinite component, or one past the float32 range,
+    raise ``VectorizeError`` and are not written.
     """
     items = KeyedVectors.of(items)
     if not np.isfinite(items.norms).all():

@@ -5,6 +5,7 @@ import pytest
 
 from tablelink.annindex import (
     AnnIndexError,
+    _top_n,
     brute_force_knn,
     build_forest,
     cosine_distances,
@@ -98,6 +99,12 @@ class TestQuery:
         with pytest.raises(AnnIndexError, match="dim"):
             query_forest(forest, np.ones(5), 3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39])  # 1e39: past the float32 range
+    def test_non_finite_query_rejected(self, small_items, bad):
+        forest = build_forest(small_items, t=2, leaf_capacity=4, seed=1)
+        with pytest.raises(AnnIndexError, match="NaN or infinite component"):
+            query_forest(forest, np.array([bad] + [0.0] * 7), 3)
+
     def test_routing_consistency(self):
         """A one-leaf search of one tree reaches the leaf that holds the query item."""
         rng = np.random.default_rng(4)
@@ -115,6 +122,16 @@ class TestQuery:
         forest = build_forest(items, t=2, leaf_capacity=4, seed=0)
         hits = query_forest(forest, v, 4)
         assert [h[0] for h in hits] == ["a", "b", "c", "d"]
+
+    def test_query_is_rounded_to_float32_first(self, small_items):
+        forest = build_forest(small_items, t=2, leaf_capacity=4, seed=1)
+        rng = np.random.default_rng(3)
+        for q in random_unit_vectors(rng, 10, 8):
+            rounded = q.astype(np.float32)
+            assert query_forest(forest, q, 4) == query_forest(forest, rounded, 4)
+            assert query_forest(forest, q, 4, search_k=2) == query_forest(forest, rounded, 4,
+                                                                          search_k=2)
+            assert brute_force_knn(forest, q, 4) == brute_force_knn(forest, rounded, 4)
 
     def test_small_recall_against_brute_force(self):
         rng = np.random.default_rng(6)
@@ -144,6 +161,25 @@ class TestBruteForce:
         rng = np.random.default_rng(8)
         for q in random_unit_vectors(rng, 20, 8):
             assert query_forest(forest, q, 5) == brute_force_knn(small_items, q, 5)
+
+
+class TestTopN:
+    @staticmethod
+    def by_argsort(ids, dist, n):
+        order = np.argsort(dist, axis=1, kind="stable")[:, :n]
+        return [[(ids[i], float(row[i])) for i in cols] for row, cols in zip(dist, order)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 9])
+    def test_equals_a_stable_argsort_ties_included(self, n):
+        rng = np.random.default_rng(21)
+        dist = rng.integers(0, 4, size=(40, 6)) / 4.0  # many ties, within and across the cut
+        dist[3] = 0.5  # a row of one value
+        dist[4, 1:4] = np.nan  # sorted last, so n = 5 cuts among them
+        ids = [f"c{i}" for i in range(6)]
+        assert repr(_top_n(ids, dist, n)) == repr(self.by_argsort(ids, dist, n))  # nan != nan
+
+    def test_no_rows(self):
+        assert _top_n(["a", "b"], np.empty((0, 2)), 1) == []
 
 
 class TestExhaustive:
@@ -267,7 +303,7 @@ class TestSerialization:
         path = tmp_path / "f.idx"
         save_forest(forest, path)
         header = 4 + struct.calcsize("<IIIIqQ")
-        assert path.stat().st_size == header + 30 * (4 + len("v0000")) + 8 * 30 * 8
+        assert path.stat().st_size == header + 30 * (4 + len("v0000")) + 4 * 30 * 8
         assert "trees" not in vars(load_forest(path))
 
 

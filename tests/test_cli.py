@@ -30,13 +30,16 @@ def ids_reversed(blob):
     return blob[:20] + b"".join(reversed(keys)) + blob[pos:]
 
 
-def last_f64(value):
-    """A corruption that sets the last f64 value of a binary artifact, the end of its body."""
-    return lambda blob: blob[:-8] + struct.pack("<d", value)
+def format_version(version, rerun):
+    """A corruption that sets a binary artifact's format version; the error names ``rerun``."""
+    def corrupt(blob):
+        return blob[:4] + struct.pack("<I", version) + blob[8:]
+    corrupt.rerun = rerun
+    return corrupt
 
 
 def last_f32(value):
-    """A corruption that sets the last f32 value of a checkpoint, the end of its body."""
+    """A corruption that sets the last f32 value of a binary artifact, the end of its body."""
     return lambda blob: blob[:-4] + struct.pack("<f", value)
 
 
@@ -575,11 +578,12 @@ class TestErrors:
         ("vectorizer_Landmark.json", lambda b: json_set(b, "encoder", "dim", value=0), "train"),
         ("corpus.json", lambda b: json_set(b, "tuples", 0, "owner", value="x"), "fit"),
         ("corpus.json", lambda b: json_drop(b, "mentions", 0, "entity_category"), "fit"),
-        ("tuples_Landmark.vec", last_f64(float("nan")), "eval"),
-        ("mentions_Landmark.idx", last_f64(float("nan")), "link"),
+        ("tuples_Landmark.vec", last_f32(float("nan")), "eval"),
+        ("mentions_Landmark.idx", last_f32(float("nan")), "link"),
         ("model_Landmark.ckpt", last_f32(float("nan")), "embed-mentions"),
-        ("tuples_Landmark.vec", last_f64(1e200), "eval"),
-        ("mentions_Landmark.idx", last_f64(1e200), "link"),
+        ("tuples_Landmark.vec",
+         format_version(2, "rerun `tablelink embed-tuples` / `embed-mentions`"), "build-index"),
+        ("mentions_Landmark.idx", format_version(2, "rerun `tablelink build-index`"), "link"),
         ("model_Landmark.ckpt", last_f32(float("inf")), "embed-mentions"),
         ("corpus.json", lambda b: json_set(b, "mentions", 0, "mention_text", value=5), "train"),
         ("corpus.json", lambda b: json_set(b, "mentions", 0, "sentence_text", value=5), "train"),
@@ -662,7 +666,7 @@ class TestErrors:
             "corpus-attribute-of-one", "vec-cut-10", "idx-cut-10", "vec-ids-descending",
             "corpus-version", "vectorizer-version", "vectorizer-encoder-dim-0",
             "corpus-tuple-unknown-field", "corpus-mention-no-category", "vec-nan", "idx-nan",
-            "ckpt-nan", "vec-huge", "idx-huge", "ckpt-huge", "corpus-mention-text-number",
+            "ckpt-nan", "vec-version-2", "idx-version-2", "ckpt-huge", "corpus-mention-text-number",
             "corpus-sentence-text-number", "vectorizer-stats-not-numbers",
             "vectorizer-stats-std-0", "vectorizer-stats-missing", "vectorizer-vocabulary-object",
             "ckpt-live-descending", "ckpt-live-out-of-range", "ckpt-margin-string",
@@ -695,6 +699,7 @@ class TestErrors:
         assert run_command([command, "--config", str(config_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and artifact in err
+        assert getattr(corrupt, "rerun", "") in err
 
     def test_corpus_xml_not_utf8_exits_two_naming_it(self, project, capsys):
         config_path, _ = project

@@ -499,7 +499,7 @@ class TestCompactPair:
         for actual, drawn in zip(compact.parameters(), expected, strict=True):
             np.testing.assert_array_equal(actual, drawn.astype(np.float32))
 
-    def test_embedding_reads_only_the_live_columns_in_f64(self):
+    def test_embedding_reads_only_the_live_columns_in_f32(self):
         live_r = np.array([1, 4, 6])
         pair = tiny_pair(seed=7, live_r=live_r)
         dense = float64_copy(tiny_pair(seed=7))
@@ -510,8 +510,9 @@ class TestCompactPair:
             p[...] = q
         x = np.random.default_rng(1).normal(size=(5, 8))
         out = pair.embed_tuples(x)
-        assert out.dtype == np.float64
-        np.testing.assert_allclose(out, dense.embed_tuples(x), rtol=1e-12, atol=1e-15)
+        assert out.tobytes() == pair.net_r.forward(x[:, live_r].astype(np.float32))[0].tobytes()
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, dense.embed_tuples(x), rtol=1e-5, atol=1e-6)
         with pytest.raises(ValueError, match="input dim 7"):
             pair.embed_tuples(x[:, :7])
 

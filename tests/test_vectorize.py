@@ -22,6 +22,7 @@ from tablelink.vectorize import (
     fit_vectorizer,
     mention_vectors,
     read_vector_file,
+    to_float32,
     tuple_vectors,
     vectorize_attribute,
     vectorize_tuple,
@@ -351,7 +352,7 @@ class TestVectorizeMention:
         vecs = mention_vectors(enc, [m1, m2])
         v1, v2 = vecs["1"], vecs["2"]
         assert v1.shape == (64,)
-        np.testing.assert_array_equal(v1[:32], enc.encode("IBM"))
+        np.testing.assert_array_equal(v1[:32], enc.encode("IBM").astype(np.float32))
         np.testing.assert_array_equal(v1[:32], v2[:32])
         assert not np.array_equal(v1[32:], v2[32:])
 
@@ -388,7 +389,8 @@ class TestSideBuilders:
         assert vecs.ids == sorted(rec.key for rec in records)
         bases = {rec.key: base_vector(model, rec) for rec in records}
         for rec in records:
-            assert vecs[rec.key].tobytes() == vectorize_tuple(model, rec, bases).tobytes()
+            row = vectorize_tuple(model, rec, bases)
+            assert vecs[rec.key].tobytes() == row.astype(np.float32).tobytes()
 
     def test_each_distinct_text_encoded_once(self, monkeypatch):
         enc = HashingEncoder(dim=16, seed=0)
@@ -405,8 +407,8 @@ class TestSideBuilders:
         assert calls["encode"] == len(texts) == 4
         assert vecs.ids == ["1", "2", "3", "4"]
         for m in mentions:
-            np.testing.assert_array_equal(
-                vecs[m.id], np.concatenate([enc.encode(m.mention_text), enc.encode(m.sentence_text)]))
+            row = np.concatenate([enc.encode(m.mention_text), enc.encode(m.sentence_text)])
+            assert vecs[m.id].tobytes() == row.astype(np.float32).tobytes()
 
 
 class TestModelSerialization:
@@ -467,7 +469,7 @@ class TestVectorFiles:
         back = read_vector_file(path)
         assert sorted(back) == sorted(items)
         for k, v in items.items():
-            np.testing.assert_array_equal(back[k], v)
+            assert back[k].tobytes() == v.astype(np.float32).tobytes()
 
     def test_truncated_file_raises(self, tmp_path):
         path = tmp_path / "x.vec"
@@ -477,16 +479,26 @@ class TestVectorFiles:
         with pytest.raises(VectorizeError, match="truncated|corrupt"):
             read_vector_file(path)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])  # 1e200: its square overflows
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])  # 1e200: past float32
     def test_non_finite_vectors_are_not_written_or_read(self, tmp_path, bad):
         path = tmp_path / "x.vec"
-        with pytest.raises(VectorizeError, match="non-finite"):
+        with pytest.raises(VectorizeError, match="non-finite"):  # and no RuntimeWarning
             write_vector_file(path, {"a": np.ones(4), "b": np.array([0.0, 1.0, bad, 2.0])})
         assert not path.exists()
         write_vector_file(path, {"a": np.ones(4)})
-        path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", bad))
+        path.write_bytes(path.read_bytes()[:-4] + to_float32(bad).tobytes())
         with pytest.raises(VectorizeError, match="x.vec: non-finite"):
             read_vector_file(path)
+
+    def test_largest_float32_row_is_written_read_and_indexed(self, tmp_path):
+        big = np.full(4, np.finfo(np.float32).max, dtype=np.float32)
+        write_vector_file(tmp_path / "x.vec", {"a": big, "b": np.ones(4)})
+        back = read_vector_file(tmp_path / "x.vec")
+        assert back["a"].tobytes() == big.tobytes() and np.isfinite(back.norms).all()
+        save_forest(build_forest(back, t=2, leaf_capacity=4, seed=0), tmp_path / "x.idx")
+        forest = load_forest(tmp_path / "x.idx")
+        assert forest.norms[0] == 2 * float(big[0])  # sums the f32 squares in f64, exactly
+        assert forest.query(big, 1) == [("a", pytest.approx(0.0, abs=1e-12))]
 
     def test_bad_magic_raises(self, tmp_path):
         path = tmp_path / "x.vec"
@@ -508,7 +520,7 @@ class TestVectorFiles:
         write_vector_file(tmp_path / "x.vec", items)
         save_forest(build_forest(items, t=2, leaf_capacity=4, seed=0), tmp_path / "x.idx")
         vec, idx = (tmp_path / "x.vec").read_bytes(), (tmp_path / "x.idx").read_bytes()
-        assert len(vec) == 20 + sum(4 + len(k) for k in items) + 8 * 11 * 6
+        assert len(vec) == 20 + sum(4 + len(k) for k in items) + 4 * 11 * 6
         assert vec[20:] == idx[36:]
 
     @pytest.mark.parametrize("suffix", ["vec", "idx"])
@@ -546,7 +558,7 @@ class TestKeyedVectors:
     def test_sorted_keys_and_stacked_rows(self):
         vectors = KeyedVectors.of({"b": [1, 2], "a": np.array([3.0, 4.0])})
         assert vectors.ids == ["a", "b"] and list(vectors) == ["a", "b"] and len(vectors) == 2
-        assert vectors.matrix.dtype == np.float64 and vectors.dim == 2
+        assert vectors.matrix.dtype == np.float32 and vectors.dim == 2
         np.testing.assert_array_equal(vectors.matrix, [[3.0, 4.0], [1.0, 2.0]])
         np.testing.assert_array_equal(vectors["b"], [1.0, 2.0])
         np.testing.assert_array_equal(vectors.norms, [5.0, math.sqrt(5.0)])
