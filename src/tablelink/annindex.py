@@ -115,15 +115,13 @@ def _top_n(ids, dist, n):
 def build_forest(items, t=16, leaf_capacity=16, seed=0):
     """A forest of ``t`` random-projection trees over keyed vectors (``KeyedVectors.of``).
 
-    Checks the vectors and parameters; the forest shares their matrix, and
-    the trees themselves are built on the first query that traverses them
-    (``RpForest.trees``).
+    ``KeyedVectors`` checks the vectors and ``RpForest`` the parameters; the
+    forest shares their matrix, and the trees themselves are built on the
+    first query that traverses them (``RpForest.trees``).
     """
     items = KeyedVectors.of(items)
     if not items:
         raise AnnIndexError("cannot build a forest over zero items")
-    if not np.isfinite(items.norms).all():
-        raise AnnIndexError("item vectors contain non-finite components or norms")
     return RpForest(items.ids, items.matrix, t, leaf_capacity, seed)
 
 
@@ -186,7 +184,9 @@ def query_forest(forest: RpForest, q, n, search_k=None):
     re-ranked by exact cosine distance. When ``n`` or ``search_k`` reaches
     the forest size that search collects every item, so the whole block is
     ranked exactly in one kernel call without touching the trees. ``q`` is
-    rounded to float32 first, the precision of the forest's vectors.
+    rounded to float32 first, the precision of the forest's vectors. ``t`` is
+    read only to default ``search_k``, so with ``search_k=len(forest)`` any
+    ``KeyedVectors`` can stand for the forest (``brute_force_knn``).
     """
     q = to_float32(q)
     if len(forest) == 0:
@@ -248,15 +248,14 @@ def default_search_k(n, t):
 
 
 def brute_force_knn(items, q, n):
-    """Exact top-n by cosine distance with the same kernel and ordering as the forest.
+    """Exact top-n by cosine distance: ``query_forest``'s exhaustive search, with its checks.
 
     ``items`` are keyed vectors (``KeyedVectors.of``); ``q`` is one query.
     """
     if n <= 0:
         return []
     items = KeyedVectors.of(items)
-    q = to_float32(q)
-    return _top_n(items.ids, cosine_distances(items.matrix, items.norms, q[None]), n)[0]
+    return query_forest(items, q, n, search_k=len(items))
 
 
 # ---------------------------------------------------------------------------

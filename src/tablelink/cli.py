@@ -14,8 +14,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import annindex, formats, linker, neural, vectorize
 from .config import ConfigError, load_config
 from .corpus import Corpus, CorpusError, Splits, load_corpus_xml, make_stratified_splits, slug
@@ -268,10 +266,11 @@ def _stage_embed(art: CategoryArtifacts, side):
     pair = art.pair()
     embed = pair.embed_tuples if side == "tuples" else pair.embed_mentions
     raw = art.raw_vectors(side)
-    vectors = vectorize.KeyedVectors(raw.ids, embed(raw.matrix))
-    if not np.isfinite(vectors.norms).all():
+    try:
+        vectors = vectorize.KeyedVectors(raw.ids, embed(raw.matrix))
+    except vectorize.VectorizeError:  # the ids are the raw vectors', so a value is not finite
         raise neural.TrainingError(f"{art.path('model_{}.ckpt')}: embeds {side} to vectors with "
-                                   "non-finite components or norms; rerun `tablelink train`")
+                                   "non-finite components; rerun `tablelink train`") from None
     path = art.put(f"{side}_{{}}.vec", vectors)
     vectorize.write_vector_file(path, vectors)
     print(f"embedded {len(vectors)} {side} for {art.category} -> {path.name}")

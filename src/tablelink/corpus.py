@@ -63,10 +63,10 @@ class RelationSchema:
     foreign_keys: tuple = ()  # of (name, target_relation) pairs
 
     def __post_init__(self):
-        names = [a for a, _ in self.attributes]
-        if len(set(names)) != len(names):
+        object.__setattr__(self, "kinds", dict(self.attributes))  # attribute name -> kind
+        if len(self.kinds) != len(self.attributes):
             raise CorpusError(f"duplicate attribute names in schema {self.name!r}")
-        for _, kind in self.attributes:
+        for kind in self.kinds.values():
             if kind not in ATTRIBUTE_KINDS:
                 raise CorpusError(f"unknown attribute kind {kind!r} in schema {self.name!r}")
         for fk_name, target in self.foreign_keys:
@@ -79,10 +79,9 @@ class RelationSchema:
         return [a for a, _ in self.attributes]
 
     def kind_of(self, attribute: str) -> str:
-        for a, kind in self.attributes:
-            if a == attribute:
-                return kind
-        raise CorpusError(f"attribute {attribute!r} not declared in schema {self.name!r}")
+        if attribute not in self.kinds:
+            raise CorpusError(f"attribute {attribute!r} not declared in schema {self.name!r}")
+        return self.kinds[attribute]
 
     def text_attributes(self):
         return [a for a, kind in self.attributes if kind == "text"]
@@ -266,7 +265,7 @@ class Corpus:
         self._links_by = {category: [] for category in self.schemas}
         self.entity_category = {}
         self.dangling_fks = []
-        declared = {name: (dict(s.attributes), dict(s.foreign_keys))
+        declared = {name: (s.kinds, dict(s.foreign_keys))
                     for name, s in self.schemas.items()}
         for rec in self.tuples.values():
             if rec.relation not in self.schemas:

@@ -98,9 +98,9 @@ def write_keyed_matrix(f, keys, matrix):
 def read_keyed_matrix(data, pos, dim, count):
     """(keys, matrix) of a body that ends ``data``, in the ``*.vec`` header's argument order.
 
-    A short id table, a key that is not UTF-8 or not greater than the key
-    before it, a short matrix, a non-finite value or trailing bytes raise
-    ``ValueError``.
+    A short id table, a key that is not UTF-8, a short matrix, a non-finite
+    value or trailing bytes raise ``ValueError``; ``KeyedVectors`` checks the
+    id order.
     """
     keys = []
     for _ in range(count):
@@ -112,8 +112,6 @@ def read_keyed_matrix(data, pos, dim, count):
             key = data[pos - klen : pos].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ValueError(f"id table key is not UTF-8: {exc}") from None
-        if keys and key <= keys[-1]:
-            raise ValueError(f"id table is not strictly ascending: {key!r} after {keys[-1]!r}")
         keys.append(key)
     return keys, read_floats(data, pos, count * dim, np.float32).reshape(count, dim)
 

@@ -109,20 +109,19 @@ class VectorizerModel:
 
     # -- layout ------------------------------------------------------------
 
-    def attribute_dim(self, attribute: str) -> int:
-        kind = self.schema.kind_of(attribute)
-        if kind == "text":
-            return self.encoder.dim
-        if kind == "numeric":
-            return 1
-        return len(self.vocabularies[attribute])
+    @functools.cached_property
+    def _widths(self):
+        """Each attribute section's width, in schema order, and a base vector's width; built once."""
+        attrs = {a: (self.encoder.dim if kind == "text" else 1 if kind == "numeric"
+                     else len(self.vocabularies[a])) for a, kind in self.schema.attributes}
+        return attrs, sum(attrs.values()) + self.presence_dim()
 
     def presence_dim(self) -> int:
         return len(self.schema.attributes) + len(self.schema.foreign_keys)
 
     def fk_section_dim(self) -> int:
         """Dim of a base vector (attribute sections + presence), which each fk section sums."""
-        return sum(self.attribute_dim(a) for a in self.schema.attribute_names) + self.presence_dim()
+        return self._widths[1]
 
     def dim(self) -> int:
         return (1 + len(self.schema.foreign_keys)) * self.fk_section_dim()
@@ -130,8 +129,7 @@ class VectorizerModel:
     def layout(self):
         """Ordered (section, name, offset, dim) entries of the tuple vector."""
         entries, offset = [], 0
-        for attr in self.schema.attribute_names:
-            d = self.attribute_dim(attr)
+        for attr, d in self._widths[0].items():
             entries.append(("attr", attr, offset, d))
             offset += d
         fk_dim = self.fk_section_dim()
@@ -337,7 +335,7 @@ def to_float32(values):
     """``values`` rounded once to float32, the precision of the trained networks.
 
     A value past the float32 range becomes infinite, without a warning, which
-    the vector file writer, the forest builder and the forest query reject.
+    ``KeyedVectors`` and the forest query reject.
     """
     with np.errstate(over="ignore"):
         return np.asarray(values, dtype=np.float32)
@@ -346,14 +344,20 @@ def to_float32(values):
 class KeyedVectors(Mapping):
     """A read-only key -> vector mapping: row i of the float32 ``matrix`` belongs to ``ids[i]``.
 
-    ``ids`` ascend; ``KeyedVectors.of`` sorts them, and the file readers
-    reject an id table that does not ascend. Training reads each row as
-    float32 too, so rounding f64 rows here moves no trained bit.
+    The constructor is the one owner of a valid set: it rounds the rows once
+    to float32 and raises ``VectorizeError`` unless every value is finite and
+    the ids strictly ascend (``KeyedVectors.of`` sorts them). Training reads
+    each row as float32 too, so rounding f64 rows here moves no trained bit.
     """
 
     def __init__(self, ids, matrix):
         self.ids = list(ids)
         self.matrix = to_float32(matrix)
+        if not np.isfinite(self.matrix).all():
+            raise VectorizeError("non-finite vector component (NaN, infinity or past float32)")
+        for prev, key in zip(self.ids, self.ids[1:]):
+            if not prev < key:
+                raise VectorizeError(f"id table is not strictly ascending: {key!r} after {prev!r}")
 
     @classmethod
     def of(cls, items):
@@ -398,19 +402,18 @@ VEC_HEADER = "<IIQ"  # version, dim, count
 def write_vector_file(path, items):
     """Write keyed vectors: header (magic, version, dim, count), then the keyed-matrix body.
 
-    Vectors with a NaN or infinite component, or one past the float32 range,
-    raise ``VectorizeError`` and are not written.
+    Vectors that ``KeyedVectors`` rejects (a NaN or infinite component, or one
+    past the float32 range) raise ``VectorizeError`` and are not written.
     """
     items = KeyedVectors.of(items)
-    if not np.isfinite(items.norms).all():
-        raise VectorizeError(f"{path}: vectors have non-finite components or norms; not written")
     with formats.write_binary(path, VEC_MAGIC, VEC_HEADER, VEC_VERSION, items.dim, len(items)) as f:
         formats.write_keyed_matrix(f, items.ids, items.matrix)
 
 
 def read_vector_file(path) -> KeyedVectors:
     """Read a keyed vector file back into the ``KeyedVectors`` it holds."""
-    return KeyedVectors(*formats.read_binary(
+    return formats.read_binary(
         path, VEC_MAGIC, VEC_HEADER, VEC_VERSION, VectorizeError,
-        "`tablelink embed-tuples` / `embed-mentions`", formats.read_keyed_matrix,
-    ))
+        "`tablelink embed-tuples` / `embed-mentions`",
+        lambda *body: KeyedVectors(*formats.read_keyed_matrix(*body)),
+    )

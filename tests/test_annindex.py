@@ -74,7 +74,7 @@ class TestBuild:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
     def test_vectors_with_non_finite_components_or_norms_rejected(self, bad):
-        with pytest.raises(AnnIndexError, match="non-finite components or norms"):
+        with pytest.raises(VectorizeError, match="non-finite"):
             build_forest({"a": np.ones(3), "b": np.array([1.0, bad, 0.0])})
 
 
@@ -96,14 +96,17 @@ class TestQuery:
 
     def test_dim_mismatch_rejected(self, small_items):
         forest = build_forest(small_items, t=2, leaf_capacity=4, seed=1)
-        with pytest.raises(AnnIndexError, match="dim"):
-            query_forest(forest, np.ones(5), 3)
+        for search in (query_forest, brute_force_knn):
+            for q in (np.ones(5), np.ones(9)):
+                with pytest.raises(AnnIndexError, match="dim"):
+                    search(forest, q, 3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39])  # 1e39: past the float32 range
     def test_non_finite_query_rejected(self, small_items, bad):
         forest = build_forest(small_items, t=2, leaf_capacity=4, seed=1)
-        with pytest.raises(AnnIndexError, match="NaN or infinite component"):
-            query_forest(forest, np.array([bad] + [0.0] * 7), 3)
+        for search in (query_forest, brute_force_knn):
+            with pytest.raises(AnnIndexError, match="NaN or infinite component"):
+                search(forest, np.array([bad] + [0.0] * 7), 3)
 
     def test_routing_consistency(self):
         """A one-leaf search of one tree reaches the leaf that holds the query item."""
@@ -155,6 +158,12 @@ class TestBruteForce:
 
     def test_n_zero_empty(self, small_items):
         assert brute_force_knn(small_items, np.ones(8), 0) == []
+
+    def test_empty_or_non_finite_items_rejected(self):
+        with pytest.raises(AnnIndexError, match="empty"):
+            brute_force_knn({}, np.ones(2), 2)
+        with pytest.raises(VectorizeError, match="non-finite"):
+            brute_force_knn({"a": np.ones(2), "b": np.array([np.nan, 1.0])}, np.ones(2), 2)
 
     def test_single_leaf_forest_agrees_exactly(self, small_items):
         forest = build_forest(small_items, t=3, leaf_capacity=16, seed=2)

@@ -1,16 +1,18 @@
 """Seeded mutation sweep and config sweep of the CLI exit contract.
 
 Each mutant of a workdir artifact, a truncation or a single-byte flip, goes
-to a command that reads it. Each numeric config key goes through ``--set``,
+to a command that reads it, and each mutant of the corpus XML goes to
+``ingest``, in a workdir of its own (a successful ``ingest`` replaces every
+artifact). Each numeric config key goes through ``--set``,
 with boundary values, to the first command that reads it. The command must
 exit 0, or exit 1 or 2 with exactly one ``error:`` line and no traceback. A
 flip inside a float that stays finite is legal input and may exit 0, so the
 sweep requires only the contract.
 
-Tier 1 runs a fixed subset: 3 truncations and 3 flips of each artifact, and
-the config cases in ``CONFIG_PROBES`` plus every 11th other one. The whole
-sweep (11 truncations and 65 flips per artifact, every key with every value)
-is opt-in:
+Tier 1 runs a fixed subset: 3 truncations and 3 flips of each of the 9
+inputs, and the config cases in ``CONFIG_PROBES`` plus every 11th other one.
+The whole sweep (11 truncations and 65 flips per input, every key with every
+value) is opt-in:
 
     TABLELINK_MUTATION_SWEEP=1 PYTHONPATH=src python -m pytest -q tests/test_mutation_sweep.py
 """
@@ -41,6 +43,8 @@ READERS = {
     "tuples_Landmark.idx": ["link", "--direction", "mention-to-tuples"],
     "mentions_Landmark.idx": ["link"],
 }
+# The XML comes last, so each workdir artifact keeps its seed.
+INPUTS = [*sorted(READERS), "corpus.xml"]
 
 
 def mutants(blob, seed):
@@ -76,6 +80,8 @@ def workdir(tmp_path_factory):
         "index": {"t": 2, "leaf_capacity": 4},
     }
     (root / "config.json").write_text(json.dumps(config))
+    config["paths"] = {"corpus": str(root / "mutant.xml"), "workdir": str(root / "xml-work")}
+    (root / "xml.json").write_text(json.dumps(config))
     for step in ("ingest", "fit", "train", "embed-tuples", "embed-mentions", "build-index"):
         assert quiet_run([step, "--config", str(root / "config.json")])[0] == 0, step
     work = root / "work"
@@ -111,13 +117,20 @@ def contract_breach(argv):
     return None
 
 
-@pytest.mark.parametrize("artifact", sorted(READERS))
+@pytest.mark.parametrize("artifact", INPUTS)
 def test_every_mutant_keeps_the_exit_contract(workdir, artifact):
     config_path, work, pristine = workdir
-    command = READERS[artifact]
+    if artifact == "corpus.xml":  # ``xml.json`` reads ``mutant.xml`` into a workdir of its own
+        original, command = config_path.with_name(artifact).read_bytes(), ["ingest"]
+        config_path = config_path.with_name("xml.json")
+    else:
+        original, command = pristine[artifact], READERS[artifact]
     broken = []
-    for label, blob in mutants(pristine[artifact], seed=sorted(READERS).index(artifact)):
-        restore(work, pristine, {artifact: blob})
+    for label, blob in mutants(original, seed=INPUTS.index(artifact)):
+        if artifact == "corpus.xml":
+            config_path.with_name("mutant.xml").write_bytes(blob)
+        else:
+            restore(work, pristine, {artifact: blob})
         breach = contract_breach([*command, "--config", str(config_path)])
         if breach:
             broken.append(f"{label}: {breach}")

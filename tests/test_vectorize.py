@@ -565,6 +565,18 @@ class TestKeyedVectors:
         assert "a" in vectors and "c" not in vectors
         assert KeyedVectors.of(vectors) is vectors
 
+    @pytest.mark.parametrize("ids, bad, message", [
+        *((["a", "b"], bad, "non-finite") for bad in (np.nan, np.inf, -np.inf, 1e39)),  # 1e39: past f32
+        (["a", "a"], 0.0, "id table is not strictly ascending: 'a' after 'a'"),
+        (["b", "a"], 0.0, "id table is not strictly ascending: 'a' after 'b'"),
+    ], ids=["nan", "inf", "-inf", "1e39", "repeated-id", "descending-ids"])
+    def test_constructor_checks_rows_and_ids(self, ids, bad, message):
+        rows = np.array([[1.0, bad], [0.0, 1.0]])
+        with pytest.raises(VectorizeError, match=message):  # and no RuntimeWarning
+            KeyedVectors(ids, rows)
+        if message.startswith("id table"):  # ``of`` sorts the keys of a mapping
+            assert KeyedVectors.of(dict(zip(ids, rows))).ids == sorted(set(ids))
+
     def test_not_1d_rejected(self):
         with pytest.raises(VectorizeError, match="1-D of one dimension"):
             KeyedVectors.of({"a": np.ones((2, 2))})
