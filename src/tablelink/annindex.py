@@ -1,19 +1,18 @@
 """Random-projection-forest approximate nearest-neighbor index.
 
 Each tree splits the vector space recursively by hyperplanes equidistant
-from two sampled points; queries traverse all trees best-first by margin to
-the splitting planes, merge the collected leaf candidates, and re-rank them
-by exact cosine distance. A query whose budget covers the whole forest
-skips the trees and ranks every item. A forest is a pure function of its
-vectors and build parameters, so it serializes to a versioned binary file
-of exactly those, and its trees are built from them on the first query
-that traverses them.
+from two sampled points and is held as flat tables (``_build_tree``); queries
+traverse all trees best-first by margin to the splitting planes, merge the
+collected leaf candidates, and re-rank them by exact cosine distance. A
+query whose budget covers the whole forest skips the trees and ranks every
+item. A forest is a pure function of its vectors and build parameters, so it
+serializes to a versioned binary file of exactly those, and its trees are
+built from them on the first query that traverses them.
 """
 
 import functools
 import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,21 +23,6 @@ from .vectorize import KeyedVectors, to_float32
 
 class AnnIndexError(ValueError):
     """Raised for malformed queries and index files."""
-
-
-@dataclass
-class RpNode:
-    """Internal node (normal/offset/children) or leaf (item index list)."""
-
-    normal: np.ndarray = None
-    offset: float = 0.0
-    left: int = -1
-    right: int = -1
-    items: list = None
-
-    @property
-    def is_leaf(self):
-        return self.items is not None
 
 
 class RpForest(KeyedVectors):
@@ -57,7 +41,7 @@ class RpForest(KeyedVectors):
 
     @functools.cached_property
     def trees(self):
-        """One list of ``RpNode`` per tree, root first; deterministic per seed."""
+        """Each tree's ``(normals, offsets, children, leaves)`` tables; deterministic per seed."""
         return [
             _build_tree(self.matrix, self.leaf_capacity, np.random.default_rng(stream))
             for stream in np.random.SeedSequence(self.seed).spawn(self.t)
@@ -126,37 +110,42 @@ def build_forest(items, t=16, leaf_capacity=16, seed=0):
 
 
 def _build_tree(matrix, leaf_capacity, rng):
-    """One tree over the rows of ``matrix``, as its node list with the root at 0.
+    """One tree over the rows of ``matrix`` as tables ``(normals, offsets, children, leaves)``.
 
-    Splits sample two distinct points p, q of the node's subset and use the
-    hyperplane equidistant from them (normal p - q, offset at the midpoint).
-    Degenerate samples are retried up to 8 times, then a random unit normal
-    is used; if even that fails to separate the points they are split by
-    index parity so the recursion always terminates.
+    Split node i has the plane ``normals[i] @ x = offsets[i]`` (an f32 row and a
+    float) and the children ``children[i] = (left, right)``, left at or below the
+    plane: a child ``c >= 0`` is split node c, and ``c < 0`` the leaf ``leaves[~c]``,
+    a list of item indices. The root is 0, or ``~0`` for a single leaf. Splits
+    sample two distinct points p, q of the node's subset and use the hyperplane
+    equidistant from them (normal p - q, offset at the midpoint). Degenerate
+    samples are retried up to 8 times, then a random unit normal is used; if
+    even that fails to separate the points they are split by index parity so
+    the recursion always terminates.
     """
     dim = matrix.shape[1]
-    # (node slot, item indices) work stack; children appended on demand
-    nodes = [RpNode()]
-    stack = [(0, np.arange(len(matrix)))]
+    normals, offsets, children, leaves = [], [], [], []
+    # (the parent's child pair, left 0 or right 1, item indices) work stack
+    stack = [([0], 0, np.arange(len(matrix)))]
     while stack:
-        slot, indices = stack.pop()
+        pair, side, indices = stack.pop()
         if len(indices) <= leaf_capacity:
-            nodes[slot] = RpNode(items=[int(i) for i in indices])
+            pair[side] = ~len(leaves)
+            leaves.append(indices.tolist())
             continue
         normal, offset = _choose_split(matrix, indices, rng, dim)
-        margins = matrix[indices] @ normal - offset
+        margins = _dots(matrix[indices], normal) - offset
         right_mask = margins > 0
         if not right_mask.any() or right_mask.all():
             # identical points: parity split keeps both sides nonempty
             right_mask = (np.arange(len(indices)) % 2).astype(bool)
-        left_slot, right_slot = len(nodes), len(nodes) + 1
-        nodes.extend((RpNode(), RpNode()))
-        nodes[slot] = RpNode(
-            normal=normal, offset=float(offset), left=left_slot, right=right_slot
-        )
-        stack.append((left_slot, indices[~right_mask]))
-        stack.append((right_slot, indices[right_mask]))
-    return nodes
+        pair[side] = len(children)
+        normals.append(normal)
+        offsets.append(offset)
+        children.append([None, None])
+        stack.append((children[-1], 0, indices[~right_mask]))
+        stack.append((children[-1], 1, indices[right_mask]))
+    return (np.array(normals, dtype=np.float32).reshape(-1, dim), np.array(offsets),
+            children, leaves)
 
 
 def _choose_split(matrix, indices, rng, dim):
@@ -165,11 +154,21 @@ def _choose_split(matrix, indices, rng, dim):
         p, q = matrix[indices[pick[0]]], matrix[indices[pick[1]]]
         normal = p - q
         if float(np.linalg.norm(normal)) > 1e-12:
-            return normal, float(normal @ (p + q) / 2.0)
+            return normal, float(_dots(normal, (p + q) / 2.0))
     normal = rng.normal(size=dim)
-    normal /= max(float(np.linalg.norm(normal)), 1e-12)
+    normal = (normal / max(float(np.linalg.norm(normal)), 1e-12)).astype(np.float32)
     centroid = matrix[indices].mean(axis=0)
-    return normal, float(normal @ centroid)
+    return normal, float(_dots(normal, centroid))
+
+
+def _dots(rows, v):
+    """``rows @ v``, one einsum reduction per row, so no row's bits depend on the others.
+
+    Offsets, build sides and query margins all come from it: a query equal to an
+    item takes the item's side of each plane (BLAS moves a row's last bits with its
+    position), and one at a plane's midpoint or centroid has margin 0 exactly.
+    """
+    return np.einsum("...j,j->...", rows, v)
 
 
 def query_forest(forest: RpForest, q, n, search_k=None):
@@ -195,11 +194,11 @@ def query_forest(forest: RpForest, q, n, search_k=None):
         raise AnnIndexError(f"query dim {q.shape} does not match forest dim {forest.dim}")
     if not np.isfinite(q).all():
         raise AnnIndexError("query has a NaN or infinite component, or one past the float32 range")
-    if n < 1:
-        raise AnnIndexError("n must be >= 1")
+    check("index.n", n, AnnIndexError)
     queries = q.reshape(-1, forest.dim)
     if search_k is None:
         search_k = default_search_k(n, forest.t)
+    check("index.search_k", search_k, AnnIndexError)
     if max(n, search_k) >= len(forest):
         hits = _top_n(forest.ids, cosine_distances(forest.matrix, forest.norms, queries), n)
     else:
@@ -214,32 +213,28 @@ def query_forest(forest: RpForest, q, n, search_k=None):
 def _traverse(forest: RpForest, q, search_k):
     """Ascending indices of the items a best-first search of all trees collects."""
     per_tree_target = math.ceil(search_k / forest.t)
-    heap = []
-    counter = 0
-    for tree_idx in range(forest.t):
-        heapq.heappush(heap, (-math.inf, counter, tree_idx, 0))
-        counter += 1
+    margins = [(_dots(normals, q) - offsets).tolist() for normals, offsets, _, _ in forest.trees]
+    # (-priority, push order, tree, node): ties pop in push order
+    heap = [(-math.inf, i, i, 0 if children else ~0)
+            for i, (_, _, children, _) in enumerate(forest.trees)]
+    counter = len(heap)
     candidates = set()
     per_tree = [0] * forest.t
     while heap:
-        if (
-            min(per_tree) >= per_tree_target
-            and len(candidates) >= min(search_k, len(forest))
-        ):
+        if min(per_tree) >= per_tree_target and len(candidates) >= min(search_k, len(forest)):
             break
-        neg_priority, _, tree_idx, node_idx = heapq.heappop(heap)
-        priority = -neg_priority
-        node = forest.trees[tree_idx][node_idx]
-        if node.is_leaf:
-            per_tree[tree_idx] += len(node.items)
-            candidates.update(node.items)
+        neg_priority, _, tree_idx, node = heapq.heappop(heap)
+        _, _, children, leaves = forest.trees[tree_idx]
+        if node < 0:
+            per_tree[tree_idx] += len(leaves[~node])
+            candidates.update(leaves[~node])
             continue
-        margin = float(node.normal @ q) - node.offset
-        near, far = (node.right, node.left) if margin > 0 else (node.left, node.right)
-        heapq.heappush(heap, (-priority, counter, tree_idx, near))
-        counter += 1
-        heapq.heappush(heap, (-min(priority, abs(margin)), counter, tree_idx, far))
-        counter += 1
+        margin = margins[tree_idx][node]
+        left, right = children[node]
+        near, far = (right, left) if margin > 0 else (left, right)
+        heapq.heappush(heap, (neg_priority, counter, tree_idx, near))
+        heapq.heappush(heap, (max(neg_priority, -abs(margin)), counter + 1, tree_idx, far))
+        counter += 2
     return sorted(candidates)
 
 

@@ -89,7 +89,7 @@ def read_floats(data, pos, count, dtype):
 def write_keyed_matrix(f, keys, matrix):
     """Write the id table (``u32`` length + UTF-8 per key), then the f32 LE rows."""
     for key in keys:
-        kb = str(key).encode("utf-8")
+        kb = key.encode("utf-8")
         f.write(struct.pack("<I", len(kb)))
         f.write(kb)
     f.write(np.ascontiguousarray(matrix, dtype="<f4").tobytes())

@@ -346,8 +346,8 @@ class KeyedVectors(Mapping):
 
     The constructor is the one owner of a valid set: it rounds the rows once
     to float32 and raises ``VectorizeError`` unless every value is finite and
-    the ids strictly ascend (``KeyedVectors.of`` sorts them). Training reads
-    each row as float32 too, so rounding f64 rows here moves no trained bit.
+    the ids are ``str`` and strictly ascend (``KeyedVectors.of`` sorts them).
+    Training reads rows as float32 too, so rounding f64 rows here moves no trained bit.
     """
 
     def __init__(self, ids, matrix):
@@ -355,6 +355,9 @@ class KeyedVectors(Mapping):
         self.matrix = to_float32(matrix)
         if not np.isfinite(self.matrix).all():
             raise VectorizeError("non-finite vector component (NaN, infinity or past float32)")
+        for key in self.ids:
+            if not isinstance(key, str):
+                raise VectorizeError(f"id {key!r} is a {type(key).__name__}, not a str")
         for prev, key in zip(self.ids, self.ids[1:]):
             if not prev < key:
                 raise VectorizeError(f"id table is not strictly ascending: {key!r} after {prev!r}")

@@ -5,6 +5,7 @@ import pytest
 
 from tablelink.annindex import (
     AnnIndexError,
+    _dots,
     _top_n,
     brute_force_knn,
     build_forest,
@@ -14,7 +15,7 @@ from tablelink.annindex import (
     query_forest,
     save_forest,
 )
-from tablelink.vectorize import VectorizeError
+from tablelink.vectorize import KeyedVectors, VectorizeError
 
 from conftest import random_unit_vectors
 
@@ -29,23 +30,47 @@ def small_items():
     return keyed(random_unit_vectors(rng, 10, 8))
 
 
+def leaves_under(tree, node):
+    """The item lists of the leaves under ``node`` of a forest's tree tables."""
+    _, _, children, leaves = tree
+    if node < 0:
+        return [leaves[~node]]
+    left, right = children[node]
+    return leaves_under(tree, left) + leaves_under(tree, right)
+
+
 class TestBuild:
     def test_small_set_single_leaf_per_tree(self, small_items):
         forest = build_forest(small_items, t=4, leaf_capacity=16, seed=0)
-        for tree in forest.trees:
-            assert len(tree) == 1
-            assert sorted(tree[0].items) == list(range(10))
+        for normals, offsets, children, leaves in forest.trees:
+            assert normals.shape == (0, 8) and len(offsets) == 0 and children == []
+            assert len(leaves) == 1
+            assert sorted(leaves[0]) == list(range(10))
 
     def test_leaves_partition_items(self):
         rng = np.random.default_rng(1)
         items = keyed(random_unit_vectors(rng, 500, 16))
         forest = build_forest(items, t=8, leaf_capacity=16, seed=3)
         for tree in forest.trees:
-            seen = []
-            for leaf in [n for n in tree if n.is_leaf]:
-                assert len(leaf.items) <= 16
-                seen.extend(leaf.items)
-            assert sorted(seen) == list(range(500))
+            normals, offsets, children, leaves = tree
+            assert normals.dtype == np.float32 and normals.shape == (len(children), 16)
+            assert len(offsets) == len(children) and len(leaves) == len(children) + 1
+            reached = leaves_under(tree, 0)  # every leaf hangs under the root once
+            assert sorted(map(sorted, reached)) == sorted(map(sorted, leaves))
+            assert all(len(leaf) <= 16 for leaf in leaves)
+            assert sorted(i for leaf in leaves for i in leaf) == list(range(500))
+
+    def test_left_at_or_below_the_plane_right_above(self):
+        rng = np.random.default_rng(2)
+        forest = build_forest(keyed(random_unit_vectors(rng, 300, 12)), t=4, leaf_capacity=8,
+                              seed=5)
+        for tree in forest.trees:
+            normals, offsets, children, _ = tree
+            for node, (left, right) in enumerate(children):
+                for child, sign in ((left, -1), (right, 1)):
+                    rows = [i for leaf in leaves_under(tree, child) for i in leaf]
+                    margins = forest.matrix[rows].astype(np.float64) @ normals[node] - offsets[node]
+                    assert (sign * margins > -1e-6).all()
 
     def test_build_deterministic_bytes(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -55,11 +80,22 @@ class TestBuild:
         save_forest(build_forest(items, t=6, leaf_capacity=8, seed=9), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_margin_row_bits_independent_of_the_table(self):
+        """A plane's margin reads the same bits in any table, and with the operands swapped."""
+        rng = np.random.default_rng(18)
+        for dim in (4, 16, 256):
+            rows = rng.normal(size=(50, dim)).astype(np.float32)
+            q = rng.normal(size=dim).astype(np.float32)
+            full = _dots(rows, q)
+            for i, row in enumerate(rows):
+                assert full[i] == _dots(row, q) == _dots(rows[i:i + 3], q)[0]
+                assert full[i] == _dots(q[None], row)[0]  # operands swapped, as in the build
+
     def test_identical_points_terminate(self):
         items = {f"k{i}": np.ones(4) for i in range(100)}
         forest = build_forest(items, t=3, leaf_capacity=8, seed=0)
-        for tree in forest.trees:
-            assert all(len(l.items) <= 8 for l in [n for n in tree if n.is_leaf])
+        for _, _, children, leaves in forest.trees:
+            assert children and all(len(leaf) <= 8 for leaf in leaves)
         hits = query_forest(forest, np.ones(4), 5)
         assert len(hits) == 5
         assert all(s == pytest.approx(0.0, abs=1e-12) for _, s in hits)
@@ -93,6 +129,19 @@ class TestQuery:
         assert len(hits) == 10
         scores = [s for _, s in hits]
         assert scores == sorted(scores)
+
+    def test_n_below_one_rejected(self, small_items):
+        forest = build_forest(small_items, t=2, leaf_capacity=4, seed=1)
+        with pytest.raises(AnnIndexError, match=r"index\.n must lie in \[1, "):
+            query_forest(forest, np.ones(8), 0)
+
+    @pytest.mark.parametrize("search_k", [0, -5])
+    def test_search_k_below_one_rejected(self, small_items, search_k):
+        forest = build_forest(small_items, t=2, leaf_capacity=4, seed=1)
+        with pytest.raises(AnnIndexError, match=r"index\.search_k must lie in \[1, "):
+            query_forest(forest, np.ones(8), 5, search_k=search_k)
+        with pytest.raises(AnnIndexError, match="empty forest"):
+            query_forest(KeyedVectors([], np.empty((0, 8))), np.ones(8), 5, search_k=search_k)
 
     def test_dim_mismatch_rejected(self, small_items):
         forest = build_forest(small_items, t=2, leaf_capacity=4, seed=1)
@@ -197,7 +246,7 @@ class TestExhaustive:
         rng = np.random.default_rng(14)
         items = keyed(random_unit_vectors(rng, 200, 12))
         forest = build_forest(items, t=3, leaf_capacity=2, seed=4)
-        assert all(len(tree) > 1 for tree in forest.trees)
+        assert all(children for _, _, children, _ in forest.trees)  # every tree has a split
         return items, forest, random_unit_vectors(rng, 15, 12)
 
     @pytest.mark.parametrize("extra", [0, 7])

@@ -577,6 +577,23 @@ class TestKeyedVectors:
         if message.startswith("id table"):  # ``of`` sorts the keys of a mapping
             assert KeyedVectors.of(dict(zip(ids, rows))).ids == sorted(set(ids))
 
+    @pytest.mark.parametrize("ids", [[2, 10], ["a", b"b"], ["a", np.int64(3)]])
+    def test_ids_that_are_not_str_rejected(self, ids):
+        with pytest.raises(VectorizeError, match="not a str"):
+            KeyedVectors(ids, np.ones((2, 3)))
+
+    @pytest.mark.parametrize("suffix", ["vec", "idx"])
+    def test_writers_reject_ids_that_are_not_str(self, tmp_path, suffix):
+        """Written as ``str(key)``, 2 and 10 would make an id table that reads back descending."""
+        items = {2: np.ones(3), 10: np.zeros(3)}
+        path = tmp_path / f"x.{suffix}"
+        with pytest.raises(VectorizeError, match="id 2 is a int, not a str"):
+            if suffix == "vec":
+                write_vector_file(path, items)
+            else:
+                save_forest(build_forest(items, t=2, leaf_capacity=4, seed=0), path)
+        assert not path.exists()
+
     def test_not_1d_rejected(self):
         with pytest.raises(VectorizeError, match="1-D of one dimension"):
             KeyedVectors.of({"a": np.ones((2, 2))})
