@@ -65,8 +65,8 @@ print("loss: first=%.3f mid=%.3f last=%.3f" % (history[0][2], history[200][2], h
 
 # After training, a tuple scores its own mentions well below the others.
 e = "e3"
-anchor = pair.embed_tuples(vectors_r[e][None])
-joint = pair.embed_mentions(np.stack(list(vectors_t.values())))
+anchor = pair.net_r.embed(vectors_r[e][None])
+joint = pair.net_t.embed(np.stack(list(vectors_t.values())))
 dist = cosine_distances(joint, np.linalg.norm(joint, axis=1), anchor)[0]
 own = np.array([mid.startswith(e + ".") for mid in vectors_t])
 print(f"mean cosine distance to own mentions: {dist[own].mean():.3f}, "
@@ -80,4 +80,4 @@ with tempfile.TemporaryDirectory() as directory:
     loaded, header = load_checkpoint(path)
     print(f"checkpoint: {path.stat().st_size} bytes, {pair.flat.size} float32 parameters, "
           f"live_r {header['live_r'][:3]}...{header['live_r'][-1]}")
-assert np.array_equal(loaded.embed_tuples(vectors_r[e][None]), anchor)
+assert np.array_equal(loaded.net_r.embed(vectors_r[e][None]), anchor)

@@ -177,17 +177,7 @@ class CategoryArtifacts(Artifacts):
         return self._memo[f"raw {side}"]
 
     def pair(self) -> neural.EmbedderPair:
-        return self._get("model_{}.ckpt", "train", self._load_pair)
-
-    def _load_pair(self, path):
-        pair, _ = neural.load_checkpoint(path)
-        vmodel = self.vectorizer()
-        if (pair.input_dim_r, pair.input_dim_t) != (vmodel.dim(), 2 * vmodel.encoder.dim):
-            raise PrerequisiteError(
-                f"{path.name} was trained on other input dims than vectorizer_{self.slug}.json "
-                "gives; rerun `tablelink train`"
-            )
-        return pair
+        return self._get("model_{}.ckpt", "train", lambda path: neural.load_checkpoint(path)[0])
 
     def vectors(self, side) -> vectorize.KeyedVectors:
         """Joint-space vectors of one side ("tuples" or "mentions")."""
@@ -263,14 +253,16 @@ def stage_train(art: CategoryArtifacts, config, args):
 
 
 def _stage_embed(art: CategoryArtifacts, side):
-    pair = art.pair()
-    embed = pair.embed_tuples if side == "tuples" else pair.embed_mentions
-    raw = art.raw_vectors(side)
+    pair, raw, ckpt = art.pair(), art.raw_vectors(side), art.path("model_{}.ckpt")
+    net = pair.net_r if side == "tuples" else pair.net_t
+    if net.raw_dim != raw.dim:
+        raise PrerequisiteError(f"{ckpt.name} was trained on other input dims than "
+                                f"vectorizer_{art.slug}.json gives; rerun `tablelink train`")
     try:
-        vectors = vectorize.KeyedVectors(raw.ids, embed(raw.matrix))
+        vectors = vectorize.KeyedVectors(raw.ids, net.embed(raw.matrix))
     except vectorize.VectorizeError:  # the ids are the raw vectors', so a value is not finite
-        raise neural.TrainingError(f"{art.path('model_{}.ckpt')}: embeds {side} to vectors with "
-                                   "non-finite components; rerun `tablelink train`") from None
+        raise neural.TrainingError(f"{ckpt}: embeds {side} to vectors with non-finite "
+                                   "components; rerun `tablelink train`") from None
     path = art.put(f"{side}_{{}}.vec", vectors)
     vectorize.write_vector_file(path, vectors)
     print(f"embedded {len(vectors)} {side} for {art.category} -> {path.name}")

@@ -48,9 +48,14 @@ class DenseNet:
     ``grad_biases``, views of its ``EmbedderPair``'s gradient buffer.
     Every array, inputs and activations included, takes the dtype of the
     weights given.
+
+    The first layer reads only the columns ``live`` (strictly ascending,
+    below ``raw_dim``) of a raw vector ``raw_dim`` wide; None means every
+    column of a raw vector as wide as the first layer. ``embed`` takes raw
+    rows, ``forward`` rows already cut to the live columns.
     """
 
-    def __init__(self, weights, biases, keep_prob=0.75):
+    def __init__(self, weights, biases, keep_prob=0.75, live=None, raw_dim=None):
         if len(weights) != len(biases):
             raise ValueError("weights/biases length mismatch")
         for i in range(len(weights) - 1):
@@ -59,6 +64,7 @@ class DenseNet:
         self.weights = [np.asarray(w) for w in weights]
         self.biases = [np.asarray(b) for b in biases]
         self.keep_prob = float(keep_prob)
+        self.live, self.raw_dim = _live_table(live, raw_dim, self.input_dim)
 
     @classmethod
     def init(cls, dims, rng, keep_prob=0.75, live=None):
@@ -80,12 +86,13 @@ class DenseNet:
                 w[start : start + rows] = rng.normal(0.0, scale, size=(rows, fan_in))[:, cols]
             weights.append(w)
             biases.append(np.zeros(fan_out, dtype=np.float32))
-        return cls(weights, biases, keep_prob=keep_prob)
+        return cls(weights, biases, keep_prob=keep_prob, live=live, raw_dim=dims[0])
 
     def widened(self):
         """An f64 copy of the net, for ``gradient_check``."""
         return DenseNet([w.astype(np.float64) for w in self.weights],
-                        [b.astype(np.float64) for b in self.biases], keep_prob=self.keep_prob)
+                        [b.astype(np.float64) for b in self.biases], keep_prob=self.keep_prob,
+                        live=self.live, raw_dim=self.raw_dim)
 
     @property
     def input_dim(self):
@@ -94,6 +101,13 @@ class DenseNet:
     @property
     def output_dim(self):
         return self.weights[-1].shape[0]
+
+    def embed(self, raw):
+        """The net as trained, in its dtype, run on the ``live`` columns of raw rows."""
+        raw = np.atleast_2d(np.asarray(raw))
+        if raw.shape[1] != self.raw_dim:
+            raise ValueError(f"input dim {raw.shape[1]} != raw input dim {self.raw_dim}")
+        return self.forward(raw[:, self.live])[0]
 
     def forward(self, x, training=False, rng=None):
         """Batched forward pass; returns (output, cache for backward)."""
@@ -159,11 +173,9 @@ def _layer_views(buffer, offset, shapes):
 class EmbedderPair:
     """The two networks of the joint space plus the training margin.
 
-    The first layer of ``net_r`` reads only the raw tuple columns ``live_r``
-    (ascending indices below ``input_dim_r``), and that of ``net_t`` only
-    the raw mention columns ``live_t``; None means every column of a raw
-    vector as wide as the net's input. ``linker.train_category`` builds each
-    pair on the columns its training rows set, so a column no training row
+    ``net_r`` embeds raw tuple vectors and ``net_t`` raw mention vectors.
+    ``linker.train_category`` builds each net's first layer on the columns
+    its training rows set (``DenseNet.live``), so a column no training row
     sets has no weights at all.
 
     Every parameter is a view into one contiguous buffer ``flat`` and every
@@ -177,10 +189,6 @@ class EmbedderPair:
     joint_dim: int
     margin: float = 0.001
     seed: int = 0
-    input_dim_r: int = None
-    input_dim_t: int = None
-    live_r: np.ndarray = field(default=None, repr=False)
-    live_t: np.ndarray = field(default=None, repr=False)
     train_rng: np.random.Generator = None
     flat: np.ndarray = field(default=None, repr=False, compare=False)
     grad: np.ndarray = field(default=None, init=False, repr=False, compare=False)
@@ -189,10 +197,6 @@ class EmbedderPair:
         if self.net_r.output_dim != self.joint_dim or self.net_t.output_dim != self.joint_dim:
             raise ValueError("both networks must output joint_dim")
         check("training.margin", self.margin, ValueError)
-        self.live_r, self.input_dim_r = _live_table(self.live_r, self.input_dim_r, self.net_r,
-                                                    "live_r")
-        self.live_t, self.input_dim_t = _live_table(self.live_t, self.input_dim_t, self.net_t,
-                                                    "live_t")
         if self.train_rng is None:
             self.train_rng = np.random.default_rng(self.seed)
         params = self.parameters()
@@ -218,8 +222,7 @@ class EmbedderPair:
         rng = np.random.default_rng(seed)
         net_r = DenseNet.init([input_dim_r, *hidden_r, joint_dim], rng, keep_prob, live_r)
         net_t = DenseNet.init([input_dim_t, *hidden_t, joint_dim], rng, keep_prob, live_t)
-        return cls(net_r=net_r, net_t=net_t, joint_dim=joint_dim, margin=margin, seed=seed,
-                   input_dim_r=input_dim_r, input_dim_t=input_dim_t, live_r=live_r, live_t=live_t)
+        return cls(net_r=net_r, net_t=net_t, joint_dim=joint_dim, margin=margin, seed=seed)
 
     def parameters(self):
         """All parameter arrays in declaration order (net_r, then net_t)."""
@@ -229,43 +232,27 @@ class EmbedderPair:
                 out.extend((w, b))
         return out
 
-    def embed_tuples(self, raw):
-        """Joint-space float32 vectors of raw tuple vectors (rows of ``input_dim_r`` columns)."""
-        return _embed(self.net_r, self.live_r, self.input_dim_r, raw)
 
-    def embed_mentions(self, raw):
-        """Joint-space float32 vectors of raw mention vectors (rows of ``input_dim_t`` columns)."""
-        return _embed(self.net_t, self.live_t, self.input_dim_t, raw)
+def _live_table(live, raw_dim, width):
+    """(``live`` checked, as int64, and ``raw_dim``) for a first layer ``width`` inputs wide.
 
-
-def _embed(net, live, input_dim, raw):
-    """``net`` as trained, in float32, run on the ``live`` columns of the raw rows."""
-    raw = np.atleast_2d(np.asarray(raw))
-    if raw.shape[1] != input_dim:
-        raise ValueError(f"input dim {raw.shape[1]} != pair input dim {input_dim}")
-    return net.forward(raw[:, live])[0]
-
-
-def _live_table(live, input_dim, net, name):
-    """(``live`` checked, as int64, and ``input_dim``) for the first layer of ``net``.
-
-    A live table lists one strictly ascending column below ``input_dim`` per
-    input of ``net``; None means every column of ``net``'s input width. Any
-    other table raises ``ValueError``.
+    A live table lists one strictly ascending column below ``raw_dim`` per
+    input of the layer; None means every column of a raw vector ``width``
+    wide. Any other table raises ``ValueError``.
     """
-    input_dim = net.input_dim if input_dim is None else input_dim
-    live = np.arange(input_dim) if live is None else np.asarray(live)
+    raw_dim = width if raw_dim is None else raw_dim
+    live = np.arange(raw_dim) if live is None else np.asarray(live)
     if live.size == 0:
         live = live.astype(np.int64)  # an empty JSON list reads as float
     if live.dtype.kind not in "iu":
-        raise ValueError(f"{name} holds {live.dtype} values, not column indices")
-    if live.shape != (net.input_dim,):
-        raise ValueError(f"{name} lists {live.size} columns; the first layer reads {net.input_dim}")
+        raise ValueError(f"live table holds {live.dtype} values, not column indices")
+    if live.shape != (width,):
+        raise ValueError(f"live table lists {live.size} columns; the first layer reads {width}")
     if np.any(live[1:] <= live[:-1]):
-        raise ValueError(f"{name} does not strictly ascend")
-    if live.size and (live[0] < 0 or live[-1] >= input_dim):
-        raise ValueError(f"{name} leaves the input range [0, {input_dim})")
-    return live.astype(np.int64), input_dim
+        raise ValueError("live table does not strictly ascend")
+    if live.size and (live[0] < 0 or live[-1] >= raw_dim):
+        raise ValueError(f"live table leaves the input range [0, {raw_dim})")
+    return live.astype(np.int64), raw_dim
 
 
 def live_columns(vectors, keys, dim):
@@ -369,18 +356,16 @@ class TrainingBatch:
     mention_ids: list = field(default_factory=list)
 
 
-def pairwise_contrastive_loss(pair: EmbedderPair, batch: TrainingBatch,
-                              margin=None, training=False):
-    """Loss over a batch plus exact parameter gradients.
+def pairwise_contrastive_loss(pair: EmbedderPair, batch: TrainingBatch, training=False):
+    """Loss over a batch at ``pair.margin`` plus exact parameter gradients.
 
     Returns (loss, ``pair.grad``, stats): the gradient is flat, in
     ``pair.flat`` order, and the next call overwrites it.
     """
-    margin = pair.margin if margin is None else margin
     rng = pair.train_rng if training else None
     e_r, cache_r = pair.net_r.forward(batch.x_tuples, training=training, rng=rng)
     e_t, cache_t = pair.net_t.forward(batch.x_mentions, training=training, rng=rng)
-    loss, d_er, d_et, stats = loss_from_embeddings(e_r, e_t, batch.pos_pairs, margin)
+    loss, d_er, d_et, stats = loss_from_embeddings(e_r, e_t, batch.pos_pairs, pair.margin)
     pair.net_r.backward(d_er, cache_r)
     pair.net_t.backward(d_et, cache_t)
     return loss, pair.grad, stats
@@ -474,33 +459,32 @@ def gradient_step(pair: EmbedderPair, adam: AdamState, batch: TrainingBatch):
     return loss, stats
 
 
-def gradient_check(pair: EmbedderPair, batch: TrainingBatch, epsilon=1e-5, margin=None):
+def gradient_check(pair: EmbedderPair, batch: TrainingBatch, epsilon=1e-5):
     """Max relative error between analytic and central-difference gradients.
 
     Dropout must be off (inference-mode forward is used). If some hinge sits
-    within ~10*epsilon of its boundary the margin is nudged and the check
-    retried, since the subgradient is not comparable to finite differences
-    there. The relative error uses an absolute floor of 1e-6 so that pairs
-    of essentially-zero gradients compare by absolute difference. The check
-    runs on an f64 copy of ``pair``, since differences of a float32 loss at
-    ``epsilon`` would be rounding noise.
+    within ~10*epsilon of its boundary the copy's margin is nudged and the
+    check retried, since the subgradient is not comparable to finite
+    differences there. The relative error uses an absolute floor of 1e-6 so
+    that pairs of essentially-zero gradients compare by absolute difference.
+    The check runs on an f64 copy of ``pair``, since differences of a
+    float32 loss at ``epsilon`` would be rounding noise.
     """
     pair = replace(pair, net_r=pair.net_r.widened(), net_t=pair.net_t.widened(), flat=None)
-    margin = pair.margin if margin is None else margin
     for attempt in range(8):
-        _, _, stats = pairwise_contrastive_loss(pair, batch, margin=margin, training=False)
+        _, _, stats = pairwise_contrastive_loss(pair, batch)
         if stats.min_hinge_gap > 10 * epsilon:
             break
-        margin += max(0.01, 100 * epsilon) * (attempt + 1)
+        pair.margin += max(0.01, 100 * epsilon) * (attempt + 1)
     # the gradient buffer is overwritten by every loss below
-    analytic = pairwise_contrastive_loss(pair, batch, margin=margin, training=False)[1].copy()
+    analytic = pairwise_contrastive_loss(pair, batch)[1].copy()
     max_rel = 0.0
     for i, g in enumerate(analytic):
         saved = pair.flat[i]
         pair.flat[i] = saved + epsilon
-        plus = pairwise_contrastive_loss(pair, batch, margin=margin, training=False)[0]
+        plus = pairwise_contrastive_loss(pair, batch)[0]
         pair.flat[i] = saved - epsilon
-        minus = pairwise_contrastive_loss(pair, batch, margin=margin, training=False)[0]
+        minus = pairwise_contrastive_loss(pair, batch)[0]
         pair.flat[i] = saved
         numeric = (plus - minus) / (2 * epsilon)
         max_rel = max(max_rel, abs(g - numeric) / max(1e-6, abs(g), abs(numeric)))
@@ -590,8 +574,8 @@ def train_pair(pair: EmbedderPair, adam: AdamState, sampler: SamplerState,
     parameters.
     """
     dtype = pair.flat.dtype
-    rows_r = {tk: vectors_r[tk][pair.live_r].astype(dtype) for tk, _ in sampler.drawable}
-    rows_t = {mid: vectors_t[mid][pair.live_t].astype(dtype) for _, mid in sampler.drawable}
+    rows_r = {tk: vectors_r[tk][pair.net_r.live].astype(dtype) for tk, _ in sampler.drawable}
+    rows_t = {mid: vectors_t[mid][pair.net_t.live].astype(dtype) for _, mid in sampler.drawable}
     history = []
     # a huge learning rate overflows the parameters; gradient_step then raises on the loss
     with np.errstate(over="ignore", invalid="ignore"):
@@ -622,21 +606,13 @@ def save_checkpoint(path, pair: EmbedderPair, step=0, extra=None):
     """
     if pair.flat.dtype != np.float32:
         raise ValueError(f"a checkpoint holds float32 parameters, not {pair.flat.dtype}")
-    header = {
-        "format_version": CKPT_VERSION,
-        "shapes_r": [list(w.shape) for w in pair.net_r.weights],
-        "shapes_t": [list(w.shape) for w in pair.net_t.weights],
-        "keep_prob_r": pair.net_r.keep_prob,
-        "keep_prob_t": pair.net_t.keep_prob,
-        "input_dim_r": pair.input_dim_r,
-        "input_dim_t": pair.input_dim_t,
-        "live_r": pair.live_r.tolist(),
-        "live_t": pair.live_t.tolist(),
-        "joint_dim": pair.joint_dim,
-        "margin": pair.margin,
-        "seed": pair.seed,
-        "step": step,
-    }
+    header = {"format_version": CKPT_VERSION, "joint_dim": pair.joint_dim,
+              "margin": pair.margin, "seed": pair.seed, "step": step}
+    for side, net in zip("rt", (pair.net_r, pair.net_t)):
+        header[f"shapes_{side}"] = [list(w.shape) for w in net.weights]
+        header[f"keep_prob_{side}"] = net.keep_prob
+        header[f"input_dim_{side}"] = net.raw_dim
+        header[f"live_{side}"] = net.live.tolist()
     if extra:
         header["extra"] = extra
     blob = formats.encode_json(header)
@@ -654,9 +630,9 @@ def load_checkpoint(path):
         )
         flat = formats.read_floats(data, offset + hlen, count, np.float32)
         start, built = 0, []
-        for shapes, keep_prob in nets:
+        for shapes, kwargs in nets:
             weights, biases, start = _layer_views(flat, start, shapes)
-            built.append(DenseNet(weights, biases, keep_prob=keep_prob))
+            built.append(DenseNet(weights, biases, **kwargs))
         return EmbedderPair(*built, **hyper, flat=flat), header
 
     return formats.read_binary(path, CKPT_MAGIC, CKPT_HEADER, CKPT_VERSION, TrainingError,
@@ -664,16 +640,17 @@ def load_checkpoint(path):
 
 
 def _read_header(header):
-    """(header, (layer shapes, keep probability) of each net, parameter count, pair kwargs)."""
+    """(header, (layer shapes, other DenseNet kwargs) of each net, parameter count, pair kwargs)."""
     nets = []
     for side in "rt":
-        keep_prob = check("training.keep_prob", float(header[f"keep_prob_{side}"]), ValueError)
         shapes = [(operator.index(out_dim), operator.index(in_dim))
                   for out_dim, in_dim in header[f"shapes_{side}"]]
-        nets.append((shapes, keep_prob))
+        nets.append((shapes, {
+            "keep_prob": check("training.keep_prob", float(header[f"keep_prob_{side}"]), ValueError),
+            "live": header[f"live_{side}"],
+            "raw_dim": operator.index(header[f"input_dim_{side}"]),
+        }))
     count = sum(out_dim * (in_dim + 1) for shapes, _ in nets for out_dim, in_dim in shapes)
-    hyper = {key: header[key] for key in ("joint_dim", "live_r", "live_t")}
+    hyper = {key: operator.index(header[key]) for key in ("joint_dim", "seed")}
     hyper["margin"] = float(header["margin"])
-    for key in ("input_dim_r", "input_dim_t", "seed"):
-        hyper[key] = operator.index(header[key])
     return header, nets, count, hyper

@@ -367,7 +367,9 @@ class KeyedVectors(Mapping):
         """``items`` itself if it is keyed vectors, else its ascending keys over its stacked rows."""
         if isinstance(items, KeyedVectors):
             return items
-        keys = sorted(items)
+        keys = list(items)
+        if all(isinstance(key, str) for key in keys):  # else the constructor names a key that is not
+            keys.sort()
         rows = [np.asarray(items[k]) for k in keys]
         shapes = {row.shape for row in rows}
         if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):

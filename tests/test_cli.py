@@ -657,6 +657,8 @@ class TestErrors:
         ("model_Landmark.ckpt", ckpt_header(lambda h: h.update(keep_prob_t=1.5)),
          "embed-mentions"),
         ("model_Landmark.ckpt", ckpt_header(lambda h: h.update(margin=-1e-9)), "embed-tuples"),
+        ("model_Landmark.ckpt", ckpt_header(lambda h: h.update(joint_dim=float(h["joint_dim"]))),
+         "embed-tuples"),
         ("vectorizer_Landmark.json", lambda b: json_set(b, "encoder", "seed", value=2**63),
          "train"),
         ("vectorizer_Landmark.json", lambda b: json_set(b, "encoder", "seed", value=-1), "train"),
@@ -687,7 +689,8 @@ class TestErrors:
             "corpus-foreign-key-names-tuple-of-other-relation",
             "vectorizer-foreign-key-targets-other-relation", "corpus-values-key-repeated",
             "vectorizer-key-repeated", "ckpt-header-key-repeated", "ckpt-keep-prob-r-0",
-            "ckpt-keep-prob-t-1.5", "ckpt-margin-negative", "vectorizer-encoder-seed-2**63",
+            "ckpt-keep-prob-t-1.5", "ckpt-margin-negative", "ckpt-joint-dim-float",
+            "vectorizer-encoder-seed-2**63",
             "vectorizer-encoder-seed-negative", "corpus-categories-share-a-slug"])
     def test_corrupt_artifact_exits_two_naming_it(self, project, capsys, artifact, corrupt, command):
         config_path, workdir = project
@@ -797,6 +800,13 @@ class TestErrors:
         assert lr == 1.0 and isinstance(lr, float)
 
     def test_stale_checkpoint_names_train(self, project, capsys):
+        self._check_stale_checkpoint_names_train(project, capsys, "embed-tuples")
+
+    def test_stale_checkpoint_names_train_on_embed_mentions(self, project, capsys):
+        self._check_stale_checkpoint_names_train(project, capsys, "embed-mentions")
+
+    @staticmethod
+    def _check_stale_checkpoint_names_train(project, capsys, embed):
         config_path, workdir = project
         for command in ("ingest", "fit", "train"):
             assert run_command([command, "--config", str(config_path)]) == 0
@@ -808,7 +818,7 @@ class TestErrors:
         assert not ckpt.exists()  # fit deletes it; put the old one back
         ckpt.write_bytes(old)
         capsys.readouterr()
-        assert run_command(["embed-tuples", "--config", str(config_path)]) == 1
+        assert run_command([embed, "--config", str(config_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "model_Landmark.ckpt" in err and "rerun `tablelink train`" in err

@@ -96,6 +96,17 @@ class TestForward:
         out2, _ = net.forward(np.ones(8), training=True, rng=np.random.default_rng(7))
         np.testing.assert_array_equal(out1, out2)
 
+    def test_embed_takes_raw_rows_and_widened_keeps_the_first_layer(self):
+        net = DenseNet.init([8, 6, 4], np.random.default_rng(0), live=[1, 4, 6])
+        assert (net.raw_dim, net.input_dim) == (8, 3)
+        with pytest.raises(ValueError, match="input dim 3 != raw input dim 8"):
+            net.embed(np.ones((2, 3)))  # rows already cut to the live columns
+        wide = net.widened()
+        assert wide.raw_dim == 8 and wide.weights[0].dtype == np.float64
+        np.testing.assert_array_equal(wide.live, [1, 4, 6])
+        x = np.random.default_rng(1).normal(size=(2, 8))
+        np.testing.assert_allclose(wide.embed(x), net.embed(x), rtol=1e-5, atol=1e-6)
+
 
 class TestScore:
     """The trainer's cosine distance, one pair at a time through ``score_matrix``."""
@@ -219,6 +230,16 @@ class TestGradients:
         batch = random_batch(rng)
         err = gradient_check(pair, batch, epsilon=1e-5)
         assert err < 1e-4
+
+    def test_margin_nudged_on_the_copy_only(self):
+        pair = EmbedderPair(net_r=DenseNet([np.eye(2)], [np.zeros(2)]),
+                            net_t=DenseNet([np.eye(2)], [np.zeros(2)]), joint_dim=2, margin=1.0)
+        batch = TrainingBatch(x_tuples=np.array([[1.0, 0.0]]),
+                              x_mentions=np.array([[1.0, 0.0], [0.0, 1.0]]), pos_pairs=[(0, 0)])
+        # hinge = margin + S(r, p) - S(r, n) = 1 + 0 - 1 sits on its boundary
+        assert pairwise_contrastive_loss(pair, batch)[2].min_hinge_gap == 0.0
+        assert gradient_check(pair, batch, epsilon=1e-5) < 1e-4
+        assert pair.margin == 1.0
 
     def test_saturated_gradient_exactly_zero(self):
         pair = EmbedderPair(
@@ -442,14 +463,14 @@ class TestCheckpoint:
         again, header = load_checkpoint(path)
         assert header["step"] == 42 and header["format_version"] == 2
         assert header["live_r"] == [0, 3, 4, 7] and header["live_t"] == [1, 2, 9]
-        assert (again.input_dim_r, again.input_dim_t) == (8, 10)
-        np.testing.assert_array_equal(again.live_r, pair.live_r)
-        np.testing.assert_array_equal(again.live_t, pair.live_t)
+        assert (again.net_r.raw_dim, again.net_t.raw_dim) == (8, 10)
+        np.testing.assert_array_equal(again.net_r.live, pair.net_r.live)
+        np.testing.assert_array_equal(again.net_t.live, pair.net_t.live)
         assert again.flat.dtype == np.float32
         for a, b in zip(pair.parameters(), again.parameters()):
             np.testing.assert_array_equal(a, b)
         x = np.random.default_rng(0).normal(size=(3, 8))
-        np.testing.assert_array_equal(pair.embed_tuples(x), again.embed_tuples(x))
+        np.testing.assert_array_equal(pair.net_r.embed(x), again.net_r.embed(x))
         resaved = tmp_path / "again.ckpt"
         save_checkpoint(resaved, again, step=42)
         assert resaved.read_bytes() == path.read_bytes()
@@ -509,12 +530,12 @@ class TestCompactPair:
         for p, q in zip(dense.parameters()[1:], pair.parameters()[1:]):
             p[...] = q
         x = np.random.default_rng(1).normal(size=(5, 8))
-        out = pair.embed_tuples(x)
+        out = pair.net_r.embed(x)
         assert out.tobytes() == pair.net_r.forward(x[:, live_r].astype(np.float32))[0].tobytes()
         assert out.dtype == np.float32
-        np.testing.assert_allclose(out, dense.embed_tuples(x), rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(out, dense.net_r.embed(x), rtol=1e-5, atol=1e-6)
         with pytest.raises(ValueError, match="input dim 7"):
-            pair.embed_tuples(x[:, :7])
+            pair.net_r.embed(x[:, :7])
 
     @pytest.mark.parametrize("live, match", [
         ([0, 5, 3], "does not strictly ascend"),
@@ -525,9 +546,9 @@ class TestCompactPair:
         ([0.0, 3.0, 5.0], "not column indices"),
     ])
     def test_bad_live_table_rejected(self, live, match):
-        pair = tiny_pair(seed=8, live_r=[0, 3, 5])
+        net = tiny_pair(seed=8, live_r=[0, 3, 5]).net_r
         with pytest.raises(ValueError, match=match):
-            EmbedderPair(pair.net_r, pair.net_t, joint_dim=4, input_dim_r=8, live_r=live)
+            DenseNet(net.weights, net.biases, live=live, raw_dim=8)
 
 
 class TestTrainLoop:
@@ -580,8 +601,8 @@ class TestTrainLoop:
         pair = self.compact_pair(vectors_r, vectors_t, links)
         live_r = np.setdiff1d(np.arange(12), dead_r)
         live_t = np.setdiff1d(np.arange(10), dead_t)
-        np.testing.assert_array_equal(pair.live_r, live_r)
-        np.testing.assert_array_equal(pair.live_t, live_t)
+        np.testing.assert_array_equal(pair.net_r.live, live_r)
+        np.testing.assert_array_equal(pair.net_t.live, live_t)
         init_r, init_t = pair.net_r.weights[0].copy(), pair.net_t.weights[0].copy()
         adam = AdamState(lr=1e-2)
         history = train_pair(pair, adam, SamplerState(links, batch_size=2, seed=3),
@@ -622,13 +643,13 @@ class TestTrainLoop:
         # the former trainer: a full f64 pair, its live columns trained in float32
         # on a compact copy and written back, its dead columns left at their init
         full = EmbedderPair(*glorot_f64(5, [12, 6, 4], [10, 4]), joint_dim=4, margin=0.2, seed=5)
-        lives = (pair.live_r, pair.live_t)
+        lives = (pair.net_r.live, pair.net_t.live)
         compact = EmbedderPair(
             *[DenseNet([w.astype(np.float32) for w in (net.weights[0][:, live], *net.weights[1:])],
-                       [b.astype(np.float32) for b in net.biases], keep_prob=net.keep_prob)
-              for net, live in zip((full.net_r, full.net_t), lives)],
-            joint_dim=4, margin=full.margin, seed=full.seed, input_dim_r=12, input_dim_t=10,
-            live_r=pair.live_r, live_t=pair.live_t, train_rng=full.train_rng)
+                       [b.astype(np.float32) for b in net.biases], keep_prob=net.keep_prob,
+                       live=live, raw_dim=raw_dim)
+              for net, live, raw_dim in zip((full.net_r, full.net_t), lives, (12, 10))],
+            joint_dim=4, margin=full.margin, seed=full.seed, train_rng=full.train_rng)
         train_pair(compact, AdamState(lr=1e-2), SamplerState(links, batch_size=2, seed=3),
                    gold, vectors_r, vectors_t, batches=20)
         for net, trained, live in zip((full.net_r, full.net_t), (compact.net_r, compact.net_t), lives):

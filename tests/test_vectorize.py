@@ -594,6 +594,17 @@ class TestKeyedVectors:
                 save_forest(build_forest(items, t=2, leaf_capacity=4, seed=0), path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("suffix", ["vec", "idx"])
+    def test_writers_reject_mixed_key_types_before_sorting(self, tmp_path, suffix):
+        items = {1: np.ones(3), "a": np.zeros(3)}  # sorting them would raise a bare TypeError
+        path = tmp_path / f"x.{suffix}"
+        with pytest.raises(VectorizeError, match="id 1 is a int, not a str"):
+            if suffix == "vec":
+                write_vector_file(path, items)
+            else:
+                save_forest(build_forest(items, t=2, leaf_capacity=4, seed=0), path)
+        assert not path.exists()
+
     def test_not_1d_rejected(self):
         with pytest.raises(VectorizeError, match="1-D of one dimension"):
             KeyedVectors.of({"a": np.ones((2, 2))})
