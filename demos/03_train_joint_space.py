@@ -43,24 +43,23 @@ for e in entities:
         vectors_t[mid] = view
         links[e].append((e, mid))
 
-live_r = live_columns(vectors_r, entities, 30)
-live_t = live_columns(vectors_t, list(vectors_t), 32)
+live_r = live_columns(vectors_r, entities)
+live_t = live_columns(vectors_t, list(vectors_t))
 print(f"first layers read {len(live_r)} of 30 tuple and {len(live_t)} of 32 mention columns")
 pair = EmbedderPair.build(input_dim_r=30, input_dim_t=32, hidden_r=(32,),
                           joint_dim=16, margin=1.0, keep_prob=0.75, seed=1,
                           live_r=live_r, live_t=live_t)
 adam = AdamState(lr=1e-3)
 sampler = SamplerState(links, batch_size=16, seed=2)
-gold = {pair_ for ls in links.values() for pair_ in ls}
 
 # Check the analytic gradients against central finite differences before
 # trusting the training loop (dropout off for the check, which runs in f64).
 check_pair = EmbedderPair.build(input_dim_r=30, input_dim_t=32, hidden_r=(4,),
                                 joint_dim=3, margin=0.5, keep_prob=1.0, seed=3)
-batch = sample_batch(SamplerState(links, batch_size=3, seed=4), gold, vectors_r, vectors_t)
+batch = sample_batch(SamplerState(links, batch_size=3, seed=4), vectors_r, vectors_t)
 print("max relative gradient error:", gradient_check(check_pair, batch, epsilon=1e-5))
 
-history = train_pair(pair, adam, sampler, gold, vectors_r, vectors_t, batches=400)
+history = train_pair(pair, adam, sampler, vectors_r, vectors_t, batches=400)
 print("loss: first=%.3f mid=%.3f last=%.3f" % (history[0][2], history[200][2], history[-1][2]))
 
 # After training, a tuple scores its own mentions well below the others.

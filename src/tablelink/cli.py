@@ -239,13 +239,12 @@ def stage_fit(art: CategoryArtifacts, config, args):
 
 
 def stage_train(art: CategoryArtifacts, config, args):
+    pair, adam, history = linker.train_category(
+        art.ws.corpus(), art.category, config, art.ws.splits(),
+        art.raw_vectors("tuples"), art.raw_vectors("mentions"), cat_index=art.cat_index,
+    )
     with formats.replacing(art.path("train_{}.log"), "w", encoding="utf-8") as log:
-        pair, adam, history = linker.train_category(
-            art.ws.corpus(), art.category, config, art.ws.splits(),
-            art.raw_vectors("tuples"), art.raw_vectors("mentions"),
-            cat_index=art.cat_index,
-            progress=lambda step, lr, loss: log.write(f"{step}\t{lr:.6e}\t{loss:.6e}\n"),
-        )
+        log.writelines(f"{step}\t{lr:.6e}\t{loss:.6e}\n" for step, lr, loss in history)
     path = art.put("model_{}.ckpt", pair)
     neural.save_checkpoint(path, pair, step=adam.step, extra={"category": art.category})
     final = history[-1][2] if history else float("nan")

@@ -174,13 +174,15 @@ def evaluate_precision(results, gold, ks=(1, 5, 10), split="test", category="ove
     set of gold counterparts. An anchor's hit rank is the best dense rank of
     its gold counterparts, and it counts for every k at or above it. Anchors
     without any gold counterpart are excluded and counted. The cell is added
-    to ``report`` (a fresh one when None), which is returned.
+    to ``report``, counted at its ``ks``, and returned; ``ks`` only sizes a
+    fresh report when ``report`` is None.
     """
     best = [min((rank for cp, _, rank in ranked if cp in gold[anchor]), default=math.inf)
             for anchor, ranked in results.items() if gold.get(anchor)]
     if report is None:
         report = EvalReport(ks=tuple(ks), primary_direction=direction)
-    report.add_cell(direction, split, category, {k: sum(rank <= k for rank in best) for k in ks},
+    report.add_cell(direction, split, category,
+                    {k: sum(rank <= k for rank in best) for k in report.ks},
                     len(best), excluded=len(results) - len(best))
     return report
 
@@ -200,7 +202,7 @@ def category_matches(corpus: Corpus, category, name_attribute=None):
 
 
 def train_category(corpus: Corpus, category, config, splits, tuple_vecs, mention_vecs,
-                   cat_index=0, progress=None):
+                   cat_index=0):
     """Obtain one category's matches and train its embedder pair on its raw ``KeyedVectors``.
 
     Only matches of train-split entities reach the sampler, so test- and
@@ -236,19 +238,16 @@ def train_category(corpus: Corpus, category, config, splits, tuple_vecs, mention
         margin=config.training.margin,
         keep_prob=config.training.keep_prob,
         seed=seed,
-        live_r=neural.live_columns(tuple_vecs, {tk for tk, _ in sampler.drawable}, tuple_vecs.dim),
-        live_t=neural.live_columns(mention_vecs, {mid for _, mid in sampler.drawable},
-                                   mention_vecs.dim),
+        live_r=neural.live_columns(tuple_vecs, sampler.gold),
+        live_t=neural.live_columns(mention_vecs, {mid for _, mid in sampler.drawable}),
     )
     adam = neural.AdamState(
         lr=config.training.lr,
         decay=config.training.decay,
         decay_every=config.training.decay_every,
     )
-    history = neural.train_pair(
-        pair, adam, sampler, set(matches), tuple_vecs, mention_vecs,
-        batches=config.training.batch_budget, log_fn=progress,
-    )
+    history = neural.train_pair(pair, adam, sampler, tuple_vecs, mention_vecs,
+                                batches=config.training.batch_budget)
     logger.info("category %s: trained on %d matches (%s)", category, len(matches), source)
     return pair, adam, history
 
@@ -287,7 +286,7 @@ def evaluate_category(report, corpus: Corpus, category, splits,
             members = getattr(splits, split)
             results = {anchor: r for anchor, r in ranked.items() if entity_of[anchor] in members}
             gold = {anchor: set(links_by_anchor[anchor]) for anchor in results}
-            evaluate_precision(results, gold, ks=report.ks, split=split, category=category,
+            evaluate_precision(results, gold, split=split, category=category,
                                direction=direction, report=report)
     return report
 

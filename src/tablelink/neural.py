@@ -255,9 +255,9 @@ def _live_table(live, raw_dim, width):
     return live.astype(np.int64), raw_dim
 
 
-def live_columns(vectors, keys, dim):
+def live_columns(vectors, keys):
     """Ascending indices of the columns that are nonzero in at least one of the rows ``keys``."""
-    live = np.zeros(dim, dtype=bool)
+    live = False
     for key in keys:
         live |= vectors[key] != 0
     return np.flatnonzero(live)
@@ -501,7 +501,8 @@ class SamplerState:
     Entities are drawn with probability proportional to 1/(1 + seen count),
     so rarely sampled entities catch up; one of the entity's gold links is
     then drawn uniformly. Every batch therefore contains at least one
-    positive pair by construction. ``drawable`` lists every link it can draw.
+    positive pair by construction. ``drawable`` lists every link it can draw;
+    ``gold`` maps each drawable tuple key to its set of drawable mention ids.
     """
 
     def __init__(self, links_by_entity, batch_size=32, seed=0):
@@ -513,6 +514,9 @@ class SamplerState:
         self.rng = np.random.default_rng(seed)
         self.seen = {e: 0 for e in self.entities}
         self.drawable = [link for links in self.links_by_entity.values() for link in links]
+        self.gold = {}
+        for tk, mid in self.drawable:
+            self.gold.setdefault(tk, set()).add(mid)
 
     def sample_pairs(self):
         """Draw one batch worth of (tuple_key, mention_id) positive pairs."""
@@ -529,28 +533,18 @@ class SamplerState:
         return pairs
 
 
-def sample_batch(sampler: SamplerState, gold_pairs, vectors_r, vectors_t):
+def sample_batch(sampler: SamplerState, vectors_r, vectors_t):
     """Assemble a TrainingBatch from sampled pairs and raw vector stores.
 
-    ``gold_pairs`` is the full positive set; any gold pair that happens to
-    fall inside the batch is marked positive, never treated as a negative.
+    A batch pair is positive iff it is in ``sampler.gold``, so a gold pair
+    that happens to fall inside the batch is never treated as a negative.
     """
     drawn = sampler.sample_pairs()
-    tuple_keys, mention_ids = [], []
-    t_index, m_index = {}, {}
-    for tk, mid in drawn:
-        if tk not in t_index:
-            t_index[tk] = len(tuple_keys)
-            tuple_keys.append(tk)
-        if mid not in m_index:
-            m_index[mid] = len(mention_ids)
-            mention_ids.append(mid)
-    pos_pairs = [
-        (i, j)
-        for tk, i in t_index.items()
-        for mid, j in m_index.items()
-        if (tk, mid) in gold_pairs
-    ]
+    tuple_keys = list(dict.fromkeys(tk for tk, _ in drawn))
+    mention_ids = list(dict.fromkeys(mid for _, mid in drawn))
+    m_index = {mid: j for j, mid in enumerate(mention_ids)}
+    pos_pairs = [(i, j) for i, tk in enumerate(tuple_keys)
+                 for j in sorted(m_index[mid] for mid in sampler.gold[tk] if mid in m_index)]
     return TrainingBatch(
         x_tuples=np.stack([vectors_r[k] for k in tuple_keys]),
         x_mentions=np.stack([vectors_t[k] for k in mention_ids]),
@@ -561,8 +555,8 @@ def sample_batch(sampler: SamplerState, gold_pairs, vectors_r, vectors_t):
 
 
 def train_pair(pair: EmbedderPair, adam: AdamState, sampler: SamplerState,
-               gold_pairs, vectors_r, vectors_t, batches, log_fn=None):
-    """Run a fixed budget of sampled batches; returns the loss history.
+               vectors_r, vectors_t, batches):
+    """Run a fixed budget of sampled batches; returns the history, one (step, lr, loss) per batch.
 
     Each row the sampler can draw is cut once to the pair's live columns, in
     the pair's dtype, and the steps run on those. A first-layer column that
@@ -580,12 +574,10 @@ def train_pair(pair: EmbedderPair, adam: AdamState, sampler: SamplerState,
     # a huge learning rate overflows the parameters; gradient_step then raises on the loss
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(batches):
-            batch = sample_batch(sampler, gold_pairs, rows_r, rows_t)
+            batch = sample_batch(sampler, rows_r, rows_t)
             lr = adam.effective_lr()
             loss, _ = gradient_step(pair, adam, batch)
             history.append((adam.step - 1, lr, loss))
-            if log_fn is not None:
-                log_fn(adam.step - 1, lr, loss)
     return history
 
 

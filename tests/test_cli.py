@@ -354,6 +354,20 @@ class TestCommands:
         assert run_command(["fit", "--config", str(config_path)]) == 0
         assert present() == set()
 
+    def test_train_log_holds_one_line_per_batch(self, project):
+        config_path, workdir = project
+        for step in ("ingest", "fit", "train"):
+            assert run_command([step, "--config", str(config_path)]) == 0, step
+        training = json.loads(config_path.read_text())["training"]
+        text = (workdir / "train_Landmark.log").read_text(encoding="utf-8")
+        assert text.endswith("\n")
+        lines = text.splitlines()
+        assert len(lines) == training["batch_budget"]
+        for step, line in enumerate(lines):
+            fields = line.split("\t")
+            assert fields[:2] == [str(step), f"{training['lr']:.6e}"] and len(fields) == 3
+            assert np.isfinite(float(fields[2]))
+
     def test_links_reports_and_train_log_go_with_their_inputs(self, project):
         config_path, workdir = project
         for step in (*INDEX_CHAIN, "link", "eval"):

@@ -10,6 +10,7 @@ from tablelink.corpus import RelationSchema, TextMention, load_corpus_xml, make_
 from tablelink.linker import (
     MENTION_TO_TUPLES,
     TUPLE_TO_MENTIONS,
+    EvalReport,
     LinkerError,
     bootstrap_exact_match,
     category_matches,
@@ -201,6 +202,13 @@ class TestEvaluatePrecision:
         cell = report.cells[TUPLE_TO_MENTIONS]["test"]["overall"]
         assert cell["count"] == 1
         assert cell["excluded"] == 1
+
+    def test_given_report_counts_at_its_own_ks(self):
+        results, gold = self.make_results(3)
+        report = evaluate_precision(results, gold, ks=(1,), report=EvalReport(ks=(1, 5)))
+        cell = report.cells[TUPLE_TO_MENTIONS]["test"]["overall"]
+        assert cell["hits"] == {"1": 0, "5": 1}
+        assert report.ks == (1, 5)
 
     def test_repeated_k_counts_an_anchor_once(self):
         results, gold = self.make_results(1)

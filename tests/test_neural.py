@@ -431,9 +431,8 @@ class TestSampler:
         sampler = SamplerState(links, batch_size=8, seed=2)
         vectors_r = {"train1": np.ones(3), "train2": np.zeros(3)}
         vectors_t = {"m1": np.ones(2), "m2": np.zeros(2)}
-        gold = {("train1", "m1"), ("train2", "m2")}
         for _ in range(50):
-            batch = sample_batch(sampler, gold, vectors_r, vectors_t)
+            batch = sample_batch(sampler, vectors_r, vectors_t)
             assert set(batch.tuple_keys) <= {"train1", "train2"}
             assert batch.pos_pairs
 
@@ -442,13 +441,27 @@ class TestSampler:
         # pair must be positive whenever gold says so
         links = {"E": [("E", "m1"), ("E", "m2")]}
         sampler = SamplerState(links, batch_size=8, seed=3)
-        gold = {("E", "m1"), ("E", "m2")}
         vectors_r = {"E": np.ones(3)}
         vectors_t = {"m1": np.ones(2), "m2": np.zeros(2)}
-        batch = sample_batch(sampler, gold, vectors_r, vectors_t)
+        batch = sample_batch(sampler, vectors_r, vectors_t)
         assert set(batch.pos_pairs) == {
             (batch.tuple_keys.index("E"), j) for j in range(len(batch.mention_ids))
         }
+
+    def test_mention_gold_for_two_batch_tuples_is_positive_for_both(self):
+        # m1 is gold for two tuple records of one entity; F and m1 are both
+        # in the batch but not linked, so that pair is a negative
+        links = {"E": [("E", "m1"), ("E#2", "m1")], "F": [("F", "m2")]}
+        sampler = SamplerState(links, batch_size=16, seed=5)
+        assert sampler.gold == {"E": {"m1"}, "E#2": {"m1"}, "F": {"m2"}}
+        vectors_r = {key: np.ones(3) for key in ("E", "E#2", "F")}
+        vectors_t = {mid: np.ones(2) for mid in ("m1", "m2")}
+        batch = sample_batch(sampler, vectors_r, vectors_t)
+        assert sorted(batch.tuple_keys) == ["E", "E#2", "F"]
+        t, m = batch.tuple_keys.index, batch.mention_ids.index
+        assert batch.pos_pairs == sorted([(t("E"), m("m1")), (t("E#2"), m("m1")),
+                                          (t("F"), m("m2"))])
+        assert (t("F"), m("m1")) not in batch.pos_pairs
 
     def test_no_links_rejected(self):
         with pytest.raises(ValueError, match="no gold links"):
@@ -552,22 +565,16 @@ class TestCompactPair:
 
 
 class TestTrainLoop:
-    def test_history_and_log_callback(self):
+    def test_history_holds_one_row_per_step(self):
         links = {"E1": [("E1", "m1")], "E2": [("E2", "m2")]}
         sampler = SamplerState(links, batch_size=4, seed=0)
-        gold = {("E1", "m1"), ("E2", "m2")}
         rng = np.random.default_rng(7)
         vectors_r = {"E1": rng.normal(size=6), "E2": rng.normal(size=6)}
         vectors_t = {"m1": rng.normal(size=6), "m2": rng.normal(size=6)}
         pair = tiny_pair(seed=1, in_r=6, in_t=6)
         adam = AdamState(lr=1e-3)
-        logged = []
-        history = train_pair(
-            pair, adam, sampler, gold, vectors_r, vectors_t, batches=10,
-            log_fn=lambda step, lr, loss: logged.append((step, lr, loss)),
-        )
+        history = train_pair(pair, adam, sampler, vectors_r, vectors_t, batches=10)
         assert len(history) == 10
-        assert logged == history
         assert [h[0] for h in history] == list(range(10))
 
     def sparse_fixture(self):
@@ -585,18 +592,17 @@ class TestTrainLoop:
         # columns 11 and 9 are nonzero only in rows that no link reaches
         vectors_r["X"] = rng.normal(size=12)
         vectors_t["mX"] = rng.normal(size=10)
-        gold = {pair for pairs in links.values() for pair in pairs} | {("X", "mX")}
-        return links, gold, vectors_r, vectors_t, [0, 1, 11], [0, 9]
+        return links, vectors_r, vectors_t, [0, 1, 11], [0, 9]
 
     def compact_pair(self, vectors_r, vectors_t, links):
         """The float32 pair ``train_category`` builds: first layers on the columns drawable rows set."""
         drawable = [link for pairs in links.values() for link in pairs]
         return tiny_pair(seed=5, in_r=12, in_t=10, hidden_r=(6,), joint=4, keep=0.75,
-                         live_r=live_columns(vectors_r, {tk for tk, _ in drawable}, 12),
-                         live_t=live_columns(vectors_t, {mid for _, mid in drawable}, 10))
+                         live_r=live_columns(vectors_r, {tk for tk, _ in drawable}),
+                         live_t=live_columns(vectors_t, {mid for _, mid in drawable}))
 
     def test_only_reachable_columns_train_and_match_dense_training(self):
-        links, gold, vectors_r, vectors_t, dead_r, dead_t = self.sparse_fixture()
+        links, vectors_r, vectors_t, dead_r, dead_t = self.sparse_fixture()
         batches, hidden = 40, 6
         pair = self.compact_pair(vectors_r, vectors_t, links)
         live_r = np.setdiff1d(np.arange(12), dead_r)
@@ -606,7 +612,7 @@ class TestTrainLoop:
         init_r, init_t = pair.net_r.weights[0].copy(), pair.net_t.weights[0].copy()
         adam = AdamState(lr=1e-2)
         history = train_pair(pair, adam, SamplerState(links, batch_size=2, seed=3),
-                             gold, vectors_r, vectors_t, batches=batches)
+                             vectors_r, vectors_t, batches=batches)
 
         # the dense reference trains every column, in float32 too
         ref = tiny_pair(seed=5, in_r=12, in_t=10, hidden_r=(hidden,), joint=4, keep=0.75)
@@ -614,7 +620,7 @@ class TestTrainLoop:
         ref_sampler = SamplerState(links, batch_size=2, seed=3)
         ref_losses = []
         for _ in range(batches):
-            batch = sample_batch(ref_sampler, gold, vectors_r, vectors_t)
+            batch = sample_batch(ref_sampler, vectors_r, vectors_t)
             ref_losses.append(gradient_step(ref, ref_adam, batch)[0])
 
         # the dead columns have no weights; every live value is the dense one, bit for bit
@@ -631,11 +637,11 @@ class TestTrainLoop:
         assert adam.m.size == pair.flat.size == ref.flat.size - hidden * len(dead_r) - 4 * len(dead_t)
 
     def test_checkpoint_holds_the_values_of_dense_then_write_back_training(self, tmp_path):
-        links, gold, vectors_r, vectors_t, dead_r, dead_t = self.sparse_fixture()
+        links, vectors_r, vectors_t, dead_r, dead_t = self.sparse_fixture()
         pair = self.compact_pair(vectors_r, vectors_t, links)
         init = pair.flat.copy()
         train_pair(pair, AdamState(lr=1e-2), SamplerState(links, batch_size=2, seed=3),
-                   gold, vectors_r, vectors_t, batches=20)
+                   vectors_r, vectors_t, batches=20)
         assert not np.array_equal(pair.flat, init)
         save_checkpoint(tmp_path / "model.ckpt", pair, step=20)
         stored, header = load_checkpoint(tmp_path / "model.ckpt")
@@ -651,7 +657,7 @@ class TestTrainLoop:
               for net, live, raw_dim in zip((full.net_r, full.net_t), lives, (12, 10))],
             joint_dim=4, margin=full.margin, seed=full.seed, train_rng=full.train_rng)
         train_pair(compact, AdamState(lr=1e-2), SamplerState(links, batch_size=2, seed=3),
-                   gold, vectors_r, vectors_t, batches=20)
+                   vectors_r, vectors_t, batches=20)
         for net, trained, live in zip((full.net_r, full.net_t), (compact.net_r, compact.net_t), lives):
             net.weights[0][:, live] = trained.weights[0]
             for p, value in zip(net.weights[1:] + net.biases, trained.weights[1:] + trained.biases):
