@@ -2,9 +2,10 @@
 
 Every command is a pure function of its inputs, configuration, and seeds;
 artifacts land in the configured workdir under stable names (corpus.json,
-splits.json, vectorizer_<category>.json, model_<category>.ckpt, *.vec,
-*.idx, report.json). A lock file guards the workdir against concurrent
-commands.
+manifest.json, splits.json, vectorizer_<category>.json, train_<category>.log,
+model_<category>.ckpt, *.vec, *.idx, links_<category>.tsv,
+mention_links_<category>.tsv, report.json, report.txt). A lock file guards
+the workdir against concurrent commands.
 """
 
 import argparse
@@ -16,7 +17,8 @@ from pathlib import Path
 
 from . import annindex, formats, linker, neural, vectorize
 from .config import ConfigError, load_config
-from .corpus import Corpus, CorpusError, Splits, load_corpus_xml, make_stratified_splits, slug
+from .corpus import (Corpus, CorpusError, Manifest, Splits, load_corpus_xml,
+                     make_stratified_splits, slug)
 
 
 class UsageError(Exception):
@@ -24,7 +26,7 @@ class UsageError(Exception):
 
 
 class PrerequisiteError(Exception):
-    """A required artifact is missing; the message names its producer."""
+    """A required artifact is missing or stale; the message names its producer."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,7 +83,7 @@ class WorkdirLock:
 # name is a file name with {} for a category's slug; "raw <side>" names the
 # vectors of a side before the networks, kept only in memory.
 DERIVED = {
-    "corpus.json": ("vectorizer_{}.json",),
+    "corpus.json": ("manifest.json", "vectorizer_{}.json"),
     "vectorizer_{}.json": ("raw tuples", "raw mentions", "model_{}.ckpt", "train_{}.log"),
     "model_{}.ckpt": ("tuples_{}.vec", "mentions_{}.vec"),
     "tuples_{}.vec": ("tuples_{}.idx", "links_{}.tsv", "report.json", "report.txt"),
@@ -133,7 +135,7 @@ class Artifacts:
 
 
 class Workdir(Artifacts):
-    """A workdir's corpus and splits, the root of every other artifact.
+    """A workdir's corpus, its manifest and splits, the root of every other artifact.
 
     ``report`` collects the evaluation cells of one ``run_stages`` call.
     """
@@ -144,11 +146,26 @@ class Workdir(Artifacts):
 
     def ingest(self, corpus: Corpus, splits: Splits):
         self.root.mkdir(parents=True, exist_ok=True)
-        corpus.save(self.put("corpus.json", corpus))
+        blob = corpus.save(self.put("corpus.json", corpus))
+        manifest = Manifest.of(corpus, blob)
+        manifest.save(self.put("manifest.json", manifest))
         splits.save(self.put("splits.json", splits))
 
     def corpus(self) -> Corpus:
         return self._get("corpus.json", "ingest", Corpus.load)
+
+    def manifest(self) -> Manifest:
+        """What ``run_stages`` needs of ``corpus.json``; a load checks it against that file's digest."""
+        return self._get("manifest.json", "ingest", self._load_manifest)
+
+    def _load_manifest(self, path):
+        manifest = Manifest.load(path)
+        corpus_path = self.path("corpus.json")
+        if not (corpus_path.exists() and manifest.describes(corpus_path.read_bytes())):
+            self.corpus()  # a missing or malformed corpus.json names itself
+            raise PrerequisiteError(f"{path.name} does not match corpus.json; "
+                                    "rerun `tablelink ingest`")
+        return manifest
 
     def splits(self) -> Splits:
         return self._get("splits.json", "ingest", Splits.load)
@@ -326,19 +343,21 @@ STAGES = {
 def run_stages(ws: Workdir, config, args, names):
     """Run the named stages category by category; returns seconds per stage.
 
-    ``name_attributes`` is checked against the corpus first. ``fit`` runs
-    on every category, the other stages only on categories with mentions.
-    One category's artifacts are dropped before the next category's load.
-    ``eval`` writes the report once, after the last category.
+    The categories come from the manifest, and ``name_attributes`` is
+    checked against its schemas first; a stage that reads records loads
+    ``corpus.json`` itself. ``fit`` runs on every category, the other stages
+    only on categories with mentions. One category's artifacts are dropped
+    before the next category's load. ``eval`` writes the report once, after
+    the last category.
     """
-    corpus = ws.corpus()
-    config.check_name_attributes(corpus.schemas)
+    manifest = ws.manifest()
+    config.check_name_attributes(manifest.schemas)
     if "eval" in names:
         ws.report = linker.EvalReport(ks=tuple(config.eval_ks))
     timings = dict.fromkeys(names, 0.0)
-    for cat_index, category in enumerate(corpus.categories()):
+    for cat_index, category in enumerate(manifest.categories()):
         art = CategoryArtifacts(ws, category, cat_index)
-        has_mentions = bool(corpus.mentions_of_category(category))
+        has_mentions = manifest.mention_counts[category] > 0
         for name in names:
             if name == "fit" or has_mentions:
                 started = time.perf_counter()

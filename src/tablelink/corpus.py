@@ -6,6 +6,7 @@ tables (one schema per entity category) and entity mentions in text
 two sides and drive both training and evaluation.
 """
 
+import hashlib
 import logging
 import math
 import re
@@ -87,7 +88,7 @@ class RelationSchema:
         return [a for a, kind in self.attributes if kind == "text"]
 
     def to_dict(self):
-        """The JSON form that ``corpus.json`` and every vectorizer file hold."""
+        """The JSON form that ``corpus.json``, ``manifest.json`` and every vectorizer file hold."""
         return {
             "attributes": [list(a) for a in self.attributes],
             "foreign_keys": [list(f) for f in self.foreign_keys],
@@ -312,9 +313,6 @@ class Corpus:
         if self.dangling_fks:
             logger.warning("corpus has %d dangling foreign-key targets", len(self.dangling_fks))
 
-    def categories(self):
-        return sorted(self.schemas)
-
     def tuples_of_category(self, category):
         return self._tuples_by.get(category, [])
 
@@ -371,6 +369,67 @@ class Corpus:
         mentions = _records_of(TextMention, d["mentions"], "id")
         links = [(tk, mid) for tk, mid in d["links"]]
         return cls(schemas, tuples, mentions, links)
+
+    def save(self, path):
+        """Write ``corpus.json``; returns the bytes written."""
+        return formats.save_json(path, self.to_dict())
+
+    @classmethod
+    def load(cls, path):
+        return formats.load_json(path, cls.from_dict, CorpusError)
+
+
+_SHA256 = re.compile(r"[0-9a-f]{64}")
+
+
+@dataclass(frozen=True)
+class Manifest:
+    """What a command that reads no records needs of ``corpus.json``, without parsing it.
+
+    ``corpus_sha256`` is the hex SHA-256 of the exact ``corpus.json`` bytes
+    the rest describes: each category's schema and its mention count.
+    """
+
+    corpus_sha256: str
+    schemas: dict  # category -> RelationSchema
+    mention_counts: dict  # category -> int
+
+    @classmethod
+    def of(cls, corpus: Corpus, blob: bytes):
+        """The manifest of ``corpus``, whose ``corpus.json`` bytes are ``blob``."""
+        return cls(hashlib.sha256(blob).hexdigest(), corpus.schemas,
+                   {c: len(corpus.mentions_of_category(c)) for c in corpus.schemas})
+
+    def describes(self, blob: bytes) -> bool:
+        return hashlib.sha256(blob).hexdigest() == self.corpus_sha256
+
+    def categories(self):
+        return sorted(self.schemas)
+
+    def to_dict(self):
+        return {
+            "format_version": 1,
+            "corpus_sha256": self.corpus_sha256,
+            "categories": {name: {"schema": s.to_dict(), "mention_count": self.mention_counts[name]}
+                           for name, s in sorted(self.schemas.items())},
+        }
+
+    @classmethod
+    def from_dict(cls, d):
+        if d.get("format_version") != 1:
+            raise CorpusError(
+                f"unsupported manifest format version {d.get('format_version')!r}; expected 1")
+        digest = d["corpus_sha256"]
+        if not (isinstance(digest, str) and _SHA256.fullmatch(digest)):
+            raise CorpusError(f"corpus_sha256 {digest!r} is not 64 lowercase hex digits")
+        schemas, counts = {}, {}
+        for name, entry in d["categories"].items():
+            schemas[name] = RelationSchema.from_dict(name, entry["schema"])
+            counts[name] = entry["mention_count"]
+            if not (type(counts[name]) is int and counts[name] >= 0):
+                raise CorpusError(f"category {name!r}: mention_count {counts[name]!r} is not "
+                                  "a non-negative integer")
+        return cls(digest, schemas, counts)
 
     def save(self, path):
         formats.save_json(path, self.to_dict())

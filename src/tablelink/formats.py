@@ -126,9 +126,11 @@ def encode_json(obj):
 
 
 def save_json(path, obj):
-    """Write ``encode_json(obj)`` to ``path``."""
+    """Write ``encode_json(obj)`` to ``path``; returns those bytes."""
+    blob = encode_json(obj)
     with replacing(path, "wb") as f:
-        f.write(encode_json(obj))
+        f.write(blob)
+    return blob
 
 
 def load_json(path, from_dict, error):

@@ -267,7 +267,7 @@ def test_criterion_8_corpus_fidelity():
             "location": "Cleveland, Ohio 44114",
             "completionDate": "1985",
         }
-        assert corpus.categories() == ["Building"]
+        assert list(corpus.schemas) == ["Building"]
         assert len(corpus.mentions) == 1 and len(corpus.links) == 1
 
         corpus = load_corpus_xml(COLMORE_ROW_ENTRY)

@@ -404,12 +404,70 @@ class TestCommands:
         assert "model_Peak.ckpt" in {p.name for p in workdir.iterdir()}
         write_synthetic_corpus(tmp_path / "corpus.xml", entities=12, mentions_per_entity=4, seed=5)
         assert run_command(["ingest", "--config", str(config_path)]) == 0
-        assert sorted(p.name for p in workdir.iterdir()) == ["corpus.json", "splits.json"]
+        assert sorted(p.name for p in workdir.iterdir()) == ["corpus.json", "manifest.json",
+                                                              "splits.json"]
         capsys.readouterr()
         assert run_command(["eval", "--config", str(config_path)]) == 1
         assert capsys.readouterr().err == (
             "error: missing artifact tuples_Landmark.vec; run `tablelink embed-tuples` first\n"
         )
+
+    def test_commands_that_read_no_records_leave_corpus_json_unparsed(self, project, tmp_path,
+                                                                      monkeypatch):
+        config_path, workdir = project
+        write_two_category_corpus(tmp_path / "corpus.xml")
+        for step in INDEX_CHAIN:
+            assert run_command([step, "--config", str(config_path)]) == 0, step
+        queries = (["build-index"], ["link"], ["link", "--direction", "mention-to-tuples"])
+
+        def run_queries():
+            for argv in queries:
+                assert run_command([*argv, "--config", str(config_path)]) == 0, argv
+            return {p.name: p.read_bytes() for p in workdir.iterdir()}
+
+        unpatched = run_queries()
+
+        def no_load(path):
+            raise AssertionError(f"{path} was parsed")
+
+        monkeypatch.setattr(cli.Corpus, "load", no_load)
+        assert run_queries() == unpatched
+
+    def test_exact_link_loads_the_corpus(self, project, monkeypatch):
+        config_path, workdir = project
+        assert run_command(["ingest", "--config", str(config_path)]) == 0
+        loaded, load = [], cli.Corpus.load
+        monkeypatch.setattr(cli.Corpus, "load", lambda path: loaded.append(path) or load(path))
+        assert run_command(["link", "--config", str(config_path), "--set", "strategy=exact"]) == 0
+        assert loaded == [workdir / "corpus.json"]
+
+    def test_corpus_json_of_another_ingest_exits_one(self, project, tmp_path, capsys):
+        config_path, workdir = project
+        for step in INDEX_CHAIN:
+            assert run_command([step, "--config", str(config_path)]) == 0, step
+        other = json.loads(config_path.read_text())
+        other["paths"] = {"corpus": str(tmp_path / "other.xml"), "workdir": str(tmp_path / "other")}
+        write_synthetic_corpus(tmp_path / "other.xml", entities=12, mentions_per_entity=4, seed=5)
+        (tmp_path / "other.json").write_text(json.dumps(other))
+        assert run_command(["ingest", "--config", str(tmp_path / "other.json")]) == 0
+        shutil.copyfile(tmp_path / "other" / "corpus.json", workdir / "corpus.json")
+        capsys.readouterr()
+        assert run_command(["build-index", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: manifest.json does not match corpus.json; rerun `tablelink ingest`\n"
+        )
+
+    def test_missing_manifest_names_ingest(self, project, capsys):
+        config_path, workdir = project
+        for step in INDEX_CHAIN:
+            assert run_command([step, "--config", str(config_path)]) == 0, step
+        (workdir / "manifest.json").unlink()
+        capsys.readouterr()
+        for command in ("fit", "build-index", "link", "eval"):
+            assert run_command([command, "--config", str(config_path)]) == 1, command
+            assert capsys.readouterr().err == (
+                "error: missing artifact manifest.json; run `tablelink ingest` first\n"
+            )
 
     def test_exact_strategy_link(self, project):
         config_path, workdir = project
@@ -677,6 +735,17 @@ class TestErrors:
          "train"),
         ("vectorizer_Landmark.json", lambda b: json_set(b, "encoder", "seed", value=-1), "train"),
         ("corpus.json", categories_sharing_a_slug, "fit"),
+        ("manifest.json", lambda b: json_set(b, "format_version", value=2), "build-index"),
+        ("manifest.json", lambda b: json_set(b, "categories", "Landmark", "schema", "attributes",
+                                             0, 1, value="date"), "build-index"),
+        ("manifest.json", lambda b: json_set(b, "categories", "Landmark", "mention_count",
+                                             value=-1), "build-index"),
+        ("manifest.json", lambda b: json_set(b, "categories", "Landmark", "mention_count",
+                                             value=48.0), "build-index"),
+        ("manifest.json", lambda b: json_set(b, "corpus_sha256",
+                                             value=json.loads(b)["corpus_sha256"].upper()),
+         "build-index"),
+        ("manifest.json", json_key_repeated(b"corpus_sha256"), "build-index"),
     ], ids=["vectorizer-cut", "vectorizer-no-encoder", "ckpt-cut-6", "ckpt-header-not-utf8",
             "ckpt-no-joint-dim", "ckpt-joint-dim-disagrees", "vectorizer-attribute-of-one",
             "corpus-attribute-of-one", "vec-cut-10", "idx-cut-10", "vec-ids-descending",
@@ -705,7 +774,10 @@ class TestErrors:
             "vectorizer-key-repeated", "ckpt-header-key-repeated", "ckpt-keep-prob-r-0",
             "ckpt-keep-prob-t-1.5", "ckpt-margin-negative", "ckpt-joint-dim-float",
             "vectorizer-encoder-seed-2**63",
-            "vectorizer-encoder-seed-negative", "corpus-categories-share-a-slug"])
+            "vectorizer-encoder-seed-negative", "corpus-categories-share-a-slug",
+            "manifest-version", "manifest-attribute-kind-unknown",
+            "manifest-mention-count-negative", "manifest-mention-count-float",
+            "manifest-digest-uppercase", "manifest-key-repeated"])
     def test_corrupt_artifact_exits_two_naming_it(self, project, capsys, artifact, corrupt, command):
         config_path, workdir = project
         for step in INDEX_CHAIN:

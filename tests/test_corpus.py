@@ -43,7 +43,7 @@ def rejections(xml, tmp_path):
 class TestParseEntry:
     def test_public_square_entry(self):
         corpus = load_corpus_xml(PUBLIC_SQUARE_ENTRY)
-        assert corpus.categories() == ["Building"]
+        assert list(corpus.schemas) == ["Building"]
         assert len(corpus.tuples) == 1
         rec = records(corpus)[0]
         assert rec.values == {

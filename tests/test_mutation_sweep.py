@@ -9,7 +9,7 @@ exit 0, or exit 1 or 2 with exactly one ``error:`` line and no traceback. A
 flip inside a float that stays finite is legal input and may exit 0, so the
 sweep requires only the contract.
 
-Tier 1 runs a fixed subset: 3 truncations and 3 flips of each of the 9
+Tier 1 runs a fixed subset: 3 truncations and 3 flips of each of the 10
 inputs, and the config cases in ``CONFIG_PROBES`` plus every 11th other one.
 The whole sweep (11 truncations and 65 flips per input, every key with every
 value) is opt-in:
@@ -35,6 +35,7 @@ FULL = os.environ.get("TABLELINK_MUTATION_SWEEP") == "1"
 # artifact -> the command that reads it
 READERS = {
     "corpus.json": ["fit"],
+    "manifest.json": ["build-index"],
     "splits.json": ["train"],
     "vectorizer_Landmark.json": ["embed-tuples"],
     "model_Landmark.ckpt": ["embed-mentions"],
