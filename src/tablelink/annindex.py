@@ -80,11 +80,9 @@ def _top_n(ids, dist, n):
     the columns not beyond a row's n-th smallest distance, ties included,
     are sorted.
     """
-    if n < dist.shape[1]:
-        nth = np.partition(dist, n - 1, axis=1)[:, n - 1 : n]
-        rows, cols = np.nonzero(~(dist > nth))  # a NaN is kept where a sort puts it: last
-    else:
-        rows, cols = np.indices(dist.shape).reshape(2, -1)
+    k = min(n, dist.shape[1])
+    nth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+    rows, cols = np.nonzero(~(dist > nth))  # a NaN is kept where a sort puts it: last
     scores = dist[rows, cols]
     order = np.lexsort((scores, rows))  # by row, then distance; ties keep ascending columns
     cols, scores = cols[order].tolist(), scores[order].tolist()

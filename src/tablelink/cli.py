@@ -4,8 +4,8 @@ Every command is a pure function of its inputs, configuration, and seeds;
 artifacts land in the configured workdir under stable names (corpus.json,
 manifest.json, splits.json, vectorizer_<category>.json, train_<category>.log,
 model_<category>.ckpt, *.vec, *.idx, links_<category>.tsv,
-mention_links_<category>.tsv, report.json, report.txt). A lock file guards
-the workdir against concurrent commands.
+mention_links_<category>.tsv, report.json, report.txt, timings.json). A lock
+file guards the workdir against concurrent commands.
 """
 
 import argparse
@@ -256,16 +256,57 @@ def stage_fit(art: CategoryArtifacts, config, args):
 
 
 def stage_train(art: CategoryArtifacts, config, args):
-    pair, adam, history = linker.train_category(
-        art.ws.corpus(), art.category, config, art.ws.splits(),
-        art.raw_vectors("tuples"), art.raw_vectors("mentions"), cat_index=art.cat_index,
+    """Train the category's embedder pair on the matches of train-split entities.
+
+    Only those matches reach the sampler, so test- and unseen-split entities
+    never appear in a batch, and each net's first layer reads only the
+    columns that some drawable row sets (``neural.live_columns``).
+    """
+    corpus, splits = art.ws.corpus(), art.ws.splits()
+    tuple_vecs, mention_vecs = art.raw_vectors("tuples"), art.raw_vectors("mentions")
+    category = art.category
+    matches, source = linker.category_matches(corpus, category,
+                                              config.name_attributes.get(category))
+    if not matches:
+        raise linker.LinkerError(
+            f"category {category!r}: no gold links and the exact-match bootstrap found "
+            "zero candidates; supply gold links or configure name_attributes to a text "
+            "attribute whose values appear in sentences"
+        )
+    train_links = {}
+    for tk, mid in matches:
+        entity = corpus.tuples[tk].entity
+        if entity in splits.train:
+            train_links.setdefault(entity, []).append((tk, mid))
+    if not train_links:
+        raise linker.LinkerError(f"category {category!r}: no matches among train-split entities")
+
+    training, network = config.training, config.network
+    seed = training.seed + art.cat_index
+    sampler = neural.SamplerState(train_links, batch_size=training.batch_size, seed=seed)
+    pair = neural.EmbedderPair.build(
+        input_dim_r=tuple_vecs.dim,
+        input_dim_t=mention_vecs.dim,
+        hidden_r=tuple(network.hidden_r),
+        hidden_t=tuple(network.hidden_t),
+        joint_dim=network.joint_dim,
+        margin=training.margin,
+        keep_prob=training.keep_prob,
+        seed=seed,
+        live_r=neural.live_columns(tuple_vecs, sampler.gold),
+        live_t=neural.live_columns(mention_vecs, {mid for _, mid in sampler.drawable}),
     )
+    adam = neural.AdamState(lr=training.lr, decay=training.decay,
+                            decay_every=training.decay_every)
+    history = neural.train_pair(pair, adam, sampler, tuple_vecs, mention_vecs,
+                                batches=training.batch_budget)
     with formats.replacing(art.path("train_{}.log"), "w", encoding="utf-8") as log:
         log.writelines(f"{step}\t{lr:.6e}\t{loss:.6e}\n" for step, lr, loss in history)
     path = art.put("model_{}.ckpt", pair)
-    neural.save_checkpoint(path, pair, step=adam.step, extra={"category": art.category})
+    neural.save_checkpoint(path, pair, step=adam.step, extra={"category": category})
     final = history[-1][2] if history else float("nan")
-    print(f"trained {art.category}: {len(history)} batches, final loss {final:.4f}")
+    print(f"trained {category}: {len(matches)} {source} matches, {len(history)} batches, "
+          f"final loss {final:.4f}")
 
 
 def _stage_embed(art: CategoryArtifacts, side):

@@ -1,5 +1,5 @@
-"""Linking workflow: bootstrap matching, semantic retrieval, ranking,
-per-category training and Precision@k evaluation.
+"""Linking workflow: bootstrap matching, semantic retrieval, ranking and
+Precision@k evaluation.
 
 Links flow in two directions (tuple anchors retrieving mentions and
 mention anchors retrieving tuples). Each anchor's links are one ranked list,
@@ -11,7 +11,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-from . import annindex, formats, neural
+from . import annindex, formats
 from .corpus import Corpus, is_null, words
 from .vectorize import KeyedVectors
 
@@ -27,7 +27,7 @@ class LinkerError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Bootstrap (exact) matching
+# Matching: gold links, or the exact-match bootstrap
 # ---------------------------------------------------------------------------
 
 def _tokens(text):
@@ -57,6 +57,16 @@ def bootstrap_exact_match(tuples, mentions, schema, name_attribute=None):
         if name:
             pairs.extend((rec.key, mid) for mid, sent_toks in mention_tokens if name in sent_toks)
     return pairs
+
+
+def category_matches(corpus: Corpus, category, name_attribute=None):
+    """Gold links of the category, or its exact-match pairs when none exist."""
+    gold = corpus.links_of_category(category)
+    if gold:
+        return gold, "gold"
+    return bootstrap_exact_match(corpus.tuples_of_category(category),
+                                 corpus.mentions_of_category(category),
+                                 corpus.schemas[category], name_attribute), "bootstrap"
 
 
 # ---------------------------------------------------------------------------
@@ -185,71 +195,6 @@ def evaluate_precision(results, gold, ks=(1, 5, 10), split="test", category="ove
                     {k: sum(rank <= k for rank in best) for k in report.ks},
                     len(best), excluded=len(results) - len(best))
     return report
-
-
-# ---------------------------------------------------------------------------
-# Per-category training
-# ---------------------------------------------------------------------------
-
-def category_matches(corpus: Corpus, category, name_attribute=None):
-    """Gold links of the category, or its exact-match pairs when none exist."""
-    gold = corpus.links_of_category(category)
-    if gold:
-        return gold, "gold"
-    return bootstrap_exact_match(corpus.tuples_of_category(category),
-                                 corpus.mentions_of_category(category),
-                                 corpus.schemas[category], name_attribute), "bootstrap"
-
-
-def train_category(corpus: Corpus, category, config, splits, tuple_vecs, mention_vecs,
-                   cat_index=0):
-    """Obtain one category's matches and train its embedder pair on its raw ``KeyedVectors``.
-
-    Only matches of train-split entities reach the sampler, so test- and
-    unseen-split entities never appear in a batch. The pair's first layers
-    read only the columns that some drawable row sets (``neural.train_pair``).
-    Returns the pair, its optimizer state and the loss history.
-    """
-    if not mention_vecs:
-        raise LinkerError(f"category {category!r} has no mentions to train on")
-    matches, source = category_matches(corpus, category, config.name_attributes.get(category))
-    if not matches:
-        raise LinkerError(
-            f"category {category!r}: no gold links and the exact-match bootstrap found "
-            "zero candidates; supply gold links or configure name_attributes to a text "
-            "attribute whose values appear in sentences"
-        )
-    train_links = {}
-    for tk, mid in matches:
-        entity = corpus.tuples[tk].entity
-        if entity in splits.train:
-            train_links.setdefault(entity, []).append((tk, mid))
-    if not train_links:
-        raise LinkerError(f"category {category!r}: no matches among train-split entities")
-
-    seed = config.training.seed + cat_index
-    sampler = neural.SamplerState(train_links, batch_size=config.training.batch_size, seed=seed)
-    pair = neural.EmbedderPair.build(
-        input_dim_r=tuple_vecs.dim,
-        input_dim_t=mention_vecs.dim,
-        hidden_r=tuple(config.network.hidden_r),
-        hidden_t=tuple(config.network.hidden_t),
-        joint_dim=config.network.joint_dim,
-        margin=config.training.margin,
-        keep_prob=config.training.keep_prob,
-        seed=seed,
-        live_r=neural.live_columns(tuple_vecs, sampler.gold),
-        live_t=neural.live_columns(mention_vecs, {mid for _, mid in sampler.drawable}),
-    )
-    adam = neural.AdamState(
-        lr=config.training.lr,
-        decay=config.training.decay,
-        decay_every=config.training.decay_every,
-    )
-    history = neural.train_pair(pair, adam, sampler, tuple_vecs, mention_vecs,
-                                batches=config.training.batch_budget)
-    logger.info("category %s: trained on %d matches (%s)", category, len(matches), source)
-    return pair, adam, history
 
 
 def evaluate_category(report, corpus: Corpus, category, splits,

@@ -174,7 +174,7 @@ class EmbedderPair:
     """The two networks of the joint space plus the training margin.
 
     ``net_r`` embeds raw tuple vectors and ``net_t`` raw mention vectors.
-    ``linker.train_category`` builds each net's first layer on the columns
+    ``cli.stage_train`` builds each net's first layer on the columns
     its training rows set (``DenseNet.live``), so a column no training row
     sets has no weights at all.
 

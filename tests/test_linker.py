@@ -1,12 +1,16 @@
+import dataclasses
+import json
 import logging
+import re
 
 import numpy as np
 import pytest
 
-from tablelink import annindex, vectorize
+from tablelink import annindex, neural, vectorize
 from tablelink.annindex import build_forest
-from tablelink.cli import PIPELINE_STAGES, Workdir, run_stages
-from tablelink.corpus import RelationSchema, TextMention, load_corpus_xml, make_stratified_splits
+from tablelink.cli import PIPELINE_STAGES, Workdir, run_command, run_stages
+from tablelink.corpus import (Corpus, RelationSchema, TextMention, load_corpus_xml,
+                              make_stratified_splits)
 from tablelink.linker import (
     MENTION_TO_TUPLES,
     TUPLE_TO_MENTIONS,
@@ -18,17 +22,9 @@ from tablelink.linker import (
     evaluate_precision,
     exact_link,
     semantic_link,
-    train_category,
 )
 from tablelink.config import ProjectConfig
-from tablelink.neural import save_checkpoint
 from tablelink.synthetic import synthetic_corpus_xml
-from tablelink.vectorize import (
-    HashingEncoder,
-    fit_vectorizer,
-    mention_vectors,
-    tuple_vectors,
-)
 
 from conftest import make_record
 
@@ -249,11 +245,41 @@ def tiny_config(budget=60):
     return config
 
 
+def ingest(root, corpus, config, splits=None):
+    """A workdir at ``root`` holding an in-memory corpus and its splits (stratified by default)."""
+    ws = Workdir(root)
+    ws.ingest(corpus, splits or make_stratified_splits(corpus, config.split))
+    return ws
+
+
 def run_cycle(root, corpus, config):
     """Ingest an in-memory corpus into ``root`` and run every pipeline stage on it."""
-    ws = Workdir(root)
-    ws.ingest(corpus, make_stratified_splits(corpus, config.split))
+    ws = ingest(root, corpus, config)
     return ws, run_stages(ws, config, None, PIPELINE_STAGES)
+
+
+def train_command(root, config, capsys):
+    """Run ``tablelink train`` on the workdir ``root``; returns its exit status and stderr."""
+    doc = dataclasses.asdict(config)
+    doc["paths"]["workdir"] = str(root)
+    config_path = root.with_name(f"{root.name}.json")
+    config_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    status = run_command(["train", "--config", str(config_path)])
+    return status, capsys.readouterr().err
+
+
+def fails_to_train(root, corpus, config, message, capsys, splits=None):
+    """``train`` on ``corpus`` fails with ``message``, in process and as a command.
+
+    Before ``fit``, the command names the missing vectorizer instead.
+    """
+    ws = ingest(root, corpus, config, splits)
+    status, err = train_command(root, config, capsys)
+    assert status == 1 and err.startswith("error: ") and "`tablelink fit`" in err
+    with pytest.raises(LinkerError, match=f"^{re.escape(message)}$"):
+        run_stages(ws, config, None, ("fit", "train"))
+    assert train_command(root, config, capsys) == (2, f"error: {message}\n")
 
 
 class TestRetrainCycle:
@@ -296,43 +322,34 @@ class TestRetrainCycle:
         ws2, _ = run_cycle(tmp_path / "b", tiny_synthetic_corpus, tiny_config())
         assert ws1.report.to_dict() == ws2.report.to_dict()
 
-    def test_train_category_twice_gives_identical_checkpoints(self, tiny_synthetic_corpus,
-                                                              tmp_path):
+    def test_train_twice_gives_identical_checkpoints(self, tiny_synthetic_corpus, tmp_path):
         corpus, config = tiny_synthetic_corpus, tiny_config(budget=30)
-        splits = make_stratified_splits(corpus, config.split)
-        encoder = HashingEncoder(dim=config.encoder.dim, seed=config.encoder.seed)
-        tuples = corpus.tuples_of_category("Landmark")
-        model = fit_vectorizer(tuples, corpus.schemas["Landmark"], encoder)
-        tuple_vecs = tuple_vectors(model, tuples)
-        mention_vecs = mention_vectors(encoder, corpus.mentions_of_category("Landmark"))
         blobs = []
-        for name in ("a.ckpt", "b.ckpt"):
-            pair, adam, _ = train_category(corpus, "Landmark", config, splits,
-                                           tuple_vecs, mention_vecs)
-            assert pair.flat.dtype == np.float32
-            save_checkpoint(tmp_path / name, pair, step=adam.step)
-            blobs.append((tmp_path / name).read_bytes())
+        for name in ("a", "b"):
+            ws = ingest(tmp_path / name, corpus, config)
+            run_stages(ws, config, None, ("fit", "train"))
+            ckpt = ws.root / "model_Landmark.ckpt"
+            assert neural.load_checkpoint(ckpt)[0].flat.dtype == np.float32
+            blobs.append(ckpt.read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_unseen_entities_never_sampled(self, tiny_synthetic_corpus, tmp_path):
-        from tablelink import neural
+    def test_unseen_entities_never_sampled(self, tiny_synthetic_corpus, tmp_path, monkeypatch):
+        samplers, train_pair = [], neural.train_pair
 
-        config = tiny_config(budget=40)
-        ws, _ = run_cycle(tmp_path, tiny_synthetic_corpus, config)
-        splits = ws.splits()
-        corpus = tiny_synthetic_corpus
-        # rebuild the sampler exactly as training does and draw many batches
-        matches, _ = category_matches(corpus, "Landmark")
-        entity_of = {r.key: r.entity for r in corpus.tuples_of_category("Landmark")}
-        train_links = {}
-        for tk, mid in matches:
-            if entity_of[tk] in splits.train:
-                train_links.setdefault(entity_of[tk], []).append((tk, mid))
-        sampler = neural.SamplerState(train_links, batch_size=8, seed=0)
-        held_out = splits.unseen | splits.test
-        for _ in range(200):
-            for tk, _ in sampler.sample_pairs():
-                assert entity_of[tk] not in held_out
+        def recording_train_pair(pair, adam, sampler, *args, **kwargs):
+            samplers.append(sampler)
+            return train_pair(pair, adam, sampler, *args, **kwargs)
+
+        monkeypatch.setattr(neural, "train_pair", recording_train_pair)
+        corpus, config = tiny_synthetic_corpus, tiny_config(budget=40)
+        ws = ingest(tmp_path, corpus, config)
+        run_stages(ws, config, None, ("fit", "train"))
+        [sampler] = samplers
+        train = ws.splits().train
+        entities = {corpus.tuples[tk].entity for tk, _ in corpus.links}
+        assert entities - train, "held-out entities have gold links"
+        assert sampler.drawable
+        assert all(corpus.tuples[tk].entity in train for tk, _ in sampler.drawable)
 
     def test_unseen_appear_only_in_unseen_cells(self, tiny_synthetic_corpus, tmp_path):
         ws, _ = run_cycle(tmp_path, tiny_synthetic_corpus, tiny_config(budget=40))
@@ -344,7 +361,7 @@ class TestRetrainCycle:
         assert counts["test"] == len(ws.splits().test)
         assert counts["train"] == len(ws.splits().train)
 
-    def test_no_matches_aborts_with_guidance(self, tmp_path):
+    def test_no_matches_aborts_with_guidance(self, tmp_path, capsys):
         # strip every lexicalization token that could bootstrap: numeric-only schema
         xml = (
             "<benchmark><entries>"
@@ -358,18 +375,26 @@ class TestRetrainCycle:
         )
         corpus = load_corpus_xml(xml)
         # drop gold links so the bootstrap path is exercised
-        from tablelink.corpus import Corpus
-
         stripped = Corpus(corpus.schemas, corpus.tuples, corpus.mentions, [])
-        config = tiny_config(budget=10)
-        with pytest.raises(LinkerError, match="no gold links|no matches|mentions"):
-            run_cycle(tmp_path, stripped, config)
+        fails_to_train(tmp_path / "work", stripped, tiny_config(budget=10),
+                       "category 'Plain': no gold links and the exact-match bootstrap found "
+                       "zero candidates; supply gold links or configure name_attributes to a "
+                       "text attribute whose values appear in sentences", capsys)
+
+    def test_no_train_split_matches_aborts(self, tiny_synthetic_corpus, tmp_path, capsys):
+        corpus, config = tiny_synthetic_corpus, tiny_config(budget=10)
+        splits = make_stratified_splits(corpus, config.split)
+        held_out = [(tk, mid) for tk, mid in corpus.links
+                    if corpus.tuples[tk].entity not in splits.train]
+        assert held_out
+        stripped = Corpus(corpus.schemas, corpus.tuples, corpus.mentions, held_out)
+        fails_to_train(tmp_path / "work", stripped, config,
+                       "category 'Landmark': no matches among train-split entities", capsys,
+                       splits=splits)
 
 
 class TestCategoryMatches:
     def test_bootstrap_used_without_gold(self, tiny_synthetic_corpus):
-        from tablelink.corpus import Corpus
-
         corpus = tiny_synthetic_corpus
         stripped = Corpus(corpus.schemas, corpus.tuples, corpus.mentions, [])
         matches, source = category_matches(stripped, "Landmark")

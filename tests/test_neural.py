@@ -595,7 +595,7 @@ class TestTrainLoop:
         return links, vectors_r, vectors_t, [0, 1, 11], [0, 9]
 
     def compact_pair(self, vectors_r, vectors_t, links):
-        """The float32 pair ``train_category`` builds: first layers on the columns drawable rows set."""
+        """The float32 pair ``cli.stage_train`` builds: first layers on the columns drawable rows set."""
         drawable = [link for pairs in links.values() for link in pairs]
         return tiny_pair(seed=5, in_r=12, in_t=10, hidden_r=(6,), joint=4, keep=0.75,
                          live_r=live_columns(vectors_r, {tk for tk, _ in drawable}),
