@@ -4,11 +4,14 @@ Every command is a pure function of its inputs, configuration, and seeds;
 artifacts land in the configured workdir under stable names (corpus.json,
 manifest.json, splits.json, vectorizer_<category>.json, train_<category>.log,
 model_<category>.ckpt, *.vec, *.idx, links_<category>.tsv,
-mention_links_<category>.tsv, report.json, report.txt, timings.json). A lock
-file guards the workdir against concurrent commands.
+mention_links_<category>.tsv, report.json, report.txt, timings.json). A
+command holds a kernel lock (``fcntl.flock``, so POSIX only) on the
+workdir's .lock file while it runs, so a second command there exits 2.
 """
 
 import argparse
+import contextlib
+import fcntl
 import json
 import os
 import sys
@@ -34,56 +37,43 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-class WorkdirLock:
-    """Exclusive lock file so only one command runs per workdir.
+@contextlib.contextmanager
+def workdir_lock(workdir):
+    """Hold an exclusive ``flock`` on ``<workdir>/.lock`` so only one command runs per workdir.
 
-    The file holds the owner's PID. A lock whose process no longer exists is
-    reclaimed once; a live, unreadable or garbled lock is left alone.
+    The kernel drops the lock when its process exits, so a lock is never
+    stale. A holder unlinks the file before it lets go; a locker that took
+    the lock of an unlinked file tries again on the current one.
     """
-
-    def __init__(self, workdir):
-        self.path = Path(workdir) / ".lock"
-
-    def __enter__(self):
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        for retry in (False, True):
-            try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    path = Path(workdir) / ".lock"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    while True:
+        fd = os.open(path, os.O_CREAT | os.O_WRONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            if os.path.samestat(os.fstat(fd), os.stat(path)):
                 break
-            except FileExistsError:
-                if retry or not self._owner_is_gone():
-                    raise linker.LinkerError(
-                        f"workdir is locked by another command; remove {self.path} if stale"
-                    ) from None
-                self.path.unlink(missing_ok=True)
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
-        return self
-
-    def __exit__(self, *exc):
-        self.path.unlink(missing_ok=True)
-
-    def _owner_is_gone(self):
-        try:
-            pid = int(self.path.read_text())
-        except (OSError, ValueError):
-            return False
-        if pid <= 0:  # 0 and negative PIDs name process groups, not the owner
-            return False
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return True
-        except (OSError, OverflowError):  # alive under another user, or not a PID
+        except BlockingIOError:
+            os.close(fd)
+            raise linker.LinkerError("workdir is locked by another command") from None
+        except FileNotFoundError:  # the holder unlinked it before our flock
             pass
-        return False
+        except OSError as exc:
+            os.close(fd)
+            raise linker.LinkerError(f"cannot lock {path}: {exc.strerror}") from None
+        os.close(fd)
+    try:
+        yield
+    finally:
+        path.unlink(missing_ok=True)
+        os.close(fd)
 
 
 # Each artifact -> the artifacts built from it, which a new one leaves stale. A
 # name is a file name with {} for a category's slug; "raw <side>" names the
 # vectors of a side before the networks, kept only in memory.
 DERIVED = {
-    "corpus.json": ("manifest.json", "vectorizer_{}.json"),
+    "corpus.json": ("manifest.json", "vectorizer_{}.json", "timings.json"),
     "vectorizer_{}.json": ("raw tuples", "raw mentions", "model_{}.ckpt", "train_{}.log"),
     "model_{}.ckpt": ("tuples_{}.vec", "mentions_{}.vec"),
     "tuples_{}.vec": ("tuples_{}.idx", "links_{}.tsv", "report.json", "report.txt"),
@@ -473,7 +463,7 @@ def run_command(argv):
         return 1
     started = time.perf_counter()
     try:
-        with WorkdirLock(config.paths.workdir or "."):
+        with workdir_lock(config.paths.workdir or "."):
             COMMANDS[args.command](config, args)
     except (UsageError, ConfigError, PrerequisiteError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import shutil
@@ -16,6 +17,8 @@ from tablelink.linker import TUPLE_TO_MENTIONS, EvalReport
 from tablelink.neural import DenseNet, EmbedderPair, TrainingError
 from tablelink.synthetic import synthetic_corpus_xml, write_synthetic_corpus
 from tablelink.vectorize import read_vector_file, write_vector_file
+
+from conftest import subprocess_env
 
 INDEX_CHAIN = ("ingest", "fit", "train", "embed-tuples", "embed-mentions", "build-index")
 
@@ -170,6 +173,58 @@ def write_two_category_corpus(path):
         peaks = peaks.replace(old, new)
     entries = peaks.split(" <entries>\n", 1)[1].split(" </entries>", 1)[0]
     path.write_text(landmarks.replace(" </entries>", entries + " </entries>"))
+
+
+def lock_holder(workdir):
+    """A child process that holds ``workdir``'s lock until its stdin closes."""
+    child = subprocess.Popen(
+        [sys.executable, "-c", "import sys\nfrom tablelink import cli\n"
+         "with cli.workdir_lock(sys.argv[1]):\n print('held', flush=True)\n sys.stdin.read()",
+         str(workdir)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=subprocess_env(),
+    )
+    assert child.stdout.readline() == "held\n"
+    child.stdout.close()
+    return child
+
+
+class LockRace:
+    """Named ``cli.workdir_lock`` lockers on one workdir in one process.
+
+    ``before_next("flock", step)`` runs ``step`` between the next locker's
+    open and its flock, and ``before_next("unlink", step)`` before the next
+    holder unlinks its file on exit. Every entry checks that no other locker
+    holds the workdir.
+    """
+
+    def __init__(self, workdir, monkeypatch):
+        self.workdir, self.locks, self.held, self.entered = workdir, {}, set(), []
+        self.steps = {"flock": [], "unlink": []}
+        for owner, name in ((cli.fcntl, "flock"), (cli.Path, "unlink")):
+            monkeypatch.setattr(owner, name, self._interleaved(getattr(owner, name), self.steps[name]))
+
+    @staticmethod
+    def _interleaved(call, steps):
+        def interleaved(*args, **kwargs):
+            while steps:
+                steps.pop(0)()
+            return call(*args, **kwargs)
+        return interleaved
+
+    def before_next(self, call, step):
+        self.steps[call].append(step)
+
+    def enter(self, name):
+        lock = cli.workdir_lock(self.workdir)
+        lock.__enter__()
+        assert not self.held, f"{name} entered while {self.held} held the lock"
+        self.held.add(name)
+        self.entered.append(name)
+        self.locks[name] = lock
+
+    def exit(self, name):
+        self.locks.pop(name).__exit__(None, None, None)
+        self.held.remove(name)
 
 
 class TestCommands:
@@ -399,9 +454,9 @@ class TestCommands:
                                                                     capsys):
         config_path, workdir = project
         write_two_category_corpus(tmp_path / "corpus.xml")
-        for step in (*INDEX_CHAIN, "link", "eval"):
+        for step in (*INDEX_CHAIN, "link", "eval", "pipeline"):
             assert run_command([step, "--config", str(config_path)]) == 0, step
-        assert "model_Peak.ckpt" in {p.name for p in workdir.iterdir()}
+        assert {"model_Peak.ckpt", "timings.json"} <= {p.name for p in workdir.iterdir()}
         write_synthetic_corpus(tmp_path / "corpus.xml", entities=12, mentions_per_entity=4, seed=5)
         assert run_command(["ingest", "--config", str(config_path)]) == 0
         assert sorted(p.name for p in workdir.iterdir()) == ["corpus.json", "manifest.json",
@@ -582,23 +637,98 @@ class TestErrors:
     def test_lock_blocks_concurrent_commands(self, project, capsys):
         config_path, workdir = project
         assert run_command(["ingest", "--config", str(config_path)]) == 0
-        (workdir / ".lock").write_text(str(os.getpid()))
-        assert run_command(["stats", "--config", str(config_path)]) == 2
-        assert "locked" in capsys.readouterr().err
+        child = lock_holder(workdir)
+        try:
+            capsys.readouterr()
+            assert run_command(["stats", "--config", str(config_path)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:") and "locked" in err[0]
+            fd = os.open(workdir / ".lock", os.O_RDONLY)
+            try:  # the child's lock is still held
+                with pytest.raises(BlockingIOError):
+                    cli.fcntl.flock(fd, cli.fcntl.LOCK_EX | cli.fcntl.LOCK_NB)
+            finally:
+                os.close(fd)
+        finally:
+            child.stdin.close()
+            assert child.wait(timeout=30) == 0
+        assert not (workdir / ".lock").exists()
 
     def test_lock_of_exited_process_is_reclaimed(self, project, capsys):
         config_path, workdir = project
         assert run_command(["ingest", "--config", str(config_path)]) == 0
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child = lock_holder(workdir)
+        child.kill()
         child.wait(timeout=30)
+        child.stdin.close()
         lock = workdir / ".lock"
-        lock.write_text(str(child.pid))
+        assert lock.exists()  # a killed holder leaves its file, not its lock
         assert run_command(["stats", "--config", str(config_path)]) == 0
         assert not lock.exists()
-        for garbled in ("", "not-a-pid", "0", "-1"):
-            lock.write_text(garbled)
-            assert run_command(["stats", "--config", str(config_path)]) == 2
-            assert "locked" in capsys.readouterr().err
+        for content in ("", "not-a-pid", "0", "-1"):  # the file's content is never read
+            lock.write_text(content)
+            assert run_command(["stats", "--config", str(config_path)]) == 0
+            assert not lock.exists()
+
+    def test_filesystem_that_refuses_locks_exits_two(self, project, capsys, monkeypatch):
+        config_path, workdir = project
+        assert run_command(["ingest", "--config", str(config_path)]) == 0
+        capsys.readouterr()
+
+        def refuse(fd, operation):
+            raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+        monkeypatch.setattr(cli.fcntl, "flock", refuse)
+        fds = os.listdir("/dev/fd")
+        assert run_command(["stats", "--config", str(config_path)]) == 2
+        assert os.listdir("/dev/fd") == fds  # the lock file is closed
+        assert capsys.readouterr().err == (
+            f"error: cannot lock {workdir / '.lock'}: {os.strerror(errno.ENOLCK)}\n"
+        )
+
+    def test_second_locker_between_open_and_flock_excludes_the_first(self, tmp_path,
+                                                                      monkeypatch):
+        # two lockers open the same .lock; the second takes the flock before the first
+        lockers = LockRace(tmp_path, monkeypatch)
+        lockers.before_next("flock", lambda: lockers.enter("second"))
+        with pytest.raises(cli.linker.LinkerError, match="locked"):
+            lockers.enter("first")
+        assert lockers.entered == ["second"] and lockers.held == {"second"}
+        lockers.exit("second")
+        lockers.enter("first")
+        lockers.exit("first")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_locker_whose_file_was_unlinked_retries_on_the_fresh_one(self, tmp_path,
+                                                                      monkeypatch):
+        # the holder exits between a waiter's open and its flock
+        lockers = LockRace(tmp_path, monkeypatch)
+        lockers.enter("holder")
+        lockers.before_next("flock", lambda: (lockers.exit("holder"), lockers.enter("third")))
+        with pytest.raises(cli.linker.LinkerError, match="locked"):
+            lockers.enter("waiter")
+        assert lockers.held == {"third"}
+        lockers.exit("third")
+
+        lockers.enter("holder")  # with no third locker, the waiter takes a fresh file
+        lockers.before_next("flock", lambda: lockers.exit("holder"))
+        lockers.enter("waiter")
+        assert lockers.entered == ["holder", "third", "holder", "waiter"]
+        lockers.exit("waiter")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_lock_holder_unlinks_its_file_before_it_lets_go(self, tmp_path, monkeypatch):
+        lockers = LockRace(tmp_path, monkeypatch)
+        lockers.enter("holder")
+
+        def late():
+            with pytest.raises(cli.linker.LinkerError, match="locked"):
+                lockers.enter("late")
+
+        lockers.before_next("unlink", late)
+        lockers.exit("holder")
+        assert lockers.entered == ["holder"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_corrupt_artifact_fails_loudly(self, project, capsys):
         config_path, workdir = project
