@@ -7,11 +7,17 @@ model_<category>.ckpt, *.vec, *.idx, links_<category>.tsv,
 mention_links_<category>.tsv, report.json, report.txt, timings.json). A
 command holds a kernel lock (``fcntl.flock``, so POSIX only) on the
 workdir's .lock file while it runs, so a second command there exits 2.
+
+``run_command`` runs one command in process and returns its exit status (0,
+1 or 2; 0 after ``--help``). It never exits the caller, so a process may call
+it any number of times; the first call builds the parser, and later calls
+reuse it.
 """
 
 import argparse
 import contextlib
 import fcntl
+import functools
 import json
 import os
 import sys
@@ -32,9 +38,17 @@ class PrerequisiteError(Exception):
     """A required artifact is missing or stale; the message names its producer."""
 
 
+class _HelpPrinted(Exception):
+    """``--help`` printed its text; ``run_command`` returns 0 instead of exiting."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+    def exit(self, status=0, message=None):
+        # with error overridden, argparse calls exit only after printing --help
+        raise _HelpPrinted
 
 
 @contextlib.contextmanager
@@ -430,7 +444,14 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built on the first call and shared by every later one.
+
+    Sharing is safe because ``parse_args`` writes only the namespace it
+    returns. The one mutable default, ``--set``'s ``[]``, is copied by the
+    append action before it appends, and nothing mutates ``args.overrides``.
+    """
     parser = _Parser(prog="tablelink", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
     for name in COMMANDS:
@@ -447,17 +468,20 @@ def build_parser():
 
 
 def run_command(argv):
-    """Run one subcommand; returns the process exit status.
+    """Run one subcommand; returns the process exit status and never exits.
 
-    0 on success, 1 on usage/validation errors (including missing
-    prerequisite artifacts), 2 on runtime failures.
+    0 on success or after printing ``--help``, 1 on usage/validation errors
+    (including missing prerequisite artifacts), 2 on runtime failures. It
+    may be called many times in one process; the first call builds the
+    parser (``build_parser``) and later calls reuse it.
     """
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if not args.command:
             raise UsageError("missing command; see --help")
         config = load_config(args.config, profile=args.profile, overrides=args.overrides)
+    except _HelpPrinted:
+        return 0
     except (UsageError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -552,6 +552,57 @@ class TestCommands:
         assert message in err
         assert not (workdir / "links_Landmark.tsv").exists()
 
+    def test_parser_is_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_profile_and_overrides_do_not_outlive_their_call(self, project, monkeypatch):
+        config_path, _ = project
+        resolved = []
+
+        def recording_load_config(*args, **kwargs):
+            resolved.append(load_config(*args, **kwargs))
+            return resolved[-1]
+
+        monkeypatch.setattr(cli, "load_config", recording_load_config)
+        assert run_command(["ingest", "--config", str(config_path), "--profile", "paper",
+                            "--set", "training.batch_size=8"]) == 0
+        assert run_command(["ingest", "--config", str(config_path)]) == 0
+        first, second = resolved
+        assert (first.index.t, first.training.batch_size) == (200, 8)
+        assert second == load_config(config_path)
+
+    def test_link_direction_does_not_outlive_its_call(self, project):
+        config_path, workdir = project
+        exact = ["--config", str(config_path), "--set", "strategy=exact"]
+        assert run_command(["ingest", *exact]) == 0
+        assert run_command(["link", *exact, "--direction", "mention-to-tuples"]) == 0
+        assert (workdir / "mention_links_Landmark.tsv").exists()
+        assert not (workdir / "links_Landmark.tsv").exists()
+        assert run_command(["link", *exact]) == 0
+        assert (workdir / "links_Landmark.tsv").exists()
+
+    def test_usage_error_after_a_successful_call_reads_the_same(self, project, capsys):
+        config_path, _ = project
+        bogus = ["ingest", "--config", str(config_path), "--bogus"]
+        assert run_command(bogus) == 1
+        before = capsys.readouterr().err
+        assert run_command(["ingest", "--config", str(config_path)]) == 0
+        capsys.readouterr()
+        assert run_command(bogus) == 1
+        assert capsys.readouterr().err == before == "error: unrecognized arguments: --bogus\n"
+
+    @pytest.mark.parametrize("argv, usage", [(["--help"], "usage: tablelink [-h]"),
+                                             (["link", "--help"], "usage: tablelink link [-h]")])
+    def test_help_returns_zero_without_exiting(self, capsys, monkeypatch, argv, usage):
+        monkeypatch.setenv("COLUMNS", "80")  # the help's width, as in the child below
+        assert run_command(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(usage)
+        child = subprocess.run([sys.executable, "-m", "tablelink.cli", *argv],
+                               capture_output=True, text=True, timeout=60,
+                               env={**subprocess_env(), "COLUMNS": "80"})
+        assert (child.returncode, child.stdout, child.stderr) == (0, out, "")
+
 
 class TestErrors:
     def test_unknown_flag_exits_one(self, project, capsys):
