@@ -8,6 +8,9 @@ mention_links_<category>.tsv, report.json, report.txt, timings.json). A
 command holds a kernel lock (``fcntl.flock``, so POSIX only) on the
 workdir's .lock file while it runs, so a second command there exits 2.
 
+A stage (``STAGES``) prints nothing: it returns its lines, or ``eval`` its
+report cells, and ``run_stages`` prints the lines as each stage returns.
+
 ``run_command`` runs one command in process and returns its exit status (0,
 1 or 2; 0 after ``--help``). It never exits the caller, so a process may call
 it any number of times; the first call builds the parser, and later calls
@@ -108,7 +111,7 @@ class Artifacts:
     {} of a name: a category's slug, or ``*`` for the whole workdir.
     """
 
-    def __init__(self, root, slug):
+    def __init__(self, root, slug="*"):
         self.root = Path(root)
         self.slug = slug
         self._memo = {}
@@ -139,14 +142,7 @@ class Artifacts:
 
 
 class Workdir(Artifacts):
-    """A workdir's corpus, its manifest and splits, the root of every other artifact.
-
-    ``report`` collects the evaluation cells of one ``run_stages`` call.
-    """
-
-    def __init__(self, root):
-        super().__init__(root, "*")
-        self.report = None
+    """A workdir's corpus, its manifest and splits, the root of every other artifact."""
 
     def ingest(self, corpus: Corpus, splits: Splits):
         self.root.mkdir(parents=True, exist_ok=True)
@@ -256,7 +252,7 @@ def stage_fit(art: CategoryArtifacts, config, args):
         corpus.tuples_of_category(art.category), corpus.schemas[art.category], encoder
     )
     model.save(art.put("vectorizer_{}.json", model))
-    print(f"fitted vectorizer for {art.category}: tuple dim {model.dim()}")
+    return [f"fitted vectorizer for {art.category}: tuple dim {model.dim()}"]
 
 
 def stage_train(art: CategoryArtifacts, config, args):
@@ -309,8 +305,8 @@ def stage_train(art: CategoryArtifacts, config, args):
     path = art.put("model_{}.ckpt", pair)
     neural.save_checkpoint(path, pair, step=adam.step, extra={"category": category})
     final = history[-1][2] if history else float("nan")
-    print(f"trained {category}: {len(matches)} {source} matches, {len(history)} batches, "
-          f"final loss {final:.4f}")
+    return [f"trained {category}: {len(matches)} {source} matches, {len(history)} batches, "
+            f"final loss {final:.4f}"]
 
 
 def _stage_embed(art: CategoryArtifacts, side):
@@ -326,17 +322,19 @@ def _stage_embed(art: CategoryArtifacts, side):
                                    "components; rerun `tablelink train`") from None
     path = art.put(f"{side}_{{}}.vec", vectors)
     vectorize.write_vector_file(path, vectors)
-    print(f"embedded {len(vectors)} {side} for {art.category} -> {path.name}")
+    return [f"embedded {len(vectors)} {side} for {art.category} -> {path.name}"]
 
 
 def stage_build_index(art: CategoryArtifacts, config, args):
+    lines = []
     for side in ("tuples", "mentions"):
         forest = annindex.build_forest(
             art.vectors(side), t=config.index.t,
             leaf_capacity=config.index.leaf_capacity, seed=config.index.seed,
         )
         annindex.save_forest(forest, art.put(f"{side}_{{}}.idx", forest))
-        print(f"indexed {len(forest)} {side} vectors for {art.category} (t={forest.t})")
+        lines.append(f"indexed {len(forest)} {side} vectors for {art.category} (t={forest.t})")
+    return lines
 
 
 # --direction -> (report direction, anchor side, counterpart side, links file)
@@ -362,15 +360,15 @@ def stage_link(art: CategoryArtifacts, config, args):
         )
     path = art.path(links_file)
     linker.export_links(results, path, strategy=config.strategy)
-    print(f"linked {len(results)} anchors for {art.category} -> {path.name}")
+    return [f"linked {len(results)} anchors for {art.category} -> {path.name}"]
 
 
 def stage_eval(art: CategoryArtifacts, config, args):
-    linker.evaluate_category(
-        art.ws.report, art.ws.corpus(), art.category, art.ws.splits(),
+    return linker.evaluate_category(
+        art.ws.corpus(), art.category, art.ws.splits(),
         art.vectors("tuples"), art.vectors("mentions"),
         art.forest("tuples"), art.forest("mentions"),
-        n=max(config.eval_ks), search_k=config.index.search_k,
+        config.eval_ks, search_k=config.index.search_k,
     )
 
 
@@ -392,13 +390,13 @@ def run_stages(ws: Workdir, config, args, names):
     checked against its schemas first; a stage that reads records loads
     ``corpus.json`` itself. ``fit`` runs on every category, the other stages
     only on categories with mentions. One category's artifacts are dropped
-    before the next category's load. ``eval`` writes the report once, after
-    the last category.
+    before the next category's load. A stage's lines are printed as soon as
+    it returns (a stage that raises prints none; its error goes to stderr),
+    and ``eval``'s cells go into one report, written after the last category.
     """
     manifest = ws.manifest()
     config.check_name_attributes(manifest.schemas)
-    if "eval" in names:
-        ws.report = linker.EvalReport(ks=tuple(config.eval_ks))
+    report = linker.EvalReport(ks=tuple(config.eval_ks))
     timings = dict.fromkeys(names, 0.0)
     for cat_index, category in enumerate(manifest.categories()):
         art = CategoryArtifacts(ws, category, cat_index)
@@ -406,12 +404,17 @@ def run_stages(ws: Workdir, config, args, names):
         for name in names:
             if name == "fit" or has_mentions:
                 started = time.perf_counter()
-                STAGES[name](art, config, args)
+                produced = STAGES[name](art, config, args)
                 timings[name] += time.perf_counter() - started
+                for item in produced:
+                    if name == "eval":
+                        report.add_cell(*item)
+                    else:
+                        print(item)
     if "eval" in names:
-        ws.report.finalize_overall()
-        formats.save_json(ws.root / "report.json", ws.report.to_dict())
-        table = ws.report.table()
+        report.finalize_overall()
+        formats.save_json(ws.root / "report.json", report.to_dict())
+        table = report.table()
         with formats.replacing(ws.root / "report.txt", "w", encoding="utf-8") as f:
             f.write(table)
         sys.stdout.write(table)
@@ -453,7 +456,7 @@ def build_parser():
     append action before it appends, and nothing mutates ``args.overrides``.
     """
     parser = _Parser(prog="tablelink", description=__doc__)
-    sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="project configuration JSON")

@@ -121,7 +121,6 @@ class EvalReport:
     """
 
     ks: tuple = (1, 5, 10)
-    primary_direction: str = TUPLE_TO_MENTIONS
     # direction -> split -> category -> {"count": int, "excluded": int,
     #                                    "hits": {str(k): int}, "precision": {str(k): float}}
     cells: dict = field(default_factory=dict)
@@ -142,22 +141,18 @@ class EvalReport:
                 self.add_cell(direction, split, "overall", hits, sum(c["count"] for c in cats),
                               sum(c["excluded"] for c in cats))
 
-    def precision(self, split, category="overall", k=1, direction=None):
-        direction = direction or self.primary_direction
-        return self.cells[direction][split][category]["precision"][str(k)]
-
     def to_dict(self):
         return {
             "format_version": 1,
             "ks": list(self.ks),
-            "primary_direction": self.primary_direction,
+            "primary_direction": TUPLE_TO_MENTIONS,
             "cells": self.cells,
         }
 
     def table(self):
         """The aligned text table: one row per category and, for each k, the
-        primary direction's precision on the test, train and unseen splits."""
-        by_split = self.cells.get(self.primary_direction, {})
+        tuple-to-mentions precision on the test, train and unseen splits."""
+        by_split = self.cells.get(TUPLE_TO_MENTIONS, {})
         categories = sorted({name for by_direction in self.cells.values()
                              for by_category in by_direction.values()
                              for name in by_category if name != "overall"})
@@ -176,35 +171,28 @@ class EvalReport:
                        for line in [headers, *rows])
 
 
-def evaluate_precision(results, gold, ks=(1, 5, 10), split="test", category="overall",
-                       direction=TUPLE_TO_MENTIONS, report=None):
-    """Precision@k over anchors: fraction whose top-k holds a gold counterpart.
+def evaluate_precision(results, gold, ks):
+    """Precision@k counts over anchors: ``(hits by k, count, excluded)``.
 
     ``results`` maps anchor id to its ranked list; ``gold`` maps anchor id to its
     set of gold counterparts. An anchor's hit rank is the best dense rank of
-    its gold counterparts, and it counts for every k at or above it. Anchors
-    without any gold counterpart are excluded and counted. The cell is added
-    to ``report``, counted at its ``ks``, and returned; ``ks`` only sizes a
-    fresh report when ``report`` is None.
+    its gold counterparts, and it is a hit for every k at or above it.
+    ``count`` anchors have a gold counterpart; the ``excluded`` others have none.
     """
     best = [min((rank for cp, _, rank in ranked if cp in gold[anchor]), default=math.inf)
             for anchor, ranked in results.items() if gold.get(anchor)]
-    if report is None:
-        report = EvalReport(ks=tuple(ks), primary_direction=direction)
-    report.add_cell(direction, split, category,
-                    {k: sum(rank <= k for rank in best) for k in report.ks},
-                    len(best), excluded=len(results) - len(best))
-    return report
+    return {k: sum(rank <= k for rank in best) for k in ks}, len(best), len(results) - len(best)
 
 
-def evaluate_category(report, corpus: Corpus, category, splits,
+def evaluate_category(corpus: Corpus, category, splits,
                       tuple_vecs, mention_vecs, tuple_forest, mention_forest,
-                      n, search_k=None):
-    """Add both link directions of one category to the report, per split.
+                      ks, search_k=None):
+    """Both link directions of one category, per split, as ``EvalReport.add_cell`` args.
 
-    ``tuple_vecs`` and ``mention_vecs`` are the joint-space ``KeyedVectors``.
-    Each direction ranks the anchors of all splits in one block and then
-    splits the results: a row's distances do not depend on its block.
+    Returns ``[(direction, split, category, hits, count, excluded), ...]``, counted at
+    ``ks``; ``tuple_vecs`` and ``mention_vecs`` are the joint-space ``KeyedVectors``.
+    Each direction ranks ``max(ks)`` counterparts for the anchors of all splits in one
+    block and then splits the results: a row's distances do not depend on its block.
     """
     entity_of_tuple = {rec.key: rec.entity for rec in corpus.tuples_of_category(category)}
     entity_of_mention = {}
@@ -216,6 +204,7 @@ def evaluate_category(report, corpus: Corpus, category, splits,
     )
 
     in_splits = splits.train | splits.test | splits.unseen
+    cells = []
     for direction, entity_of, vecs, forest, links_by_anchor in directions:
         wanted = {anchor for anchor, entity in entity_of.items()
                   if entity in in_splits and anchor in links_by_anchor}
@@ -226,14 +215,13 @@ def evaluate_category(report, corpus: Corpus, category, splits,
                 "vector; rerun `tablelink embed-tuples` and `embed-mentions`"
             )
         ranked = semantic_link(forest, KeyedVectors([vecs.ids[i] for i in rows], vecs.matrix[rows]),
-                               n, search_k=search_k)
+                               max(ks), search_k=search_k)
         for split in SPLIT_NAMES:
             members = getattr(splits, split)
             results = {anchor: r for anchor, r in ranked.items() if entity_of[anchor] in members}
             gold = {anchor: set(links_by_anchor[anchor]) for anchor in results}
-            evaluate_precision(results, gold, split=split, category=category,
-                               direction=direction, report=report)
-    return report
+            cells.append((direction, split, category, *evaluate_precision(results, gold, ks)))
+    return cells
 
 
 def export_links(results, path, strategy="semantic"):

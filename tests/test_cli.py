@@ -1,10 +1,12 @@
 import errno
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from tablelink import annindex, cli
 from tablelink.annindex import brute_force_knn
 from tablelink.cli import run_command
 from tablelink.config import PROFILES, ConfigError, ProjectConfig, apply_profile, load_config
-from tablelink.linker import TUPLE_TO_MENTIONS, EvalReport
+from tablelink.linker import MENTION_TO_TUPLES, TUPLE_TO_MENTIONS, EvalReport
 from tablelink.neural import DenseNet, EmbedderPair, TrainingError
 from tablelink.synthetic import synthetic_corpus_xml, write_synthetic_corpus
 from tablelink.vectorize import read_vector_file, write_vector_file
@@ -366,6 +368,66 @@ class TestCommands:
         del piped["timings.json"]
         assert piped == chain
 
+    def test_stdout_is_each_stage_s_lines_in_order(self, project, capsys):
+        """``pipeline`` prints category by category, the chain stage by stage: the same lines."""
+        config_path, workdir = project
+        write_two_category_corpus(config_path.parent / "corpus.xml")
+        categories = ("Landmark", "Peak")
+        ingest = [r"ingested 22 tuples, 78 mentions, 78 links across 2 categories",
+                  r"splits: \d+ train / \d+ test / \d+ unseen"]
+        stage_lines = {
+            "fit": [r"fitted vectorizer for {c}: tuple dim \d+"],
+            "train": [r"trained {c}: \d+ gold matches, 60 batches, final loss \d+\.\d+"],
+            "embed-tuples": [r"embedded \d+ tuples for {c} -> tuples_{c}\.vec"],
+            "embed-mentions": [r"embedded \d+ mentions for {c} -> mentions_{c}\.vec"],
+            "build-index": [r"indexed \d+ tuples vectors for {c} \(t=4\)",
+                            r"indexed \d+ mentions vectors for {c} \(t=4\)"],
+        }
+
+        def printed(command):
+            capsys.readouterr()
+            assert run_command([command, "--config", str(config_path)]) == 0, command
+            return [line for line in capsys.readouterr().out.splitlines()
+                    if " finished in " not in line and not line.startswith("stage timings")]
+
+        def matches(lines, patterns):
+            assert len(lines) == len(patterns), (lines, patterns)
+            for line, pattern in zip(lines, patterns):
+                assert re.fullmatch(pattern, line), (line, pattern)
+
+        piped = printed("pipeline")
+        table = (workdir / "report.txt").read_text().splitlines()
+        assert len(table) == 1 + len(categories) and piped[-len(table):] == table
+        matches(piped[:-len(table)], ingest + [p.format(c=c) for c in categories
+                                               for stage in stage_lines
+                                               for p in stage_lines[stage]])
+        chain = {"ingest": printed("ingest")}
+        matches(chain["ingest"], ingest)
+        for stage, patterns in stage_lines.items():
+            chain[stage] = printed(stage)
+            matches(chain[stage], [p.format(c=c) for c in categories for p in patterns])
+        chain["eval"] = printed("eval")
+        assert chain["eval"] == table
+        assert Counter(line for lines in chain.values() for line in lines) == Counter(piped)
+
+    def test_stages_return_what_they_produce_and_print_nothing(self, project, capsys):
+        config_path, workdir = project
+        assert run_command(["ingest", "--config", str(config_path)]) == 0
+        args = cli.build_parser().parse_args(["link", "--config", str(config_path)])
+        config = load_config(config_path)
+        art = cli.CategoryArtifacts(cli.Workdir(workdir), "Landmark", 0)
+        capsys.readouterr()
+        for name, stage in cli.STAGES.items():
+            produced = stage(art, config, args)
+            assert capsys.readouterr() == ("", ""), name
+            if name == "eval":
+                assert [cell[:3] for cell in produced] == [
+                    (direction, split, "Landmark")
+                    for direction in (TUPLE_TO_MENTIONS, MENTION_TO_TUPLES)
+                    for split in ("test", "train", "unseen")]
+            else:
+                assert produced and all(isinstance(line, str) for line in produced), name
+
     def test_json_artifacts_and_checkpoint_headers_share_one_compact_encoding(self, project):
         config_path, workdir = project
         assert run_command(["pipeline", "--config", str(config_path)]) == 0
@@ -591,6 +653,12 @@ class TestCommands:
         assert run_command(bogus) == 1
         assert capsys.readouterr().err == before == "error: unrecognized arguments: --bogus\n"
 
+    def test_help_names_every_command(self, capsys):
+        assert run_command(["--help"]) == 0
+        listed = capsys.readouterr().out.split("positional arguments:")[1].split("options:")[0]
+        for name in cli.COMMANDS:
+            assert re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", listed), name
+
     @pytest.mark.parametrize("argv, usage", [(["--help"], "usage: tablelink [-h]"),
                                              (["link", "--help"], "usage: tablelink link [-h]")])
     def test_help_returns_zero_without_exiting(self, capsys, monkeypatch, argv, usage):
@@ -610,9 +678,11 @@ class TestErrors:
         assert run_command(["ingest", "--config", str(config_path), "--bogus"]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_unknown_command_exits_one(self, project):
+    def test_unknown_command_exits_one(self, project, capsys):
         config_path, _ = project
         assert run_command(["frobnicate", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: argument command: invalid choice: 'frobnicate'")
 
     def test_missing_command_exits_one(self):
         assert run_command([]) == 1

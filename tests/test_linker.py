@@ -9,8 +9,8 @@ import pytest
 from tablelink import annindex, neural, vectorize
 from tablelink.annindex import build_forest
 from tablelink.cli import PIPELINE_STAGES, Workdir, run_command, run_stages
-from tablelink.corpus import (Corpus, RelationSchema, TextMention, load_corpus_xml,
-                              make_stratified_splits)
+from tablelink.corpus import (Corpus, RelationSchema, Splits, TextMention, TupleRecord,
+                              load_corpus_xml, make_stratified_splits)
 from tablelink.linker import (
     MENTION_TO_TUPLES,
     TUPLE_TO_MENTIONS,
@@ -19,6 +19,7 @@ from tablelink.linker import (
     bootstrap_exact_match,
     category_matches,
     dense_rank,
+    evaluate_category,
     evaluate_precision,
     exact_link,
     semantic_link,
@@ -178,41 +179,38 @@ class TestEvaluatePrecision:
         gold = {"t": {f"m{gold_rank}"}}
         return results, gold
 
+    @staticmethod
+    def precision(results, gold, ks=(1, 5, 10)):
+        hits, count, _ = evaluate_precision(results, gold, ks)
+        return {k: hits[k] / count for k in ks}
+
     def test_gold_at_rank_one(self):
         results, gold = self.make_results(1)
-        report = evaluate_precision(results, gold)
+        precision = self.precision(results, gold)
         for k in (1, 5, 10):
-            assert report.precision("test", "overall", k) == 1.0
+            assert precision[k] == 1.0
 
     def test_gold_at_rank_seven(self):
         results, gold = self.make_results(7)
-        report = evaluate_precision(results, gold)
-        assert report.precision("test", "overall", 1) == 0.0
-        assert report.precision("test", "overall", 5) == 0.0
-        assert report.precision("test", "overall", 10) == 1.0
+        precision = self.precision(results, gold)
+        assert precision[1] == 0.0
+        assert precision[5] == 0.0
+        assert precision[10] == 1.0
 
     def test_anchor_without_gold_excluded(self):
         results, gold = self.make_results(1)
         results["orphan"] = [("m1", 0.1, 1)]
-        report = evaluate_precision(results, gold)
-        cell = report.cells[TUPLE_TO_MENTIONS]["test"]["overall"]
-        assert cell["count"] == 1
-        assert cell["excluded"] == 1
-
-    def test_given_report_counts_at_its_own_ks(self):
-        results, gold = self.make_results(3)
-        report = evaluate_precision(results, gold, ks=(1,), report=EvalReport(ks=(1, 5)))
-        cell = report.cells[TUPLE_TO_MENTIONS]["test"]["overall"]
-        assert cell["hits"] == {"1": 0, "5": 1}
-        assert report.ks == (1, 5)
+        _, count, excluded = evaluate_precision(results, gold, (1, 5, 10))
+        assert count == 1
+        assert excluded == 1
 
     def test_repeated_k_counts_an_anchor_once(self):
         results, gold = self.make_results(1)
         results["t2"] = [("m1", 0.1, 1), ("m2", 0.1, 1), ("m3", 0.2, 2)]
         gold["t2"] = {"m2", "m3"}
-        cell = evaluate_precision(results, gold, ks=(5, 1, 5)).cells[TUPLE_TO_MENTIONS]["test"]
-        assert cell["overall"]["hits"] == {"5": 2, "1": 2}
-        assert cell["overall"]["precision"] == {"5": 1.0, "1": 1.0}
+        hits, count, _ = evaluate_precision(results, gold, (5, 1, 5))
+        assert hits == {5: 2, 1: 2}
+        assert {k: hits[k] / count for k in hits} == {5: 1.0, 1: 1.0}
 
     def test_p_at_k_nondecreasing_property(self):
         rng = np.random.default_rng(5)
@@ -223,9 +221,44 @@ class TestEvaluatePrecision:
                 ranked = [(f"m{j}", 0.01 * r, r + 1) for r, j in enumerate(order)]
                 results[f"t{a}"] = ranked
                 gold[f"t{a}"] = {f"m{int(rng.integers(20))}"}
-            report = evaluate_precision(results, gold)
-            cell = report.cells[TUPLE_TO_MENTIONS]["test"]["overall"]["precision"]
-            assert cell["1"] <= cell["5"] <= cell["10"]
+            precision = self.precision(results, gold)
+            assert precision[1] <= precision[5] <= precision[10]
+
+
+class TestEvaluateCategory:
+    def test_cells_per_direction_and_split_in_add_cell_form(self):
+        """One entity per split; tuple tb's gold mention mb is second nearest (dense rank 2)."""
+        schema = RelationSchema(name="R", attributes=(("name", "text"),))
+        tuples = {f"t{e}": TupleRecord(relation="R", key=f"t{e}", entity=e, values={"name": e})
+                  for e in "abc"}
+        mentions = {f"m{e}": TextMention(id=f"m{e}", span=(0, 1), mention_text=e,
+                                         sentence_text=f"{e}.", entity_category="R")
+                    for e in "abc"}
+        corpus = Corpus({"R": schema}, tuples, mentions, [(f"t{e}", f"m{e}") for e in "abc"])
+        splits = Splits(train=frozenset("a"), test=frozenset("b"), unseen=frozenset("c"), seed=0)
+
+        def at(degrees):
+            return np.array([np.cos(np.radians(degrees)), np.sin(np.radians(degrees))])
+
+        tuple_vecs = vectorize.KeyedVectors.of({"ta": at(0), "tb": at(10), "tc": at(120)})
+        mention_vecs = vectorize.KeyedVectors.of({"ma": at(0), "mb": at(60), "mc": at(120)})
+        forests = [build_forest(vecs, t=1, leaf_capacity=4, seed=0)
+                   for vecs in (tuple_vecs, mention_vecs)]
+        cells = evaluate_category(corpus, "R", splits, tuple_vecs, mention_vecs, *forests,
+                                  ks=(1, 3))
+        hit = {1: 1, 3: 1}
+        assert cells == [
+            (TUPLE_TO_MENTIONS, "test", "R", {1: 0, 3: 1}, 1, 0),
+            (TUPLE_TO_MENTIONS, "train", "R", hit, 1, 0),
+            (TUPLE_TO_MENTIONS, "unseen", "R", hit, 1, 0),
+            (MENTION_TO_TUPLES, "test", "R", hit, 1, 0),
+            (MENTION_TO_TUPLES, "train", "R", hit, 1, 0),
+            (MENTION_TO_TUPLES, "unseen", "R", hit, 1, 0),
+        ]
+        report = EvalReport(ks=(1, 3))
+        for cell in cells:
+            report.add_cell(*cell)
+        assert report.cells[TUPLE_TO_MENTIONS]["test"]["R"]["precision"] == {"1": 0.0, "3": 1.0}
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +291,11 @@ def run_cycle(root, corpus, config):
     return ws, run_stages(ws, config, None, PIPELINE_STAGES)
 
 
+def report_cells(ws):
+    """The cells of the ``report.json`` that the last ``eval`` wrote to ``ws``."""
+    return json.loads((ws.root / "report.json").read_text())["cells"]
+
+
 def train_command(root, config, capsys):
     """Run ``tablelink train`` on the workdir ``root``; returns its exit status and stderr."""
     doc = dataclasses.asdict(config)
@@ -287,10 +325,10 @@ class TestRetrainCycle:
 
     def test_smoke_and_report_shape(self, tiny_synthetic_corpus, tmp_path):
         ws, timings = run_cycle(tmp_path, tiny_synthetic_corpus, tiny_config())
-        report = ws.report
-        assert set(report.cells) == {TUPLE_TO_MENTIONS, MENTION_TO_TUPLES}
+        cells = report_cells(ws)
+        assert set(cells) == {TUPLE_TO_MENTIONS, MENTION_TO_TUPLES}
         for split in ("train", "test", "unseen"):
-            cell = report.cells[TUPLE_TO_MENTIONS][split]["Landmark"]
+            cell = cells[TUPLE_TO_MENTIONS][split]["Landmark"]
             assert cell["count"] > 0
             p = cell["precision"]
             assert 0.0 <= p["1"] <= p["5"] <= p["10"] <= 1.0
@@ -320,7 +358,7 @@ class TestRetrainCycle:
     def test_rerun_is_identical(self, tiny_synthetic_corpus, tmp_path):
         ws1, _ = run_cycle(tmp_path / "a", tiny_synthetic_corpus, tiny_config())
         ws2, _ = run_cycle(tmp_path / "b", tiny_synthetic_corpus, tiny_config())
-        assert ws1.report.to_dict() == ws2.report.to_dict()
+        assert report_cells(ws1) == report_cells(ws2)
 
     def test_train_twice_gives_identical_checkpoints(self, tiny_synthetic_corpus, tmp_path):
         corpus, config = tiny_synthetic_corpus, tiny_config(budget=30)
@@ -354,7 +392,7 @@ class TestRetrainCycle:
     def test_unseen_appear_only_in_unseen_cells(self, tiny_synthetic_corpus, tmp_path):
         ws, _ = run_cycle(tmp_path, tiny_synthetic_corpus, tiny_config(budget=40))
         counts = {
-            split: ws.report.cells[TUPLE_TO_MENTIONS][split]["Landmark"]["count"]
+            split: report_cells(ws)[TUPLE_TO_MENTIONS][split]["Landmark"]["count"]
             for split in ("train", "test", "unseen")
         }
         assert counts["unseen"] == len(ws.splits().unseen)
